@@ -17,7 +17,6 @@ from .qpoly import (
     BivariatePolynomial,
     CyclotomicResidue,
     IntPolynomial,
-    LaurentPolynomial,
     cyclotomic,
     eulerian_poly,
     eval_at_root,
@@ -43,7 +42,6 @@ from .sieve import (
     action_from_objects,
     berget_eu_reiner_toy,
     build_report,
-    burnside_ok,
     corrupt_polynomial,
     fixed_count,
     list_families,

@@ -7,7 +7,8 @@
     csp-lab poly <name> <args>...
 
 Exit codes: 0 pass, 1 sieving mismatch, 2 usage or cap error, 3 internal
-invariant breach.  CSP_LAB_CAP overrides the default size cap.
+error (an invariant breach or any unexpected exception).  CSP_LAB_CAP
+overrides the default size cap.
 """
 from __future__ import annotations
 
@@ -19,20 +20,14 @@ from typing import Sequence
 
 from . import qpoly, sieve, tableaux
 from .errors import (
-    CapExceeded,
     CspLabError,
     InexactDivision,
     InternalInvariantError,
     NegativeExponent,
     NonIntegerEvaluation,
-    NotNearlyFree,
     PreconditionError,
-    UnknownFamily,
 )
 
-USAGE_ERRORS = (
-    PreconditionError, CapExceeded, UnknownFamily, NotNearlyFree, ValueError,
-)
 INTERNAL_ERRORS = (
     InexactDivision, NonIntegerEvaluation, NegativeExponent,
     InternalInvariantError,
@@ -156,19 +151,24 @@ def cmd_verify(ns: argparse.Namespace) -> int:
 
 def cmd_orbits(ns: argparse.Namespace) -> int:
     inst = sieve.registry_instantiate(ns.family, _collect_params(ns), _size_cap(ns))
-    report = sieve.build_report(inst)
-    orbits = sieve.orbit_decompose(inst.action)
+    a, _, _ = sieve.verify_csp_orbits(inst)
+    orbits = inst.action.orbits
     if ns.json:
-        payload = report.to_dict()
-        del payload["rows"], payload["verdict"]
-        payload["orbits"] = [
-            {
-                "size": len(o.members),
-                "stab": o.stabilizer_order,
-                "members": [inst.action.labels[i] for i in o.members],
-            }
-            for o in orbits
-        ]
+        payload = {
+            "family": inst.family,
+            "params": inst.params_dict(),
+            "size": inst.action.size,
+            "order": inst.action.order,
+            "orbits": [
+                {
+                    "size": len(o.members),
+                    "stab": o.stabilizer_order,
+                    "members": [inst.action.labels[i] for i in o.members],
+                }
+                for o in orbits
+            ],
+            "a": list(a),
+        }
         _emit(json.dumps(payload, indent=2), ns.out)
         return 0
     lines = [
@@ -179,7 +179,7 @@ def cmd_orbits(ns: argparse.Namespace) -> int:
     for o in orbits:
         members = " ".join(inst.action.labels[i] for i in o.members)
         lines.append(f"orbit size {len(o.members):>4}  stab {o.stabilizer_order:>4}  {members}")
-    lines.append(f"a: {list(report.a)}")
+    lines.append(f"a: {list(a)}")
     _emit("\n".join(lines), ns.out)
     return 0
 
@@ -217,12 +217,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     except INTERNAL_ERRORS as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
-    except USAGE_ERRORS as exc:
+    except (CspLabError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except CspLabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -31,7 +31,7 @@ class NonIntegerEvaluation(CspLabError, ArithmeticError):
 
 
 class NegativeExponent(CspLabError, ArithmeticError):
-    """A Laurent polynomial was coerced where an ordinary one was required."""
+    """A substitution left a nonzero term at a negative power of q."""
 
 
 class CapExceeded(CspLabError):

@@ -28,7 +28,7 @@ from .errors import (
 )
 
 __all__ = [
-    "IntPolynomial", "LaurentPolynomial", "BivariatePolynomial",
+    "IntPolynomial", "BivariatePolynomial",
     "CyclotomicResidue",
     "q_int", "q_factorial", "gaussian_binomial", "cyclotomic",
     "eval_at_root", "root_of_unity_binomial", "fold_mod_qn", "exact_divide",
@@ -239,8 +239,9 @@ def q_factorial(n: int) -> IntPolynomial:
 
 @functools.lru_cache(maxsize=None)
 def gaussian_binomial(n: int, k: int) -> IntPolynomial:
-    """The Gaussian binomial coefficient, built by the Pascal-type recurrence
-    [n k] = [n-1 k] + q^(n-k) [n-1 k-1] so the computation stays in Z[q].
+    """The Gaussian binomial coefficient, built row by row from the
+    Pascal-type recurrence [m i] = [m-1 i] + q^(m-i) [m-1 i-1], so the
+    computation stays in Z[q] and its depth does not grow with n.
 
     Out-of-range k gives the zero polynomial.  The value at q=1 is C(n, k);
     coefficients are nonnegative and symmetric.
@@ -252,9 +253,13 @@ def gaussian_binomial(n: int, k: int) -> IntPolynomial:
         raise PreconditionError("gaussian_binomial needs n >= 0")
     if k < 0 or k > n:
         return ZERO
-    if k == 0 or k == n:
-        return ONE
-    return gaussian_binomial(n - 1, k) + gaussian_binomial(n - 1, k - 1).shift(n - k)
+    # row[i] holds [m i] for the current m; entries below k - (n - m) are
+    # never read again, so each row starts there
+    row = [ONE] + [ZERO] * k
+    for m in range(1, n + 1):
+        for i in range(min(m, k), max(0, k - n + m - 1), -1):
+            row[i] = row[i] + row[i - 1].shift(m - i)
+    return row[k]
 
 
 @functools.lru_cache(maxsize=None)
@@ -458,66 +463,7 @@ def q_proper_triangulations(n: int) -> IntPolynomial:
 
 
 # ---------------------------------------------------------------------------
-# Laurent and bivariate polynomials
-
-
-@dataclass(frozen=True)
-class LaurentPolynomial:
-    """A polynomial in q and q^-1: coefficients starting at q^lowest."""
-
-    lowest: int
-    coeffs: tuple[int, ...]
-
-    def __init__(self, lowest: int = 0, coeffs: Iterable[int] = ()):
-        cs = list(coeffs)
-        while cs and cs[0] == 0:
-            cs.pop(0)
-            lowest += 1
-        while cs and cs[-1] == 0:
-            cs.pop()
-        if not cs:
-            lowest = 0
-        object.__setattr__(self, "lowest", lowest)
-        object.__setattr__(self, "coeffs", tuple(cs))
-
-    @staticmethod
-    def from_dict(terms: Mapping[int, int]) -> "LaurentPolynomial":
-        if not terms:
-            return LaurentPolynomial()
-        lo = min(terms)
-        hi = max(terms)
-        return LaurentPolynomial(lo, [terms.get(e, 0) for e in range(lo, hi + 1)])
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def as_polynomial(self) -> IntPolynomial:
-        """Coerce to an ordinary polynomial; error on negative exponents."""
-        if self.coeffs and self.lowest < 0:
-            raise NegativeExponent(
-                f"lowest exponent {self.lowest} is negative: {self}"
-            )
-        return IntPolynomial((0,) * self.lowest + self.coeffs)
-
-    def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for off, c in enumerate(self.coeffs):
-            e = self.lowest + off
-            if c == 0:
-                continue
-            if e == 0:
-                term = str(c)
-            else:
-                mag = "" if abs(c) == 1 else str(abs(c))
-                var = "q" if e == 1 else f"q^{e}"
-                term = ("-" if c < 0 else "") + mag + var
-            if parts and not term.startswith("-"):
-                parts.append("+" + term)
-            else:
-                parts.append(term)
-        return "".join(parts)
+# bivariate polynomials
 
 
 class BivariatePolynomial:
@@ -571,9 +517,22 @@ class BivariatePolynomial:
         return f"BivariatePolynomial({str(self)!r})"
 
 
-def subst_t_q_inverse(F: BivariatePolynomial) -> LaurentPolynomial:
-    """Substitute t = 1/q: the term q^i t^j becomes q^(i-j)."""
+def subst_t_q_inverse(F: BivariatePolynomial) -> IntPolynomial:
+    """Substitute t = 1/q: the term q^i t^j becomes q^(i-j).
+
+    Raises NegativeExponent when a nonzero coefficient lands on a negative
+    power of q; terms that cancel there are fine.
+
+    >>> print(subst_t_q_inverse(BivariatePolynomial({(3, 1): 1, (1, 1): 2})))
+    2+q^2
+    """
     acc: dict[int, int] = {}
     for (i, j), c in F.terms.items():
         acc[i - j] = acc.get(i - j, 0) + c
-    return LaurentPolynomial.from_dict(acc)
+    exponents = [e for e, c in acc.items() if c]
+    if exponents and min(exponents) < 0:
+        raise NegativeExponent(f"t = 1/q leaves q^{min(exponents)} in {F}")
+    coeffs = [0] * (max(exponents, default=-1) + 1)
+    for e in exponents:
+        coeffs[e] = acc[e]
+    return IntPolynomial(coeffs)

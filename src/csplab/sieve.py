@@ -12,6 +12,7 @@ implementation.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -48,7 +49,7 @@ __all__ = [
     "fixed_count", "verify_csp_roots", "verify_csp_orbits", "build_report",
     "verify_bicsp", "verify_block_partition", "berget_eu_reiner_toy",
     "registry_instantiate", "list_families", "corrupt_polynomial",
-    "burnside_ok", "DEFAULT_SIZE_CAP", "ORDER_CAP",
+    "DEFAULT_SIZE_CAP", "ORDER_CAP",
 ]
 
 DEFAULT_SIZE_CAP = 200_000
@@ -105,6 +106,12 @@ class CyclicAction:
     @property
     def size(self) -> int:
         return len(self.labels)
+
+    @functools.cached_property
+    def orbits(self) -> tuple[Orbit, ...]:
+        """The generator's orbits, decomposed once per action; fixed points,
+        the orbit census and the reports all read them from here."""
+        return orbit_decompose(self)
 
 
 @dataclass(frozen=True)
@@ -166,21 +173,9 @@ def orbit_decompose(action: CyclicAction) -> tuple[Orbit, ...]:
 
 
 def fixed_count(action: CyclicAction, j: int) -> int:
-    """Number of points fixed by generator^j."""
-    p = tuple(range(action.size))
-    for _ in range(j % action.order):
-        p = _compose_idx(action.generator, p)
-    return sum(1 for i, x in enumerate(p) if i == x)
-
-
-def burnside_ok(action: CyclicAction) -> bool:
-    """Sum of fixed counts over the group equals order times orbit count."""
-    total = 0
-    p = tuple(range(action.size))
-    for _ in range(action.order):
-        total += sum(1 for i, x in enumerate(p) if i == x)
-        p = _compose_idx(action.generator, p)
-    return total == action.order * len(orbit_decompose(action))
+    """Number of points fixed by generator^j: generator^j fixes exactly the
+    points whose orbit length divides j."""
+    return sum(len(o.members) for o in action.orbits if j % len(o.members) == 0)
 
 
 # ---------------------------------------------------------------------------
@@ -201,19 +196,17 @@ def verify_csp_roots(inst: CSPInstance) -> tuple[RootRow, ...]:
     of the polynomial at roots of unity of matching orders."""
     action, f = inst.action, inst.polynomial
     rows = []
-    cache: dict[int, int | None] = {}
-    p = tuple(range(action.size))
+    cache: dict[int, tuple[int, int | None]] = {}  # d -> (fixed, value)
     for j in range(action.order):
         d = action.order // math.gcd(action.order, j)
         if d not in cache:
             try:
-                cache[d] = eval_at_root(f, d)
+                value = eval_at_root(f, d)
             except NonIntegerEvaluation:
-                cache[d] = None
-        fixed = sum(1 for i, x in enumerate(p) if i == x)
-        value = cache[d]
+                value = None
+            cache[d] = (fixed_count(action, j), value)
+        fixed, value = cache[d]
         rows.append(RootRow(j, d, fixed, value, value == fixed))
-        p = _compose_idx(action.generator, p)
     return tuple(rows)
 
 
@@ -228,7 +221,7 @@ def verify_csp_orbits(
     """
     action = inst.action
     a = fold_mod_qn(inst.polynomial, action.order)
-    stabs = [o.stabilizer_order for o in orbit_decompose(action)]
+    stabs = [o.stabilizer_order for o in action.orbits]
     census = tuple(sum(1 for s in stabs if i % s == 0) for i in range(action.order))
     matches = tuple(x == y for x, y in zip(a, census))
     return a, census, matches
@@ -305,7 +298,7 @@ def build_report(inst: CSPInstance, checker: str = "both") -> CSPReport:
         order=inst.action.order,
         polynomial=inst.polynomial,
         rows=verify_csp_roots(inst),
-        orbits=orbit_decompose(inst.action),
+        orbits=inst.action.orbits,
         a=a,
         census=census,
         orbit_matches=matches,
@@ -598,7 +591,7 @@ def _build_conj_class(params: Mapping, cap: int) -> CSPInstance:
     order = _check_order(n)
     c = tuple(range(2, n + 1)) + (1,)
     F = perms.maj_exc_genfun(lam)
-    f = subst_t_q_inverse(F).as_polynomial()
+    f = subst_t_q_inverse(F)
     action = action_from_objects(
         perms.conjugacy_class(lam),
         lambda w: perms.conjugate(c, w),
@@ -775,6 +768,8 @@ def registry_instantiate(
     cap = DEFAULT_SIZE_CAP if size_cap is None else size_cap
     try:
         return fam.builder(params, cap)
+    except UnknownFamily:  # a base family of plethysm_derived
+        raise
     except KeyError as exc:
         raise PreconditionError(
             f"family {family_id} needs parameter {exc}; signature: {fam.signature}"

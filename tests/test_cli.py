@@ -5,6 +5,7 @@ import json
 import pytest
 
 from csplab import cli
+from csplab.errors import CspLabError
 
 
 def run(capsys, *argv):
@@ -156,3 +157,52 @@ def test_internal_error_exit_code(capsys, monkeypatch):
     code, _, err = run(capsys, "verify", "ncp", "--n", "2")
     assert code == 3
     assert "internal error" in err
+
+
+@pytest.mark.parametrize("exc", [ValueError("bad value"), CspLabError("bad value")])
+def test_value_and_package_errors_are_usage_errors(capsys, monkeypatch, exc):
+    from csplab import sieve
+
+    def boom(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(sieve, "build_report", boom)
+    code, _, err = run(capsys, "verify", "ncp", "--n", "2")
+    assert code == 2
+    assert err == "error: bad value\n"
+
+
+def test_unexpected_exception_is_internal_error(capsys, monkeypatch):
+    from csplab import sieve
+
+    def boom(*args, **kwargs):
+        raise RuntimeError("forced")
+
+    monkeypatch.setattr(sieve, "build_report", boom)
+    code, out, err = run(capsys, "verify", "ncp", "--n", "2")
+    assert code == 3
+    assert out == ""
+    assert err == "internal error: RuntimeError: forced\n"
+
+
+def test_unknown_base_family_is_named(capsys):
+    code, _, err = run(
+        capsys, "verify", "plethysm_derived", "--base", "nope", "--k", "2"
+    )
+    assert code == 2
+    assert "nope" in err
+    assert "needs parameter" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "multiset", "--n", "1000", "--k", "1"],
+        ["verify", "subset", "--n", "1200", "--k", "1"],
+        ["poly", "qbinom", "1500", "2"],
+    ],
+    ids=["multiset-1000-1", "subset-1200-1", "qbinom-1500-2"],
+)
+def test_large_gaussian_binomials_do_not_recurse(capsys, argv):
+    # the Pascal recursion of depth n used to overflow the stack here
+    assert run(capsys, *argv)[0] == 0

@@ -1,5 +1,6 @@
 """Exact polynomial layer: constructors, root-of-unity evaluation, plethysm."""
 
+import functools
 import math
 
 import pytest
@@ -14,7 +15,6 @@ from csplab.errors import (
 from csplab.qpoly import (
     BivariatePolynomial,
     IntPolynomial,
-    LaurentPolynomial,
     cyclotomic,
     eulerian_poly,
     eval_at_root,
@@ -68,6 +68,22 @@ def test_gaussian_binomial_golden():
     assert gaussian_binomial(5, 2) == P([1, 1, 2, 2, 2, 1, 1])
     assert gaussian_binomial(3, 5).is_zero()
     assert gaussian_binomial(3, -1).is_zero()
+
+
+@functools.lru_cache(maxsize=None)
+def _pascal_binomial(n, k):
+    """Oracle: the Pascal-type recurrence run as a recursion of depth n."""
+    if k < 0 or k > n:
+        return P()
+    if k == 0 or k == n:
+        return P([1])
+    return _pascal_binomial(n - 1, k) + _pascal_binomial(n - 1, k - 1).shift(n - k)
+
+
+def test_gaussian_binomial_matches_pascal_recursion():
+    for n in range(31):
+        for k in range(-1, n + 2):
+            assert gaussian_binomial(n, k) == _pascal_binomial(n, k), (n, k)
 
 
 @pytest.mark.parametrize("n", range(13))
@@ -279,18 +295,15 @@ def test_q_proper_triangulations():
 
 def test_subst_t_q_inverse():
     F = BivariatePolynomial({(2, 2): 1, (1, 1): 1})
-    assert subst_t_q_inverse(F).as_polynomial() == P([2])
-    assert subst_t_q_inverse(BivariatePolynomial({(0, 0): 1})).as_polynomial() == P([1])
-    assert subst_t_q_inverse(BivariatePolynomial({(3, 1): 1})).as_polynomial() == P.monomial(1, 2)
+    assert subst_t_q_inverse(F) == P([2])
+    assert subst_t_q_inverse(BivariatePolynomial({(0, 0): 1})) == P([1])
+    assert subst_t_q_inverse(BivariatePolynomial({(3, 1): 1})) == P.monomial(1, 2)
+    assert subst_t_q_inverse(BivariatePolynomial()).is_zero()
     with pytest.raises(NegativeExponent):
-        subst_t_q_inverse(BivariatePolynomial({(0, 2): 1})).as_polynomial()
-
-
-def test_laurent_canonical():
-    L = LaurentPolynomial(-2, [0, 1, 0, 3, 0])
-    assert L.lowest == -1 and L.coeffs == (1, 0, 3)
-    assert LaurentPolynomial(5, [0, 0]).is_zero()
-    assert LaurentPolynomial.from_dict({2: 1, -1: 0}) == LaurentPolynomial(2, [1])
+        subst_t_q_inverse(BivariatePolynomial({(0, 2): 1}))
+    # q^-1 terms that cancel leave an ordinary polynomial
+    G = BivariatePolynomial({(0, 1): 1, (1, 2): -1, (2, 0): 3})
+    assert subst_t_q_inverse(G) == P([0, 0, 3])
 
 
 @given(

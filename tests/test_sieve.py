@@ -3,6 +3,7 @@
 import math
 
 import pytest
+from fixed_point_oracle import burnside_ok, power_fixed_counts
 from hypothesis import given, strategies as st
 
 from csplab import perms, sieve
@@ -64,6 +65,31 @@ def test_fixed_multisets_of_mixed_generator():
             if tuple(sorted(g[x - 1] for x in ms)) == ms:
                 fixed_labels.append("".join(map(str, ms)))
     assert fixed_labels == ["35", "124", "3355", "12345"]
+
+
+@given(
+    st.integers(min_value=0, max_value=10).flatmap(
+        lambda m: st.permutations(list(range(m)))
+    ),
+    st.integers(min_value=1, max_value=3),
+)
+def test_fixed_count_matches_power_iteration(gen, mult):
+    """Fixed points read off the orbit lengths agree with composing the
+    generator j times, also when the declared order is a multiple of the
+    permutation's own order (an unfaithful action)."""
+    gen = tuple(gen)
+    order = sieve._faithful_order(gen) * mult
+    action = sieve.CyclicAction(tuple(f"x{i}" for i in range(len(gen))), gen, order)
+    oracle = power_fixed_counts(action)
+    assert [sieve.fixed_count(action, j) for j in range(order)] == oracle
+
+
+def test_fixed_count_matches_power_iteration_conj_class():
+    # conjugation by a 4-cycle acts on the class of (2,2) with order 2, not 4
+    action = sieve.registry_instantiate("conj_class", {"lam": (2, 2)}).action
+    assert sieve._faithful_order(action.generator) < action.order
+    oracle = power_fixed_counts(action)
+    assert [sieve.fixed_count(action, j) for j in range(action.order)] == oracle
 
 
 @pytest.mark.parametrize("n,k", [(n, k) for n in range(1, 7) for k in range(6)])
@@ -159,7 +185,7 @@ def test_burnside():
         ("conj_class", {"lam": (2, 2)}),
     ]:
         inst = sieve.registry_instantiate(family, params)
-        assert sieve.burnside_ok(inst.action)
+        assert burnside_ok(inst.action)
 
 
 def test_registry_basics():
@@ -323,7 +349,7 @@ def test_checkers_agree_on_arbitrary_instances(data):
     inst = sieve.CSPInstance(action, IntPolynomial(coeffs))
     rep = sieve.build_report(inst)
     assert rep.roots_pass == rep.orbits_pass
-    assert sieve.burnside_ok(action)
+    assert burnside_ok(action)
 
 
 @given(st.permutations(list(range(10))), st.integers(min_value=1, max_value=3))
@@ -374,7 +400,7 @@ def test_checker_equivalence_across_families(family, params):
     inst = sieve.registry_instantiate(family, params)
     rep = sieve.build_report(inst)
     assert rep.roots_pass == rep.orbits_pass == True
-    assert sieve.burnside_ok(inst.action)
+    assert burnside_ok(inst.action)
     bad = sieve.CSPInstance(
         inst.action, sieve.corrupt_polynomial(inst.polynomial, 1), inst.family
     )
