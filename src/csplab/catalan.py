@@ -75,7 +75,8 @@ def _nc_partitions_of(elems: tuple[int, ...]) -> Iterator[SetPartition]:
 
     The block containing the least element splits the rest into independent
     gap segments (between consecutive block members) and a tail; any block
-    straddling a boundary would cross the leading block.
+    straddling a boundary would cross the leading block.  Blocks come out
+    in order of their minima, so results need no canonicalization.
     """
     if not elems:
         yield ()
@@ -92,7 +93,7 @@ def _nc_partitions_of(elems: tuple[int, ...]) -> Iterator[SetPartition]:
             segments.append(rest[prev + 1 : b])
             prev = b
         for sub in itertools.product(*(_nc_partitions_of(seg) for seg in segments)):
-            yield canonical_blocks((block,) + tuple(itertools.chain.from_iterable(sub)))
+            yield (block,) + tuple(itertools.chain.from_iterable(sub))
 
 
 def enumerate_nc_partitions(n: int, cap: int = NC_CAP) -> tuple[SetPartition, ...]:
@@ -105,6 +106,7 @@ def enumerate_nc_partitions(n: int, cap: int = NC_CAP) -> tuple[SetPartition, ..
 
 
 def _nc_matchings_of(verts: tuple[int, ...]) -> Iterator[Matching]:
+    """Noncrossing matchings of an increasing vertex list; pairs come out sorted."""
     if not verts:
         yield ()
         return
@@ -113,7 +115,7 @@ def _nc_matchings_of(verts: tuple[int, ...]) -> Iterator[Matching]:
         inner, outer = verts[1:k], verts[k + 1 :]
         for m1 in _nc_matchings_of(inner):
             for m2 in _nc_matchings_of(outer):
-                yield tuple(sorted(((first, verts[k]),) + m1 + m2))
+                yield ((first, verts[k]),) + m1 + m2
 
 
 def enumerate_nc_matchings(n: int, cap: int = NC_CAP) -> tuple[Matching, ...]:

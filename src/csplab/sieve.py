@@ -96,12 +96,9 @@ class CyclicAction:
             raise PreconditionError("labels must be distinct canonical encodings")
         if sorted(self.generator) != list(range(n)):
             raise PreconditionError("generator is not a permutation of the indices")
-        faithful = _faithful_order(self.generator)
-        if self.order < 1 or self.order % faithful:
-            raise PreconditionError(
-                f"declared order {self.order} is not a multiple of the "
-                f"permutation order {faithful}"
-            )
+        if self.order < 1:
+            raise PreconditionError(f"declared order {self.order} is not positive")
+        self.orbits  # its one walk rejects orbit lengths that do not divide the order
 
     @property
     def size(self) -> int:
@@ -135,20 +132,22 @@ def action_from_objects(
     objects: Iterable,
     step: Callable,
     encode: Callable[[object], str],
-    order: int | None = None,
+    order: int,
 ) -> CyclicAction:
     """Materialize an action: sort objects by canonical encoding, then store
-    the generator as an index permutation."""
+    the generator as an index permutation.  Each object is encoded once; the
+    index is keyed by the object, so ``step`` must return the canonical
+    object, equal to and hashing like the enumerated one.  Repeated objects
+    and non-injective encoders show up as repeated labels."""
     pairs = sorted(((encode(o), o) for o in objects), key=lambda p: p[0])
-    labels = tuple(e for e, _ in pairs)
-    index = {e: i for i, e in enumerate(labels)}
-    if len(index) != len(pairs):
-        raise PreconditionError("encodings are not injective")
+    index = {o: i for i, (_, o) in enumerate(pairs)}
     try:
-        gen = tuple(index[encode(step(o))] for _, o in pairs)
-    except KeyError as exc:  # pragma: no cover - misuse guard
+        gen = tuple(index[step(o)] for _, o in pairs)
+    except KeyError as exc:
         raise PreconditionError(f"generator leaves the set: {exc}") from exc
-    return CyclicAction(labels, gen, order or _faithful_order(gen))
+    labels = tuple(e for e, _ in pairs)
+    del pairs, index  # freed before CyclicAction walks the orbits: lower peak memory
+    return CyclicAction(labels, gen, order)
 
 
 def orbit_decompose(action: CyclicAction) -> tuple[Orbit, ...]:
@@ -167,7 +166,8 @@ def orbit_decompose(action: CyclicAction) -> tuple[Orbit, ...]:
             x = action.generator[x]
         stab, rem = divmod(action.order, len(members))
         if rem:
-            raise PreconditionError("orbit size does not divide the group order")
+            raise PreconditionError(f"orbit length {len(members)} does not divide "
+                                    f"the declared order {action.order}")
         orbits.append(Orbit(tuple(members), stab))
     return tuple(orbits)
 
@@ -259,13 +259,9 @@ class CSPReport:
         return "pass" if ok else "fail"
 
     def to_dict(self) -> dict:
-        params = {
-            key: list(v) if isinstance(v, tuple) else v
-            for key, v in dict(self.params).items()
-        }
         return {
             "family": self.family,
-            "params": params,
+            "params": self.params,
             "size": self.size,
             "order": self.order,
             "rows": [
@@ -352,12 +348,10 @@ def verify_bicsp(
     permutations g, h, where w and w' are primitive roots of unity of the
     two group orders and e1, e2 fix the embeddings.  Evaluation is exact, in
     the cyclotomic integers of order lcm(order1, order2)."""
+    o1 = CyclicAction(tuple(labels), gen1, order1 or _faithful_order(gen1)).order
+    o2 = CyclicAction(tuple(labels), gen2, order2 or _faithful_order(gen2)).order
     if _compose_idx(gen1, gen2) != _compose_idx(gen2, gen1):
         raise NonCommutingActions("the two generators do not commute")
-    o1 = order1 or _faithful_order(gen1)
-    o2 = order2 or _faithful_order(gen2)
-    if o1 % _faithful_order(gen1) or o2 % _faithful_order(gen2):
-        raise PreconditionError("declared orders must be multiples of the permutation orders")
     if math.gcd(e1, o1) != 1 or math.gcd(e2, o2) != 1:
         raise PreconditionError("embedding exponents must be units mod the orders")
     D = math.lcm(o1, o2)
@@ -583,12 +577,12 @@ def _build_conj_class(params: Mapping, cap: int) -> CSPInstance:
     if isinstance(lam, str):
         lam = tuple(int(x) for x in lam.split(",") if x)
     lam = tuple(lam)
-    n = sum(lam)
+    n = perms._check_partition(lam)
     z = math.prod(
         i ** lam.count(i) * math.factorial(lam.count(i)) for i in set(lam)
     )
     _check_size(math.factorial(n) // z, cap)
-    order = _check_order(n)
+    order = _check_order(max(n, 1))  # the long cycle of S_0 is the identity
     c = tuple(range(2, n + 1)) + (1,)
     F = perms.maj_exc_genfun(lam)
     f = subst_t_q_inverse(F)

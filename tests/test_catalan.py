@@ -27,7 +27,10 @@ def test_nc_partitions_small():
 
 @pytest.mark.parametrize("n", range(11))
 def test_nc_partition_count(n):
-    assert len(ct.enumerate_nc_partitions(n, cap=n)) == ct.catalan_number(n)
+    parts = ct.enumerate_nc_partitions(n, cap=n)
+    assert len(parts) == ct.catalan_number(n)
+    # the enumerator skips canonicalization, so rotations must land on its objects
+    assert all(p == ct.canonical_blocks(p) for p in parts)
 
 
 @pytest.mark.parametrize("n", range(9))
@@ -36,6 +39,7 @@ def test_nc_matching_count(n):
     assert len(ms) == ct.catalan_number(n)
     for m in ms:
         assert ct.is_noncrossing(m)
+        assert m == ct.canonical_blocks(m)
 
 
 def test_nc_matchings_golden():

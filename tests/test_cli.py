@@ -206,3 +206,18 @@ def test_unknown_base_family_is_named(capsys):
 def test_large_gaussian_binomials_do_not_recurse(capsys, argv):
     # the Pascal recursion of depth n used to overflow the stack here
     assert run(capsys, *argv)[0] == 0
+
+
+@pytest.mark.parametrize("lam", ["0", "2,0", "-1", "1,2"])
+def test_conj_class_rejects_non_partitions(capsys, lam):
+    # the class size used to be computed first: 0! / 0 and (-1)! crashed
+    code, out, err = run(capsys, "verify", "conj_class", "--lam", lam)
+    assert code == 2
+    assert out == ""
+    assert "is not a partition" in err
+
+
+def test_conj_class_of_the_empty_partition(capsys):
+    code, out, _ = run(capsys, "verify", "conj_class", "--lam", "")
+    assert code == 0
+    assert "size 1  order 1" in out

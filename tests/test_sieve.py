@@ -4,11 +4,13 @@ import math
 
 import pytest
 from fixed_point_oracle import burnside_ok, power_fixed_counts
-from hypothesis import given, strategies as st
+from materialize_oracle import label_keyed_action
+from hypothesis import given, settings, strategies as st
 
 from csplab import perms, sieve
 from csplab.errors import (
     CapExceeded,
+    CspLabError,
     NonCommutingActions,
     NotNearlyFree,
     PreconditionError,
@@ -22,12 +24,62 @@ def test_action_validation():
     a = sieve.CyclicAction(("a", "b", "c"), (1, 2, 0), 3)
     assert a.size == 3
     sieve.CyclicAction(("a", "b"), (0, 1), 4)  # unfaithful is fine
-    with pytest.raises(PreconditionError):
-        sieve.CyclicAction(("a", "b"), (1, 0), 3)  # 2 does not divide 3
+    message = "orbit length 2 does not divide the declared order 3"
+    with pytest.raises(PreconditionError, match=message):
+        sieve.CyclicAction(("a", "b"), (1, 0), 3)
+    with pytest.raises(PreconditionError, match="not positive"):
+        sieve.CyclicAction(("a", "b"), (1, 0), 0)
     with pytest.raises(PreconditionError):
         sieve.CyclicAction(("a", "a"), (0, 1), 1)
     with pytest.raises(PreconditionError):
         sieve.CyclicAction(("a", "b"), (0, 0), 1)
+
+
+@pytest.mark.parametrize(
+    "objects,step,encode,message",
+    [
+        ((1, 2, 3), lambda i: i + 1, str, "generator leaves the set"),
+        ((1, 2, 2), lambda i: i, str, "labels must be distinct"),  # repeated object
+        ((1, 2, 3), lambda i: i, lambda i: str(i % 2), "labels must be distinct"),
+    ],
+)
+def test_action_from_objects_rejects_misuse(objects, step, encode, message):
+    with pytest.raises(PreconditionError, match=message):
+        sieve.action_from_objects(objects, step, encode, 1)
+
+
+@pytest.mark.parametrize(
+    "family,params",
+    [
+        ("multiset", {"n": 3, "k": 2}),
+        ("multiset", {"n": 5, "k": 3, "gen": "(1,2,3,4)(5)"}),
+        ("subset", {"n": 6, "k": 3}),
+        ("subset", {"n": 12, "k": 2}),
+        ("syt_rect", {"m": 2, "n": 4}),
+        ("syt_rect", {"m": 3, "n": 3}),
+        ("ncm", {"n": 3}),
+        ("ncm", {"n": 5}),
+        ("ncp", {"n": 5}),
+        ("ncp", {"n": 8}),
+        ("triangulation", {"n": 4}),
+        ("triangulation", {"n": 8}),
+        ("conj_class", {"lam": (2, 2)}),
+        ("conj_class", {"lam": (3, 2, 1)}),
+        ("proper_triangulation", {"n": 4}),
+        ("proper_triangulation", {"n": 6}),
+        ("cycle", {"n": 1}),
+        ("cycle", {"n": 12}),
+        ("plethysm_derived", {"base": "ncp", "k": 2, "kind": "h", "n": 4}),
+        ("plethysm_derived", {"base": "cycle", "k": 3, "kind": "e", "n": 7}),
+    ],
+)
+def test_materialization_matches_label_keyed_oracle(family, params, monkeypatch):
+    """Keying the index by object gives the same labels, generator and order
+    as looking every image up by its label."""
+    new = sieve.registry_instantiate(family, params).action
+    monkeypatch.setattr(sieve, "action_from_objects", label_keyed_action)
+    old = sieve.registry_instantiate(family, params).action
+    assert (new.labels, new.generator, new.order) == (old.labels, old.generator, old.order)
 
 
 def test_orbit_decompose_multiset():
@@ -293,6 +345,21 @@ def test_bicsp_noncommuting_rejected():
         )
 
 
+@pytest.mark.parametrize(
+    "labels,gen1,gen2,order1",
+    [
+        (("a", "b"), (0, 0), (0, 1), None),  # not a permutation
+        (("a", "b", "c"), (1, 0), (1, 0), None),  # labels and generator differ in length
+        (("a", "b"), (1, 0), (1, 0), 3),  # declared order not a multiple of 2
+    ],
+)
+def test_bicsp_rejects_invalid_generators(labels, gen1, gen2, order1):
+    with pytest.raises(PreconditionError):
+        sieve.verify_bicsp(
+            labels, gen1, gen2, BivariatePolynomial({(0, 0): 2}), order1=order1
+        )
+
+
 def test_block_partition_shift():
     inst = sieve.registry_instantiate("cycle", {"n": 6})
     stat = {str(i): i - 1 for i in range(1, 7)}
@@ -406,3 +473,36 @@ def test_checker_equivalence_across_families(family, params):
     )
     bad_rep = sieve.build_report(bad)
     assert bad_rep.roots_pass == bad_rep.orbits_pass == False
+
+
+_junk_int = st.integers(min_value=-2, max_value=7)
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    st.sampled_from(sorted(sieve.FAMILIES)),
+    st.fixed_dictionaries(
+        {
+            "n": _junk_int,
+            "k": _junk_int,
+            "m": _junk_int,
+            "lam": st.one_of(
+                st.lists(st.integers(min_value=-1, max_value=3), max_size=3).map(tuple),
+                st.text(alphabet="0123,-", max_size=5),
+            ),
+        },
+        optional={
+            "gen": st.sampled_from(["(1,2)", "(1,2,3)", "(1,2)(3,4)", "(1,1)", "(9)", "1,2"]),
+            "base": st.sampled_from(sorted(sieve.FAMILIES) + ["nope"]),
+            "kind": st.sampled_from(["h", "e", "x"]),
+        },
+    ),
+)
+def test_registry_ends_in_verdict_or_usage_error(family, params):
+    """Any parameters, junk included, end in a verdict or in one of the
+    errors the CLI maps to exit 2 (usage), never in another exception."""
+    try:
+        inst = sieve.registry_instantiate(family, params, size_cap=60)
+    except (CspLabError, ValueError):
+        return
+    assert sieve.build_report(inst).verdict in ("pass", "fail")
