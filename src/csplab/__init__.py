@@ -15,7 +15,6 @@ from .errors import (
 )
 from .qpoly import (
     BivariatePolynomial,
-    CyclotomicResidue,
     IntPolynomial,
     cyclotomic,
     eulerian_poly,

@@ -105,8 +105,11 @@ def _size_cap(ns: argparse.Namespace) -> int | None:
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise PreconditionError(f"cannot write {out}: {exc.strerror or exc}") from exc
     else:
         print(text)
 

@@ -12,6 +12,7 @@ from typing import Iterable, Iterator
 
 from .errors import CapExceeded, PreconditionError
 from .qpoly import BivariatePolynomial, IntPolynomial
+from .tableaux import _check_partition
 
 __all__ = [
     "Permutation", "identity", "compose", "inverse", "apply", "perm_order",
@@ -163,20 +164,12 @@ def cycle_type(w: Permutation) -> tuple[int, ...]:
     return tuple(sorted((len(c) for c in cycles_of(w)), reverse=True))
 
 
-def _check_partition(lam: tuple[int, ...]) -> int:
-    if any(p <= 0 for p in lam) or any(
-        lam[i] < lam[i + 1] for i in range(len(lam) - 1)
-    ):
-        raise PreconditionError(f"{lam} is not a partition")
-    return sum(lam)
-
-
 def conjugacy_class(lam: tuple[int, ...], cap: int = CLASS_CAP) -> tuple[Permutation, ...]:
     """All permutations with the given cycle type, by filtering S_n."""
-    n = _check_partition(lam)
+    lam = _check_partition(lam)
+    n = sum(lam)
     if n > cap:
         raise CapExceeded(f"conjugacy class enumeration capped at n <= {cap}")
-    lam = tuple(lam)
     return tuple(w for w in symmetric_group(n) if cycle_type(w) == lam)
 
 
@@ -186,10 +179,10 @@ def conjugate(c: Permutation, w: Permutation) -> Permutation:
     return tuple(c[w[c_inv[i - 1] - 1] - 1] for i in range(1, len(w) + 1))
 
 
-def maj_exc_genfun(lam: tuple[int, ...], cap: int = CLASS_CAP) -> BivariatePolynomial:
-    """Joint distribution sum of q^maj(w) t^exc(w) over the conjugacy class."""
+def maj_exc_genfun(X: Iterable[Permutation]) -> BivariatePolynomial:
+    """Joint distribution: the sum of q^maj(w) t^exc(w) over w in X."""
     acc: dict[tuple[int, int], int] = {}
-    for w in conjugacy_class(lam, cap):
+    for w in X:
         key = (stat(w, "maj"), stat(w, "exc"))
         acc[key] = acc.get(key, 0) + 1
     return BivariatePolynomial(acc)

@@ -29,7 +29,6 @@ from .errors import (
 
 __all__ = [
     "IntPolynomial", "BivariatePolynomial",
-    "CyclotomicResidue",
     "q_int", "q_factorial", "gaussian_binomial", "cyclotomic",
     "eval_at_root", "root_of_unity_binomial", "fold_mod_qn", "exact_divide",
     "q_catalan", "q_fuss_catalan_A", "eulerian_poly",
@@ -262,62 +261,56 @@ def gaussian_binomial(n: int, k: int) -> IntPolynomial:
     return row[k]
 
 
+def _at_power(f: IntPolynomial, k: int) -> IntPolynomial:
+    """f(q^k)."""
+    out = [0] * (k * f.degree + 1)
+    out[::k] = f.coeffs
+    return IntPolynomial(out)
+
+
 @functools.lru_cache(maxsize=None)
 def cyclotomic(d: int) -> IntPolynomial:
-    """The d-th cyclotomic polynomial, by exact division of q^d - 1 by the
-    cyclotomic polynomials of the proper divisors of d.
+    """The d-th cyclotomic polynomial, built from the primes of d: from
+    Phi_1 = q - 1, each prime p of d gives Phi_mp(q) = Phi_m(q^p) / Phi_m(q)
+    by exact division, and Phi_d(q) = Phi_r(q^(d/r)) where r is the product
+    of the primes of d.
 
     >>> print(cyclotomic(6))
     1-q+q^2
     """
     if d < 1:
         raise PreconditionError("cyclotomic needs d >= 1")
-    poly = IntPolynomial((-1,) + (0,) * (d - 1) + (1,))
-    for e in range(1, d):
-        if d % e == 0:
-            poly = exact_divide(poly, cyclotomic(e))
-    return poly
-
-
-@dataclass(frozen=True)
-class CyclotomicResidue:
-    """A value in Z[q]/(Phi_d), i.e. an exact algebraic number at a primitive
-    d-th root of unity, stored as the canonical residue of degree < phi(d)."""
-
-    order: int
-    residue: IntPolynomial
-
-    @staticmethod
-    def reduce(f: IntPolynomial, d: int) -> "CyclotomicResidue":
-        phi = cyclotomic(d)
-        _, rem = _divmod(f, phi)
-        return CyclotomicResidue(d, rem)
-
-    def is_integer(self) -> bool:
-        return self.residue.degree <= 0
-
-    def as_integer(self) -> int:
-        """The value as a rational integer, if it is one."""
-        if not self.is_integer():
-            raise NonIntegerEvaluation(
-                f"residue {self.residue} mod Phi_{self.order} is not constant"
-            )
-        return self.residue[0]
+    poly, r, rest, p = IntPolynomial((-1, 1)), 1, d, 2
+    while rest > 1:
+        if p * p > rest:
+            p = rest  # what is left is prime
+        if rest % p == 0:
+            poly = exact_divide(_at_power(poly, p), poly)
+            r *= p
+            while rest % p == 0:
+                rest //= p
+        p += 1
+    return _at_power(poly, d // r)
 
 
 def eval_at_root(f: IntPolynomial, d: int) -> int:
     """Evaluate f exactly at a primitive d-th root of unity.
 
-    The result is the same for every primitive d-th root because f has
-    integer coefficients.  Raises NonIntegerEvaluation when the value is not
-    a rational integer, which is how a failed sieving candidate shows up.
+    f is folded modulo q^d - 1, which Phi_d divides, and the fold is then
+    reduced modulo Phi_d.  The result is the same for every primitive d-th
+    root because f has integer coefficients.  Raises NonIntegerEvaluation
+    when the value is not a rational integer, which is how a failed sieving
+    candidate shows up.
 
     >>> eval_at_root(q_int(6), 3)
     0
     """
     if d < 1:
         raise PreconditionError("root order must be >= 1")
-    return CyclotomicResidue.reduce(f, d).as_integer()
+    _, residue = _divmod(IntPolynomial(fold_mod_qn(f, d)), cyclotomic(d))
+    if residue.degree > 0:
+        raise NonIntegerEvaluation(f"residue {residue} mod Phi_{d} is not constant")
+    return residue[0]
 
 
 def root_of_unity_binomial(n: int, k: int, d: int) -> int:

@@ -30,7 +30,6 @@ from .errors import (
 )
 from .qpoly import (
     BivariatePolynomial,
-    CyclotomicResidue,
     IntPolynomial,
     eval_at_root,
     fold_mod_qn,
@@ -366,8 +365,10 @@ def verify_bicsp(
             coeffs = [0] * D
             for (i, l), c in F.terms.items():
                 coeffs[(qexp * i + texp * l) % D] += c
-            residue = CyclotomicResidue.reduce(IntPolynomial(coeffs), D)
-            value = residue.as_integer() if residue.is_integer() else None
+            try:
+                value = eval_at_root(IntPolynomial(coeffs), D)
+            except NonIntegerEvaluation:
+                value = None
             cells.append(BicspCell(j, k, fixed, value, value == fixed))
             pow12 = _compose_idx(gen2, pow12)
         pow1 = _compose_idx(gen1, pow1)
@@ -422,10 +423,11 @@ def verify_block_partition(
     d = action.order // math.gcd(action.order, j)
     m = fixed_count(action, j)
     for i, block in enumerate(blocks, start=1):
-        residue = CyclotomicResidue.reduce(genfun(block), d)
-        if not residue.is_integer():
+        try:
+            value = eval_at_root(genfun(block), d)
+        except NonIntegerEvaluation:
             return False
-        if residue.as_integer() != (1 if i <= m else 0):
+        if value != (1 if i <= m else 0):
             return False
     return True
 
@@ -576,18 +578,18 @@ def _build_conj_class(params: Mapping, cap: int) -> CSPInstance:
     lam = params["lam"]
     if isinstance(lam, str):
         lam = tuple(int(x) for x in lam.split(",") if x)
-    lam = tuple(lam)
-    n = perms._check_partition(lam)
+    lam = tableaux._check_partition(lam)
+    n = sum(lam)
     z = math.prod(
         i ** lam.count(i) * math.factorial(lam.count(i)) for i in set(lam)
     )
     _check_size(math.factorial(n) // z, cap)
     order = _check_order(max(n, 1))  # the long cycle of S_0 is the identity
     c = tuple(range(2, n + 1)) + (1,)
-    F = perms.maj_exc_genfun(lam)
-    f = subst_t_q_inverse(F)
+    cls = perms.conjugacy_class(lam)
+    f = subst_t_q_inverse(perms.maj_exc_genfun(cls))
     action = action_from_objects(
-        perms.conjugacy_class(lam),
+        cls,
         lambda w: perms.conjugate(c, w),
         perms.perm_label,
         order,

@@ -1,0 +1,42 @@
+"""The iterated-division evaluation path, kept as a test oracle.
+
+``cyclotomic`` divides q^d - 1 by Phi_e for every proper divisor e of d,
+and ``eval_at_root`` reduces f itself, unfolded, modulo Phi_d with its own
+long division.  Neither uses ``fold_mod_qn``, so the roots side stays
+independent of the orbit checker's fold.  Both are slow for large d: the
+division steps grow with d times the sum of phi(e) over its divisors.
+"""
+from __future__ import annotations
+
+import functools
+
+from csplab.errors import NonIntegerEvaluation
+from csplab.qpoly import IntPolynomial, exact_divide
+
+
+@functools.lru_cache(maxsize=None)
+def cyclotomic(d: int) -> IntPolynomial:
+    poly = IntPolynomial((-1,) + (0,) * (d - 1) + (1,))
+    for e in range(1, d):
+        if d % e == 0:
+            poly = exact_divide(poly, cyclotomic(e))
+    return poly
+
+
+def _remainder_monic(f: IntPolynomial, g: IntPolynomial) -> IntPolynomial:
+    """f mod g for a monic g, by schoolbook long division."""
+    rem = list(f.coeffs)
+    dg = g.degree
+    for top in range(len(rem) - 1, dg - 1, -1):
+        c = rem[top]
+        if c:
+            for i, b in enumerate(g.coeffs):
+                rem[top - dg + i] -= c * b
+    return IntPolynomial(rem)
+
+
+def eval_at_root(f: IntPolynomial, d: int) -> int:
+    residue = _remainder_monic(f, cyclotomic(d))
+    if residue.degree > 0:
+        raise NonIntegerEvaluation(f"residue {residue} mod Phi_{d} is not constant")
+    return residue[0]

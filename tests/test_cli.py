@@ -221,3 +221,20 @@ def test_conj_class_of_the_empty_partition(capsys):
     code, out, _ = run(capsys, "verify", "conj_class", "--lam", "")
     assert code == 0
     assert "size 1  order 1" in out
+
+
+def test_unwritable_out_path_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "missing" / "x.json"
+    code, out, err = run(capsys, "verify", "cycle", "--n", "3", "--out", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and str(path) in err
+    assert not path.exists()
+
+
+def test_poly_cyclotomic_near_order_cap(capsys):
+    code, out, _ = run(capsys, "poly", "cyclotomic", "9240")
+    assert code == 0
+    text, coeffs = out.splitlines()
+    assert text.startswith("1+q^4-q^12") and text.endswith("+q^1920")
+    assert coeffs.endswith("value at q=1: 1")

@@ -5,7 +5,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from csplab import perms
+from csplab import perms, tableaux
 from csplab.errors import CapExceeded, PreconditionError
 from csplab.qpoly import (
     BivariatePolynomial,
@@ -15,6 +15,7 @@ from csplab.qpoly import (
     q_factorial,
     subst_t_q_inverse,
 )
+from csplab.sieve import registry_instantiate
 
 
 def test_compose_right_to_left():
@@ -138,12 +139,39 @@ def test_classes_partition_sn(n):
 
 
 def test_maj_exc_genfun():
-    assert perms.maj_exc_genfun((3,)) == BivariatePolynomial({(2, 2): 1, (1, 1): 1})
-    assert perms.maj_exc_genfun((1, 1, 1)) == BivariatePolynomial({(0, 0): 1})
-    assert perms.maj_exc_genfun((2, 1)) == BivariatePolynomial(
+    def over_class(lam):
+        return perms.maj_exc_genfun(perms.conjugacy_class(lam))
+
+    assert over_class((3,)) == BivariatePolynomial({(2, 2): 1, (1, 1): 1})
+    assert over_class((1, 1, 1)) == BivariatePolynomial({(0, 0): 1})
+    assert over_class((2, 1)) == BivariatePolynomial(
         {(1, 1): 1, (2, 1): 1, (3, 1): 1}
     )
-    assert subst_t_q_inverse(perms.maj_exc_genfun((3,))) == IntPolynomial([2])
+    assert subst_t_q_inverse(over_class((3,))) == IntPolynomial([2])
+    assert perms.maj_exc_genfun(()) == BivariatePolynomial()
+
+
+@pytest.mark.parametrize("lam", [(2, 0), (1, 2), (-1,)])
+def test_one_partition_check(lam):
+    # perms and tableaux share tableaux._check_partition
+    with pytest.raises(PreconditionError, match="is not a partition"):
+        perms.conjugacy_class(lam)
+    with pytest.raises(PreconditionError, match="is not a partition"):
+        tableaux.count_syt(lam)
+
+
+def test_conj_class_enumerates_sn_once(monkeypatch):
+    calls = []
+    real = perms.symmetric_group
+
+    def counting(n):
+        calls.append(n)
+        return real(n)
+
+    monkeypatch.setattr(perms, "symmetric_group", counting)
+    inst = registry_instantiate("conj_class", {"lam": (3, 3, 2)})
+    assert calls == [8]
+    assert inst.action.size == 1120
 
 
 def test_nearly_free_kind():

@@ -6,6 +6,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+import evaluation_oracle
 from csplab.errors import (
     InexactDivision,
     NegativeExponent,
@@ -121,15 +122,53 @@ def test_eval_at_root_non_integer():
         eval_at_root(P([0, 1]), 3)  # q itself is not rational at w_3
 
 
-def test_cyclotomic_residue_degree_bound():
-    from csplab.qpoly import CyclotomicResidue
+def _same_evaluation(f, d):
+    """eval_at_root and the oracle give the same value, or raise the same
+    NonIntegerEvaluation, whose message carries the residue mod Phi_d."""
+    try:
+        expected = evaluation_oracle.eval_at_root(f, d)
+    except NonIntegerEvaluation as exc:
+        with pytest.raises(NonIntegerEvaluation) as got:
+            eval_at_root(f, d)
+        assert str(got.value) == str(exc)
+    else:
+        assert eval_at_root(f, d) == expected
 
+
+def test_eval_at_root_monomials_match_oracle():
+    # q^exp past q^d exercises the fold; the residue in the message has
+    # degree < phi(d) because the oracle's does
     for d in range(1, 16):
-        phi_degree = cyclotomic(d).degree
         for exp in range(0, 2 * d + 1):
-            res = CyclotomicResidue.reduce(P.monomial(1, exp), d)
-            assert res.residue.degree < phi_degree
-            assert res.order == d
+            _same_evaluation(P.monomial(1, exp), d)
+
+
+@pytest.mark.parametrize("d", [*range(1, 401), 720, 840, 1260])
+def test_cyclotomic_matches_iterated_division(d):
+    assert cyclotomic(d) == evaluation_oracle.cyclotomic(d)
+
+
+@pytest.mark.parametrize("d,phi", [(5040, 1152), (9240, 1920)])
+def test_cyclotomic_near_order_cap(d, phi):
+    # the oracle is too slow here, so check identities instead
+    f = cyclotomic(d)
+    assert f.degree == phi
+    assert f.coeffs[-1] == 1
+    assert f.is_palindromic()
+    assert f(1) == 1  # d is not a prime power
+
+
+@given(
+    st.lists(st.integers(min_value=-50, max_value=50), max_size=301),
+    st.integers(min_value=1, max_value=120),
+    st.one_of(st.none(), st.integers(min_value=-9, max_value=9)),
+)
+def test_eval_at_root_matches_oracle(coeffs, d, constant):
+    f = P(coeffs)
+    if constant is not None:
+        # c + Phi_d * g is the integer c at every primitive d-th root
+        f = evaluation_oracle.cyclotomic(d) * f + constant
+    _same_evaluation(f, d)
 
 
 @pytest.mark.parametrize("n", range(1, 13))
