@@ -15,7 +15,7 @@ from .qpoly import BivariatePolynomial, IntPolynomial
 from .tableaux import _check_partition
 
 __all__ = [
-    "Permutation", "identity", "compose", "inverse", "apply", "perm_order",
+    "Permutation", "identity", "compose", "inverse", "perm_order",
     "from_cycles", "cycles_of", "parse_cycles", "perm_label",
     "symmetric_group", "stat", "stat_genfun", "cycle_type",
     "conjugacy_class", "conjugate", "maj_exc_genfun", "nearly_free_kind",
@@ -33,10 +33,6 @@ def identity(n: int) -> Permutation:
     return tuple(range(1, n + 1))
 
 
-def apply(w: Permutation, i: int) -> int:
-    return w[i - 1]
-
-
 def compose(v: Permutation, w: Permutation) -> Permutation:
     """(v o w)(i) = v(w(i))."""
     return tuple(v[x - 1] for x in w)
@@ -49,22 +45,22 @@ def inverse(w: Permutation) -> Permutation:
     return tuple(out)
 
 
-def _validate(w: Permutation) -> None:
-    if sorted(w) != list(range(1, len(w) + 1)):
-        raise PreconditionError(f"{w} is not a permutation of [{len(w)}]")
-
-
 def cycles_of(w: Permutation) -> list[tuple[int, ...]]:
-    """Disjoint cycles, each starting at its minimum, sorted by minimum."""
-    seen = [False] * len(w)
+    """Disjoint cycles, each starting at its minimum, sorted by minimum.
+    Raises PreconditionError when w is not a permutation of [len(w)]: the
+    walk then leaves [1, len(w)] or meets a point before its cycle closes."""
+    n = len(w)
+    seen = [False] * n
     cycles = []
-    for start in range(1, len(w) + 1):
+    for start in range(1, n + 1):
         if seen[start - 1]:
             continue
         cyc = [start]
         seen[start - 1] = True
         x = w[start - 1]
         while x != start:
+            if not 1 <= x <= n or seen[x - 1]:
+                raise PreconditionError(f"{w} is not a permutation of [{n}]")
             cyc.append(x)
             seen[x - 1] = True
             x = w[x - 1]
@@ -194,7 +190,6 @@ def nearly_free_kind(g: Permutation, N: int) -> str:
     allowed, "neither" otherwise."""
     if len(g) != N:
         raise PreconditionError(f"generator must permute [{N}]")
-    _validate(g)
     n = perm_order(g)
     lengths = sorted((len(c) for c in cycles_of(g)), reverse=True)
     if all(l == n for l in lengths):

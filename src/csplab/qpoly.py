@@ -186,6 +186,7 @@ def _divmod(f: IntPolynomial, g: IntPolynomial) -> tuple[IntPolynomial, IntPolyn
     dg = g.degree
     if f.degree < dg:
         return ZERO, f
+    terms = [(i, b) for i, b in enumerate(g.coeffs) if b]  # cyclotomics are sparse
     quot = [0] * (f.degree - dg + 1)
     for top in range(f.degree, dg - 1, -1):
         c = rem[top]
@@ -198,7 +199,7 @@ def _divmod(f: IntPolynomial, g: IntPolynomial) -> tuple[IntPolynomial, IntPolyn
             )
         shift = top - dg
         quot[shift] = t
-        for i, b in enumerate(g.coeffs):
+        for i, b in terms:
             rem[shift + i] -= t * b
     return IntPolynomial(quot), IntPolynomial(rem)
 
@@ -238,9 +239,10 @@ def q_factorial(n: int) -> IntPolynomial:
 
 @functools.lru_cache(maxsize=None)
 def gaussian_binomial(n: int, k: int) -> IntPolynomial:
-    """The Gaussian binomial coefficient, built row by row from the
-    Pascal-type recurrence [m i] = [m-1 i] + q^(m-i) [m-1 i-1], so the
-    computation stays in Z[q] and its depth does not grow with n.
+    """The Gaussian binomial coefficient [n choose k]_q, computed as
+    h_k(1, q, ..., q^(n-k)) = plethysm_h(k, [n-k+1]_q) with k replaced by
+    the smaller of k and n - k, so the computation stays in Z[q] and its
+    depth does not grow with n.
 
     Out-of-range k gives the zero polynomial.  The value at q=1 is C(n, k);
     coefficients are nonnegative and symmetric.
@@ -252,13 +254,8 @@ def gaussian_binomial(n: int, k: int) -> IntPolynomial:
         raise PreconditionError("gaussian_binomial needs n >= 0")
     if k < 0 or k > n:
         return ZERO
-    # row[i] holds [m i] for the current m; entries below k - (n - m) are
-    # never read again, so each row starts there
-    row = [ONE] + [ZERO] * k
-    for m in range(1, n + 1):
-        for i in range(min(m, k), max(0, k - n + m - 1), -1):
-            row[i] = row[i] + row[i - 1].shift(m - i)
-    return row[k]
+    k = min(k, n - k)
+    return plethysm_h(k, q_int(n - k + 1))
 
 
 def _at_power(f: IntPolynomial, k: int) -> IntPolynomial:
@@ -389,6 +386,18 @@ def _substitution_values(f: IntPolynomial) -> list[int]:
     return values
 
 
+def _h_or_e(k: int, values: list[int], repeat: bool) -> IntPolynomial:
+    """h_k (``repeat``) or e_k of the monomials q^v for v in values, adding
+    one value at a time: updating j = 1..k lets q^v enter an entry that
+    already holds it, updating j = k..1 lets it enter once."""
+    out = [ONE] + [ZERO] * k
+    js = range(1, k + 1) if repeat else range(k, 0, -1)
+    for v in values:
+        for j in js:
+            out[j] = out[j] + out[j - 1].shift(v)
+    return out[k]
+
+
 def plethysm_h(k: int, f: IntPolynomial) -> IntPolynomial:
     """Complete homogeneous symmetric polynomial h_k evaluated at the
     monomial multiset of f: one q^i for each unit of the coefficient of q^i.
@@ -398,11 +407,7 @@ def plethysm_h(k: int, f: IntPolynomial) -> IntPolynomial:
     """
     if k < 0:
         raise PreconditionError("plethysm_h needs k >= 0")
-    h = [ONE] + [ZERO] * k
-    for v in _substitution_values(f):
-        for j in range(1, k + 1):
-            h[j] = h[j] + h[j - 1].shift(v)
-    return h[k]
+    return _h_or_e(k, _substitution_values(f), repeat=True)
 
 
 def plethysm_e(k: int, f: IntPolynomial) -> IntPolynomial:
@@ -413,11 +418,7 @@ def plethysm_e(k: int, f: IntPolynomial) -> IntPolynomial:
     values = _substitution_values(f)
     if k > len(values):
         raise PreconditionError(f"plethysm_e needs k <= f(1) = {len(values)}")
-    e = [ONE] + [ZERO] * k
-    for v in values:
-        for j in range(k, 0, -1):
-            e[j] = e[j] + e[j - 1].shift(v)
-    return e[k]
+    return _h_or_e(k, values, repeat=False)
 
 
 def face_poly(k: int, n: int, d: int) -> IntPolynomial:

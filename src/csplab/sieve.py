@@ -436,14 +436,6 @@ def verify_block_partition(
 # the family registry
 
 
-def _encode_multiset(ms: tuple[int, ...], compact: bool) -> str:
-    if not ms:
-        return "-"
-    if compact:
-        return "".join(str(x) for x in ms)
-    return ",".join(str(x) for x in ms)
-
-
 def _check_size(count: int, cap: int) -> int:
     if count > cap:
         raise CapExceeded(f"instance size {count} exceeds the cap {cap}")
@@ -472,40 +464,38 @@ def _generator_on_ground(params: Mapping, n: int) -> tuple[perms.Permutation, st
     return g, gen if isinstance(gen, str) else perms.perm_label(g)
 
 
-def _build_multiset(params: Mapping, cap: int) -> CSPInstance:
-    n, k = int(params["n"]), int(params["k"])
-    if n < 1 or k < 0:
-        raise PreconditionError("multiset needs n >= 1 and k >= 0")
-    _check_size(math.comb(n + k - 1, k), cap)
-    g, gen_label = _generator_on_ground(params, n)
-    order = _check_order(perms.perm_order(g))
-    compact = n <= 9
-    action = action_from_objects(
-        itertools.combinations_with_replacement(range(1, n + 1), k),
-        lambda ms: tuple(sorted(g[x - 1] for x in ms)),
-        lambda ms: _encode_multiset(ms, compact),
+def _k_sets(
+    labels: Sequence[str], gen: Sequence[int], k: int, repeat: bool, sep: str,
+    order: int,
+) -> CyclicAction:
+    """The action on the k-subsets of an indexed ground set, or on its
+    k-multisets when ``repeat`` is set, induced by the index permutation
+    ``gen``; a (multi)set is labelled by its members' labels."""
+    pick = itertools.combinations_with_replacement if repeat else itertools.combinations
+    return action_from_objects(
+        pick(range(len(labels)), k),
+        lambda t: tuple(sorted(gen[i] for i in t)),
+        lambda t: sep.join(labels[i] for i in t) if t else "-",
         order,
     )
-    p = [("n", n), ("k", k)] + ([("gen", gen_label)] if gen_label else [])
-    return CSPInstance(action, gaussian_binomial(n + k - 1, k), "multiset", tuple(p))
 
 
-def _build_subset(params: Mapping, cap: int) -> CSPInstance:
+def _build_k_sets(params: Mapping, cap: int, repeat: bool) -> CSPInstance:
+    """k-multisets (``repeat``) or k-subsets of [n] under a permutation of [n]."""
+    name = "multiset" if repeat else "subset"
     n, k = int(params["n"]), int(params["k"])
     if n < 1 or k < 0:
-        raise PreconditionError("subset needs n >= 1 and k >= 0")
-    _check_size(math.comb(n, k), cap)
+        raise PreconditionError(f"{name} needs n >= 1 and k >= 0")
+    top = n + k - 1 if repeat else n
+    _check_size(math.comb(top, k), cap)
     g, gen_label = _generator_on_ground(params, n)
     order = _check_order(perms.perm_order(g))
-    compact = n <= 9
-    action = action_from_objects(
-        itertools.combinations(range(1, n + 1), k),
-        lambda s: tuple(sorted(g[x - 1] for x in s)),
-        lambda s: _encode_multiset(s, compact),
-        order,
+    action = _k_sets(
+        [str(x) for x in range(1, n + 1)], [x - 1 for x in g], k, repeat,
+        "" if n <= 9 else ",", order,
     )
     p = [("n", n), ("k", k)] + ([("gen", gen_label)] if gen_label else [])
-    return CSPInstance(action, gaussian_binomial(n, k), "subset", tuple(p))
+    return CSPInstance(action, gaussian_binomial(top, k), name, tuple(p))
 
 
 def _build_syt_rect(params: Mapping, cap: int) -> CSPInstance:
@@ -658,7 +648,6 @@ def _build_plethysm(params: Mapping, cap: int) -> CSPInstance:
     N = base.action.size
     if kind == "h":
         _check_size(math.comb(N + k - 1, k), cap)
-        objects = itertools.combinations_with_replacement(range(N), k)
         f = plethysm_h(k, base.polynomial)
     else:
         if base.action.order % 2 == 0:
@@ -666,14 +655,9 @@ def _build_plethysm(params: Mapping, cap: int) -> CSPInstance:
                 "the e_k construction needs a group of odd order"
             )
         _check_size(math.comb(N, k), cap)
-        objects = itertools.combinations(range(N), k)
         f = plethysm_e(k, base.polynomial)
-    gen = base.action.generator
-    labels = base.action.labels
-    action = action_from_objects(
-        objects,
-        lambda t: tuple(sorted(gen[i] for i in t)),
-        lambda t: ",".join(labels[i] for i in t) if t else "-",
+    action = _k_sets(
+        base.action.labels, base.action.generator, k, kind == "h", ",",
         base.action.order,
     )
     p = (("base", base_id), ("k", k), ("kind", kind)) + base.params
@@ -695,13 +679,13 @@ FAMILIES: dict[str, Family] = {
             "multiset", "--n N --k K [--gen CYCLES]",
             "k-multisets on [n] under a (nearly) free generator; "
             "polynomial [n+k-1 choose k]_q",
-            _build_multiset,
+            functools.partial(_build_k_sets, repeat=True),
         ),
         Family(
             "subset", "--n N --k K [--gen CYCLES]",
             "k-subsets of [n] under a (nearly) free generator; "
             "polynomial [n choose k]_q",
-            _build_subset,
+            functools.partial(_build_k_sets, repeat=False),
         ),
         Family(
             "syt_rect", "--m M --n N",

@@ -1,6 +1,9 @@
 """Permutation statistics, classes, and the free/nearly-free classification."""
 
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -32,6 +35,29 @@ def test_cycles_and_order():
     assert perms.perm_order(g) == 6
     assert perms.cycle_type((2, 3, 1)) == (3,)
     assert perms.cycle_type(perms.identity(4)) == (1, 1, 1, 1)
+
+
+@pytest.mark.parametrize("w", [(2, 2), (1, 1, 3), (0,), (5,), (2, 3, 1, 1)])
+def test_non_permutations_are_rejected_not_walked_forever(w):
+    # in a child process, so that a walk that never ends fails the test
+    # through the timeout instead of stalling the suite
+    code = (
+        "from csplab import perms\n"
+        "from csplab.errors import PreconditionError\n"
+        "for fn in (perms.cycles_of, perms.perm_order, perms.cycle_type):\n"
+        "    try:\n"
+        f"        fn({w!r})\n"
+        "    except PreconditionError as exc:\n"
+        "        assert 'is not a permutation of' in str(exc), exc\n"
+        "    else:\n"
+        "        raise SystemExit(f'{fn.__name__} accepted the input')\n"
+    )
+    src = os.path.dirname(os.path.dirname(perms.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=10
+    )
+    assert done.returncode == 0, done.stderr
 
 
 def test_parse_cycles():

@@ -287,6 +287,16 @@ def test_triangulation_pentagon_single_orbit():
     assert sieve.build_report(inst).verdict == "pass"
 
 
+def _assert_same_k_sets(derived, direct):
+    assert derived.action.size == direct.action.size
+    assert derived.action.generator == direct.action.generator
+    # the base labels are joined by commas, the direct ones (n <= 9) are not
+    assert [x.replace(",", "") for x in derived.action.labels] == list(
+        direct.action.labels
+    )
+    assert sieve.build_report(derived).verdict == "pass"
+
+
 def test_plethysm_h_reproduces_multisets():
     for n in range(1, 7):
         for k in range(7):
@@ -294,9 +304,18 @@ def test_plethysm_h_reproduces_multisets():
                 "plethysm_derived", {"base": "cycle", "k": k, "kind": "h", "n": n}
             )
             direct = sieve.registry_instantiate("multiset", {"n": n, "k": k})
-            assert derived.action.size == direct.action.size
+            _assert_same_k_sets(derived, direct)
             assert derived.polynomial == direct.polynomial
-            assert sieve.build_report(derived).verdict == "pass"
+
+
+def test_plethysm_e_reproduces_subsets():
+    for n in (1, 3, 5, 7):
+        for k in range(n + 1):
+            derived = sieve.registry_instantiate(
+                "plethysm_derived", {"base": "cycle", "k": k, "kind": "e", "n": n}
+            )
+            direct = sieve.registry_instantiate("subset", {"n": n, "k": k})
+            _assert_same_k_sets(derived, direct)
 
 
 def test_plethysm_e_odd_only():
