@@ -75,10 +75,9 @@ print(f"  matching: {matching_label(tableau_to_matching(T))}")
 
 print("\nPromotion upstairs is rotation downstairs (vertex i -> i-1):")
 n = 3
-g = (2 * n,) + tuple(range(1, 2 * n))
 for T in enumerate_syt((n, n)):
     lhs = tableau_to_matching(promote(T))
-    rhs = rotate_blocks(tableau_to_matching(T), g)
+    rhs = rotate_blocks(tableau_to_matching(T), 2 * n, -1)
     print(f"  {tableau_label(T)}: {matching_label(lhs)}"
           f" == {matching_label(rhs)}  {lhs == rhs}")
 print(f"\n(the {len(enumerate_nc_matchings(3))} matchings on [6] are exactly"

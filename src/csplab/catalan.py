@@ -5,22 +5,24 @@ Objects are canonical tuples so equality is structural: a set partition is a
 tuple of blocks sorted by minimum (each block a sorted tuple), a matching is
 a sorted tuple of (a, b) pairs with a < b, and a triangulation of an n-gon is
 a sorted tuple of noncrossing diagonal pairs (vertices 1..n clockwise).
+The enumerators return each object once, in the order their recursion makes
+them.
 """
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .errors import CapExceeded, PreconditionError
 
 __all__ = [
-    "SetPartition", "Matching", "Diagonals", "canonical_blocks",
-    "is_noncrossing", "enumerate_set_partitions", "enumerate_nc_partitions",
+    "SetPartition", "Matching", "Diagonals", "enumerate_nc_partitions",
     "enumerate_nc_matchings", "enumerate_triangulations",
-    "rotate_blocks", "rotate_triangulation", "triangulation_triangles",
-    "is_proper_triangulation", "catalan_number", "fuss_catalan",
-    "proper_count", "partition_label", "matching_label",
+    "enumerate_proper_triangulations", "rotate_blocks", "rotate_triangulation",
+    "triangulation_triangles", "is_proper_triangulation", "catalan_number",
+    "fuss_catalan", "proper_count", "partition_label", "matching_label",
     "triangulation_label", "NC_CAP",
 ]
 
@@ -31,69 +33,34 @@ Diagonals = tuple[tuple[int, int], ...]
 NC_CAP = 12
 
 
-def canonical_blocks(blocks: Iterable[Iterable[int]]) -> SetPartition:
-    return tuple(sorted((tuple(sorted(b)) for b in blocks), key=lambda b: b[0]))
+def _nc_blocks(n: int, sizes: Sequence[int]) -> list[SetPartition]:
+    """Noncrossing partitions of [n] whose block sizes lie in `sizes`.
 
-
-def is_noncrossing(blocks: SetPartition) -> bool:
-    """No a < c < b < d with a, b in one block and c, d in another.
-    Literal four-index scan; quick at these sizes."""
-    owner: dict[int, int] = {}
-    for idx, block in enumerate(blocks):
-        for x in block:
-            owner[x] = idx
-    elems = sorted(owner)
-    for a, c, b, d in itertools.combinations(elems, 4):
-        if owner[a] == owner[b] != owner[c] == owner[d]:
-            return False
-    return True
-
-
-def enumerate_set_partitions(n: int) -> Iterator[SetPartition]:
-    """All set partitions of [n] (restricted-growth enumeration)."""
-    if n == 0:
-        yield ()
-        return
-    assignment = [0] * n
-
-    def grow(i: int, blocks: int) -> Iterator[SetPartition]:
-        if i == n:
-            out: list[list[int]] = [[] for _ in range(blocks)]
-            for x, b in enumerate(assignment, start=1):
-                out[b].append(x)
-            yield canonical_blocks(out)
-            return
-        for b in range(blocks + 1):
-            assignment[i] = b
-            yield from grow(i + 1, max(blocks, b + 1))
-
-    yield from grow(0, 0)
-
-
-def _nc_partitions_of(elems: tuple[int, ...]) -> Iterator[SetPartition]:
-    """Noncrossing partitions of an increasing element list.
-
-    The block containing the least element splits the rest into independent
-    gap segments (between consecutive block members) and a tail; any block
-    straddling a boundary would cross the leading block.  Blocks come out
-    in order of their minima, so results need no canonicalization.
+    The block holding the least point of a range splits the rest of it into
+    gaps: one between each two consecutive members and one after the last.
+    A block reaching across a gap's end would cross the leading block, so
+    each gap is an independent contiguous range.  Each range is built once
+    and kept in `built` until the enumeration returns.  Blocks come out in
+    order of their minima, so results need no canonicalization.
     """
-    if not elems:
-        yield ()
-        return
-    first, rest = elems[0], elems[1:]
-    for picks in itertools.chain.from_iterable(
-        itertools.combinations(range(len(rest)), r) for r in range(len(rest) + 1)
-    ):
-        block = (first,) + tuple(rest[i] for i in picks)
-        bounds = list(picks) + [len(rest)]
-        segments = []
-        prev = -1
-        for b in bounds:
-            segments.append(rest[prev + 1 : b])
-            prev = b
-        for sub in itertools.product(*(_nc_partitions_of(seg) for seg in segments)):
-            yield (block,) + tuple(itertools.chain.from_iterable(sub))
+    built: dict[tuple[int, int], list[SetPartition]] = {}
+
+    def build(lo: int, hi: int) -> list[SetPartition]:
+        if lo > hi:
+            return [()]
+        out = built.get((lo, hi))
+        if out is None:
+            out = built[lo, hi] = []
+            for size in sizes:
+                for picks in itertools.combinations(range(lo + 1, hi + 1), size - 1):
+                    block = (lo,) + picks
+                    gaps = [build(a + 1, b - 1) for a, b in zip(block, picks + (hi + 1,))]
+                    out.extend(sum(sub, (block,)) for sub in itertools.product(*gaps))
+        return out
+
+    parts = build(1, n)
+    built.clear()  # build closes over itself: free the ranges now, not at a GC pass
+    return parts
 
 
 def enumerate_nc_partitions(n: int, cap: int = NC_CAP) -> tuple[SetPartition, ...]:
@@ -102,20 +69,7 @@ def enumerate_nc_partitions(n: int, cap: int = NC_CAP) -> tuple[SetPartition, ..
         raise PreconditionError("n must be >= 0")
     if n > cap:
         raise CapExceeded(f"noncrossing partitions capped at n <= {cap}")
-    return tuple(sorted(_nc_partitions_of(tuple(range(1, n + 1)))))
-
-
-def _nc_matchings_of(verts: tuple[int, ...]) -> Iterator[Matching]:
-    """Noncrossing matchings of an increasing vertex list; pairs come out sorted."""
-    if not verts:
-        yield ()
-        return
-    first = verts[0]
-    for k in range(1, len(verts), 2):
-        inner, outer = verts[1:k], verts[k + 1 :]
-        for m1 in _nc_matchings_of(inner):
-            for m2 in _nc_matchings_of(outer):
-                yield ((first, verts[k]),) + m1 + m2
+    return tuple(_nc_blocks(n, range(1, n + 1)))
 
 
 def enumerate_nc_matchings(n: int, cap: int = NC_CAP) -> tuple[Matching, ...]:
@@ -124,55 +78,101 @@ def enumerate_nc_matchings(n: int, cap: int = NC_CAP) -> tuple[Matching, ...]:
         raise PreconditionError("n must be >= 0")
     if n > cap:
         raise CapExceeded(f"noncrossing matchings capped at n <= {cap}")
-    return tuple(sorted(_nc_matchings_of(tuple(range(1, 2 * n + 1)))))
+    return tuple(_nc_blocks(2 * n, (2,)))
 
 
-def _triangulations_of(verts: tuple[int, ...]) -> Iterator[Diagonals]:
-    """Triangulations of the polygon on the given vertex cycle, as diagonal
-    sets; recursion on the triangle over the edge (first, last)."""
-    m = len(verts)
-    if m < 3:
-        yield ()
-        return
-    first, last = verts[0], verts[-1]
-    for k in range(1, m - 1):
-        apex = verts[k]
-        diags = []
-        if k > 1:
-            diags.append(tuple(sorted((first, apex))))
-        if k < m - 2:
-            diags.append(tuple(sorted((apex, last))))
-        for left in _triangulations_of(verts[: k + 1]):
-            for right in _triangulations_of(verts[k:]):
-                yield tuple(sorted(tuple(diags) + left + right))
+def _cells(n: int, proper: bool) -> list[Diagonals]:
+    """Triangulations of the n-gon; with `proper`, only those in which no
+    triangle has three vertices of one parity.
+
+    The triangle over the edge (lo, hi) of the polygon on lo..hi has an apex
+    k between them, and splits the rest into the polygons on lo..k and
+    k..hi.  For proper triangulations an apex of the parity of lo and hi is
+    pruned there, so every triangle is tested once, when it is made.  Each
+    range is built once and kept in `built` until the enumeration returns.
+    It is kept with its chord (lo, hi) in place, beside the number of its
+    diagonals that start at lo: a triangulation is its two sides
+    concatenated, and a chord over it goes in after those diagonals.
+    """
+    built: dict[tuple[int, int], list[tuple[Diagonals, int]]] = {}
+
+    def fill(lo: int, hi: int) -> Iterator[tuple[Diagonals, int]]:
+        for k in range(lo + 1, hi):
+            if proper and lo % 2 == k % 2 == hi % 2:
+                continue
+            right = chorded(k, hi)
+            for left, j in chorded(lo, k):
+                for r, _ in right:
+                    yield left + r, j
+
+    def chorded(lo: int, hi: int) -> list[tuple[Diagonals, int]]:
+        if hi - lo < 2:
+            return [((), 0)]
+        out = built.get((lo, hi))
+        if out is None:
+            chord = ((lo, hi),)
+            out = built[lo, hi] = [(d[:j] + chord + d[j:], j + 1) for d, j in fill(lo, hi)]
+        return out
+
+    triangulations = [d for d, _ in fill(1, n)]
+    built.clear()  # the closures form a cycle: free the ranges now, not at a GC pass
+    return triangulations
+
+
+def _check_polygon(n: int, cap: int) -> None:
+    if n < 3:
+        raise PreconditionError("a polygon needs at least 3 vertices")
+    if n > cap:
+        raise CapExceeded(f"triangulations capped at polygon size {cap}")
 
 
 def enumerate_triangulations(n: int, cap: int = NC_CAP + 2) -> tuple[Diagonals, ...]:
     """All triangulations of the n-gon by noncrossing diagonals; there are
     Catalan(n-2) of them."""
-    if n < 3:
-        raise PreconditionError("a polygon needs at least 3 vertices")
-    if n > cap:
-        raise CapExceeded(f"triangulations capped at polygon size {cap}")
-    return tuple(sorted(_triangulations_of(tuple(range(1, n + 1)))))
+    _check_polygon(n, cap)
+    return tuple(_cells(n, proper=False))
+
+
+def enumerate_proper_triangulations(n: int, cap: int = NC_CAP + 2) -> tuple[Diagonals, ...]:
+    """The triangulations of the n-gon that `is_proper_triangulation`
+    accepts, generated directly; there are proper_count(n-2) of them."""
+    _check_polygon(n, cap)
+    return tuple(_cells(n, proper=True))
 
 
 # ---------------------------------------------------------------------------
 # rotation
 
 
-def rotate_blocks(blocks: SetPartition, g: Sequence[int]) -> SetPartition:
-    """Relabel every element through the permutation g and re-canonicalize.
-    Works for set partitions and matchings alike."""
-    return canonical_blocks(tuple(g[x - 1] for x in block) for block in blocks)
+def rotate_blocks(blocks: SetPartition, n: int, step: int = 1) -> SetPartition:
+    """Rotate every point i of [n] to i + step (mod n), for step 1 or -1.
+    Works for set partitions and matchings alike.
+
+    Only the block holding n (step 1) or 1 (step -1) wraps around, and the
+    others keep their order: the wrapped block goes to the front (step 1),
+    or to its place among them by its new least point (step -1).
+    """
+    if step == 1:
+        out = []
+        for b in blocks:
+            if b[-1] == n:
+                wrapped = (1,) + tuple([x + 1 for x in b[:-1]])
+            else:
+                out.append(tuple([x + 1 for x in b]))
+        return (wrapped,) + tuple(out)
+    if step == -1:
+        out = [tuple([x - 1 for x in b]) for b in blocks[1:]]
+        bisect.insort(out, tuple([x - 1 for x in blocks[0][1:]]) + (n,))
+        return tuple(out)
+    raise PreconditionError(f"rotate_blocks steps by 1 or -1, not {step}")
 
 
-def rotate_triangulation(diags: Diagonals, n: int, step: int = 1) -> Diagonals:
-    """Rotate vertex i to i + step (mod n)."""
-    def move(v: int) -> int:
-        return (v - 1 + step) % n + 1
-
-    return tuple(sorted(tuple(sorted((move(a), move(b)))) for a, b in diags))
+def rotate_triangulation(diags: Diagonals, n: int) -> Diagonals:
+    """Rotate vertex i to i + 1 (mod n).  The diagonals (a, n) become
+    (1, a + 1) and come first, already in order; every other pair keeps its
+    place."""
+    wrapped = tuple([(1, a + 1) for a, b in diags if b == n])
+    return wrapped + tuple([(a + 1, b + 1) for a, b in diags if b != n])
 
 
 def triangulation_triangles(diags: Diagonals, n: int) -> tuple[tuple[int, int, int], ...]:

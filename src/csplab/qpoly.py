@@ -360,16 +360,19 @@ def q_fuss_catalan_A(n: int, m: int) -> IntPolynomial:
 
 def eulerian_poly(n: int) -> IntPolynomial:
     """The n-th Eulerian polynomial: the descent distribution over all
-    permutations of [n].  Computed by direct enumeration.
+    permutations of [n].  Computed by the recurrence
+    A(m, k) = (k+1) A(m-1, k) + (m-k) A(m-1, k-1), in O(n^2) steps.
 
     >>> print(eulerian_poly(3))
     1+4q+q^2
     """
     if n < 0:
         raise PreconditionError("eulerian_poly needs n >= 0")
-    from . import perms  # local import: perms builds on this module
-
-    return perms.stat_genfun(perms.symmetric_group(n), "des")
+    row = [1]
+    for m in range(2, n + 1):
+        prev = [0] + row + [0]  # prev[k + 1] = A(m-1, k)
+        row = [(k + 1) * prev[k + 1] + (m - k) * prev[k] for k in range(m)]
+    return IntPolynomial(row)
 
 
 # ---------------------------------------------------------------------------

@@ -523,10 +523,9 @@ def _build_ncm(params: Mapping, cap: int) -> CSPInstance:
     _check_size(catalan.catalan_number(n), cap)
     order = _check_order(2 * n)
     # promotion transports to the clockwise rotation i -> i-1 (mod 2n)
-    g = (2 * n,) + tuple(range(1, 2 * n))
     action = action_from_objects(
         catalan.enumerate_nc_matchings(n, cap=n),
-        lambda edges: catalan.rotate_blocks(edges, g),
+        lambda edges: catalan.rotate_blocks(edges, 2 * n, -1),
         catalan.matching_label,
         order,
     )
@@ -539,10 +538,9 @@ def _build_ncp(params: Mapping, cap: int) -> CSPInstance:
         raise PreconditionError("ncp needs n >= 1")
     _check_size(catalan.catalan_number(n), cap)
     order = _check_order(n)
-    g = tuple(range(2, n + 1)) + (1,)
     action = action_from_objects(
         catalan.enumerate_nc_partitions(n, cap=n),
-        lambda blocks: catalan.rotate_blocks(blocks, g),
+        lambda blocks: catalan.rotate_blocks(blocks, n),
         catalan.partition_label,
         order,
     )
@@ -592,7 +590,6 @@ def _build_proper_triangulation(params: Mapping, cap: int) -> CSPInstance:
     if N < 2 or N % 2:
         raise PreconditionError("proper_triangulation needs even n >= 2")
     half = N // 2
-    _check_size(catalan.catalan_number(N), cap)  # enumeration workload
     _check_size(catalan.proper_count(N), cap)
     order = _check_order(N + 2)
     if N == 4:
@@ -604,13 +601,8 @@ def _build_proper_triangulation(params: Mapping, cap: int) -> CSPInstance:
         f = IntPolynomial((3, 1, 3, 1, 3, 1))
     else:
         f = q_proper_triangulations(half)
-    proper = [
-        d
-        for d in catalan.enumerate_triangulations(N + 2, cap=N + 2)
-        if catalan.is_proper_triangulation(d, N + 2)
-    ]
     action = action_from_objects(
-        proper,
+        catalan.enumerate_proper_triangulations(N + 2, cap=N + 2),
         lambda d: catalan.rotate_triangulation(d, N + 2),
         catalan.triangulation_label,
         order,

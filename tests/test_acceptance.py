@@ -98,10 +98,9 @@ def test_c04_noncrossing_matchings():
     for n in range(1, 8):
         _checked("ncm", {"n": n})
     for n in range(1, 7):
-        g = (2 * n,) + tuple(range(1, 2 * n))
         for T in tb.enumerate_syt((n, n), cap=2 * n):
             assert tb.tableau_to_matching(tb.promote(T)) == ct.rotate_blocks(
-                tb.tableau_to_matching(T), g
+                tb.tableau_to_matching(T), 2 * n, -1
             )
     _report(4, "matching rotation passes for n<=7 and equals conjugated "
                "promotion pointwise for n<=6")
@@ -138,10 +137,13 @@ def test_c07_conjugacy_classes():
 
 
 def test_c08_proper_triangulations():
-    for N in (2, 4, 6, 8):
+    t0 = time.monotonic()
+    for N in (2, 4, 6, 8, 10):
         _checked("proper_triangulation", {"n": N})
     inst, _ = _checked("proper_triangulation", {"n": 8})
     assert inst.action.size == 880
+    inst, _ = _checked("proper_triangulation", {"n": 12})  # under the default cap
+    assert inst.action.size == ct.proper_count(12) == 91392
     for N in (2, 4, 6, 8, 10):
         enumerated = sum(
             1
@@ -150,8 +152,10 @@ def test_c08_proper_triangulations():
         )
         assert enumerated == ct.proper_count(N)
     assert ct.proper_count(4) == 12
-    _report(8, "proper triangulations pass for N=2n, n<=4 (|P_10|=880); "
-               "enumerated counts match the closed form for n<=5, |P_6|=12")
+    elapsed = time.monotonic() - t0
+    _report(8, f"proper triangulations pass for N=2n, n<=6 (|P_10|=880, "
+               f"|P_14|=91392) in {elapsed:.1f}s; filtered counts match the "
+               f"closed form for n<=5, |P_6|=12")
 
 
 def test_c09_plethysm_transforms():

@@ -2,26 +2,27 @@
 
 import pytest
 
+import enumeration_oracle as eo
 from csplab import catalan as ct
 from csplab import tableaux as tb
 from csplab.errors import CapExceeded, PreconditionError
 
 
 def test_is_noncrossing():
-    assert not ct.is_noncrossing(((1, 3), (2, 4)))
-    assert ct.is_noncrossing(((1, 4), (2, 3)))
-    for pi in ct.enumerate_set_partitions(3):
-        assert ct.is_noncrossing(pi)
+    assert not eo.is_noncrossing(((1, 3), (2, 4)))
+    assert eo.is_noncrossing(((1, 4), (2, 3)))
+    for pi in eo.enumerate_set_partitions(3):
+        assert eo.is_noncrossing(pi)
 
 
 def test_nc_partitions_small():
     assert len(ct.enumerate_nc_partitions(1)) == 1
     assert len(ct.enumerate_nc_partitions(3)) == 5
     # filter oracle: exactly one of the 15 partitions of [4] crosses
-    all4 = list(ct.enumerate_set_partitions(4))
+    all4 = list(eo.enumerate_set_partitions(4))
     assert len(all4) == 15
-    byfilter = sorted(pi for pi in all4 if ct.is_noncrossing(pi))
-    assert byfilter == list(ct.enumerate_nc_partitions(4))
+    byfilter = sorted(pi for pi in all4 if eo.is_noncrossing(pi))
+    assert byfilter == sorted(ct.enumerate_nc_partitions(4))
     assert len(byfilter) == 14
 
 
@@ -30,7 +31,8 @@ def test_nc_partition_count(n):
     parts = ct.enumerate_nc_partitions(n, cap=n)
     assert len(parts) == ct.catalan_number(n)
     # the enumerator skips canonicalization, so rotations must land on its objects
-    assert all(p == ct.canonical_blocks(p) for p in parts)
+    assert all(p == eo.canonical_blocks(p) for p in parts)
+    assert sorted(parts) == eo.nc_partitions(n)
 
 
 @pytest.mark.parametrize("n", range(9))
@@ -38,8 +40,53 @@ def test_nc_matching_count(n):
     ms = ct.enumerate_nc_matchings(n, cap=n)
     assert len(ms) == ct.catalan_number(n)
     for m in ms:
-        assert ct.is_noncrossing(m)
-        assert m == ct.canonical_blocks(m)
+        assert eo.is_noncrossing(m)
+        assert m == eo.canonical_blocks(m)
+    assert sorted(ms) == eo.nc_matchings(n)
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_triangulations_match_oracle(n):
+    assert sorted(ct.enumerate_triangulations(n, cap=n)) == eo.triangulations(n)
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_proper_triangulations_match_filter(n):
+    direct = ct.enumerate_proper_triangulations(n, cap=n)
+    assert len(set(direct)) == len(direct)
+    byfilter = [d for d in eo.triangulations(n) if ct.is_proper_triangulation(d, n)]
+    assert sorted(direct) == byfilter
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_block_rotations_land_on_enumerated_objects(n):
+    parts = ct.enumerate_nc_partitions(n, cap=n)
+    up = tuple(range(2, n + 1)) + (1,)
+    down = (n,) + tuple(range(1, n))
+    objects = set(parts)
+    for p in parts:
+        assert ct.rotate_blocks(p, n) == eo.rotate_blocks(p, up)
+        assert ct.rotate_blocks(p, n, -1) == eo.rotate_blocks(p, down)
+        assert ct.rotate_blocks(p, n) in objects
+    if n <= 8:  # matchings on [2n], stepped the way ncm steps them
+        down = (2 * n,) + tuple(range(1, 2 * n))
+        objects = set(ct.enumerate_nc_matchings(n, cap=n))
+        for m in objects:
+            assert ct.rotate_blocks(m, 2 * n, -1) == eo.rotate_blocks(m, down)
+            assert ct.rotate_blocks(m, 2 * n, -1) in objects
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_triangulation_rotations_land_on_enumerated_objects(n):
+    # the coloring 1,2,1,2,... is rotation-invariant on even polygons only
+    families = [ct.enumerate_triangulations]
+    if n % 2 == 0:
+        families.append(ct.enumerate_proper_triangulations)
+    for enumerate_ in families:
+        objects = set(enumerate_(n, cap=n))
+        for d in objects:
+            assert ct.rotate_triangulation(d, n) == eo.rotate_triangulation(d, n)
+            assert ct.rotate_triangulation(d, n) in objects
 
 
 def test_nc_matchings_golden():
@@ -81,22 +128,23 @@ def test_triangulations_noncrossing():
 
 
 def test_rotate_blocks():
-    g = (2, 3, 1)
-    assert ct.rotate_blocks(((1,), (2, 3)), g) == ((1, 3), (2,))
-    assert ct.rotate_blocks(((1, 2, 3),), (1, 2, 3)) == ((1, 2, 3),)
+    assert ct.rotate_blocks(((1,), (2, 3)), 3) == ((1, 3), (2,))
+    assert ct.rotate_blocks(((1, 3), (2,)), 3, -1) == ((1,), (2, 3))
+    assert ct.rotate_blocks(((1, 2, 3),), 3) == ((1, 2, 3),)
+    assert ct.rotate_blocks(((1, 4), (2, 3)), 4, -1) == ((1, 2), (3, 4))
+    with pytest.raises(PreconditionError):
+        ct.rotate_blocks(((1, 2, 3),), 3, 2)
 
 
 def test_rotation_is_group_action():
     n = 6
-    g = tuple(range(2, n + 1)) + (1,)
-    g2 = tuple(g[g[i] - 1] for i in range(n))
     for pi in ct.enumerate_nc_partitions(n):
-        assert ct.rotate_blocks(ct.rotate_blocks(pi, g), g) == ct.rotate_blocks(pi, g2)
+        assert ct.rotate_blocks(ct.rotate_blocks(pi, n), n, -1) == pi
         out = pi
         for _ in range(n):
-            out = ct.rotate_blocks(out, g)
+            out = ct.rotate_blocks(out, n)
         assert out == pi
-        assert ct.is_noncrossing(ct.rotate_blocks(pi, g))
+        assert eo.is_noncrossing(ct.rotate_blocks(pi, n))
 
 
 def test_rotate_triangulation_cycles_pentagon():
@@ -126,12 +174,8 @@ def test_proper_triangulation_golden():
 
 
 def test_proper_counts_match_enumeration():
-    for N in range(1, 11):
-        enumerated = sum(
-            1
-            for d in ct.enumerate_triangulations(N + 2, cap=N + 2)
-            if ct.is_proper_triangulation(d, N + 2)
-        )
+    for N in range(1, 13):
+        enumerated = len(ct.enumerate_proper_triangulations(N + 2, cap=N + 2))
         assert enumerated == ct.proper_count(N)
     assert ct.proper_count(4) == 12
     assert ct.proper_count(2) == 2
@@ -153,14 +197,13 @@ def test_fuss_catalan():
 @pytest.mark.parametrize("n", range(1, 7))
 def test_matching_rotation_conjugates_promotion(n):
     # vertex map i -> i-1 (mod 2n) on matchings matches promotion upstairs
-    g = (2 * n,) + tuple(range(1, 2 * n))
     tabs = tb.enumerate_syt((n, n), cap=2 * n)
     assert {tb.tableau_to_matching(T) for T in tabs} == set(
         ct.enumerate_nc_matchings(n, cap=n)
     )
     for T in tabs:
         lhs = tb.tableau_to_matching(tb.promote(T))
-        rhs = ct.rotate_blocks(tb.tableau_to_matching(T), g)
+        rhs = ct.rotate_blocks(tb.tableau_to_matching(T), 2 * n, -1)
         assert lhs == rhs
 
 

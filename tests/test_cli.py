@@ -1,6 +1,9 @@
 """Command line behavior: exit codes, JSON schema, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -122,6 +125,24 @@ def test_poly_command(capsys):
     code, out, _ = run(capsys, "poly", "qcatalan", "0")
     assert out.splitlines()[0] == "1"
     assert run(capsys, "poly", "qbinom", "4")[0] == 2
+
+
+@pytest.mark.parametrize("argv,code", [
+    # proper_count(14) = 992,256 is over the default cap: refused before any work
+    (("verify", "proper_triangulation", "--n", "14"), 2),
+    # the recurrence, not the 60! permutations it counts
+    (("poly", "eulerian", "60"), 0),
+])
+def test_large_inputs_end_at_once(argv, code):
+    # in a child process, so that a run that never ends fails the test
+    # through the timeout instead of stalling the suite
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-m", "csplab.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=10,
+    )
+    assert done.returncode == code, done.stderr
 
 
 def test_list_command(capsys):

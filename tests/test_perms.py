@@ -107,7 +107,7 @@ def test_inv_maj_mahonian(n):
     assert perms.stat_genfun(Sn, "maj") == q_factorial(n)
 
 
-@pytest.mark.parametrize("n", range(7))
+@pytest.mark.parametrize("n", range(9))
 def test_des_exc_eulerian(n):
     Sn = list(perms.symmetric_group(n))
     f = perms.stat_genfun(Sn, "des")
