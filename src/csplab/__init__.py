@@ -30,7 +30,6 @@ from .qpoly import (
     q_fuss_catalan_A,
     q_int,
     q_proper_triangulations,
-    root_of_unity_binomial,
     subst_t_q_inverse,
 )
 from .sieve import (

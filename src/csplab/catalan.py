@@ -231,16 +231,10 @@ def proper_count(N: int) -> int:
 # canonical labels
 
 
-def _seq_label(seq: Sequence[int], compact: bool) -> str:
-    if compact:
-        return "".join(str(x) for x in seq)
-    return ",".join(str(x) for x in seq)
-
-
 def partition_label(blocks: SetPartition) -> str:
     """Blocks joined by '|', digit strings while elements fit one digit."""
-    compact = all(x <= 9 for b in blocks for x in b)
-    return "|".join(_seq_label(b, compact) for b in blocks)
+    sep = "" if max([b[-1] for b in blocks], default=0) <= 9 else ","
+    return "|".join([sep.join(map(str, b)) for b in blocks])
 
 
 def matching_label(edges: Matching) -> str:

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
@@ -30,7 +29,7 @@ from .errors import (
 __all__ = [
     "IntPolynomial", "BivariatePolynomial",
     "q_int", "q_factorial", "gaussian_binomial", "cyclotomic",
-    "eval_at_root", "root_of_unity_binomial", "fold_mod_qn", "exact_divide",
+    "eval_at_root", "fold_mod_qn", "exact_divide",
     "q_catalan", "q_fuss_catalan_A", "eulerian_poly",
     "plethysm_h", "plethysm_e", "face_poly", "subst_t_q_inverse",
     "q_proper_triangulations",
@@ -308,16 +307,6 @@ def eval_at_root(f: IntPolynomial, d: int) -> int:
     if residue.degree > 0:
         raise NonIntegerEvaluation(f"residue {residue} mod Phi_{d} is not constant")
     return residue[0]
-
-
-def root_of_unity_binomial(n: int, k: int, d: int) -> int:
-    """Closed form for a Gaussian binomial [n+k-1 choose k] at a primitive
-    d-th root of unity when d | n: C(n/d + k/d - 1, k/d) if d | k, else 0."""
-    if d < 1 or n % d != 0:
-        raise PreconditionError("root order d must divide n")
-    if k % d != 0:
-        return 0
-    return math.comb(n // d + k // d - 1, k // d)
 
 
 def fold_mod_qn(f: IntPolynomial, n: int) -> tuple[int, ...]:

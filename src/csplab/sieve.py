@@ -12,6 +12,7 @@ implementation.
 """
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
@@ -129,24 +130,36 @@ class CSPInstance:
 
 def action_from_objects(
     objects: Iterable,
-    step: Callable,
-    encode: Callable[[object], str],
+    images: Iterable,
+    labels: Iterable[str],
     order: int,
 ) -> CyclicAction:
-    """Materialize an action: sort objects by canonical encoding, then store
-    the generator as an index permutation.  Each object is encoded once; the
-    index is keyed by the object, so ``step`` must return the canonical
-    object, equal to and hashing like the enumerated one.  Repeated objects
-    and non-injective encoders show up as repeated labels."""
-    pairs = sorted(((encode(o), o) for o in objects), key=lambda p: p[0])
-    index = {o: i for i, (_, o) in enumerate(pairs)}
+    """Materialize an action: sort the objects by label, then store the
+    generator as an index permutation.  ``images`` and ``labels`` are aligned
+    with ``objects``: the i-th image is the generator applied to the i-th
+    object, and the i-th label is its canonical encoding.  The index is keyed
+    by the object, so every image must be the canonical object, equal to and
+    hashing like the enumerated one.  Nothing is called per object here, so
+    iterables built in C (``map``, ``itertools``) run with no Python frame
+    per object.  Repeated objects and non-injective labels show up as
+    repeated labels."""
+    objects, labels = tuple(objects), tuple(labels)
+    n = len(objects)
+    if len(labels) != n:
+        raise PreconditionError(f"{len(labels)} labels for {n} objects")
+    perm = sorted(range(n), key=labels.__getitem__)
+    sorted_labels = tuple(map(labels.__getitem__, perm))
+    index = dict(zip(map(objects.__getitem__, perm), range(n)))
+    del objects, labels
     try:
-        gen = tuple(index[step(o)] for _, o in pairs)
+        image_index = list(map(index.__getitem__, images))
     except KeyError as exc:
         raise PreconditionError(f"generator leaves the set: {exc}") from exc
-    labels = tuple(e for e, _ in pairs)
-    del pairs, index  # freed before CyclicAction walks the orbits: lower peak memory
-    return CyclicAction(labels, gen, order)
+    if len(image_index) != n:
+        raise PreconditionError(f"{len(image_index)} images for {n} objects")
+    gen = tuple(map(image_index.__getitem__, perm))
+    del index, image_index, perm  # freed before CyclicAction walks the orbits
+    return CyclicAction(sorted_labels, gen, order)
 
 
 def orbit_decompose(action: CyclicAction) -> tuple[Orbit, ...]:
@@ -220,8 +233,8 @@ def verify_csp_orbits(
     """
     action = inst.action
     a = fold_mod_qn(inst.polynomial, action.order)
-    stabs = [o.stabilizer_order for o in action.orbits]
-    census = tuple(sum(1 for s in stabs if i % s == 0) for i in range(action.order))
+    stabs = collections.Counter(o.stabilizer_order for o in action.orbits).items()
+    census = tuple(sum(c for s, c in stabs if i % s == 0) for i in range(action.order))
     matches = tuple(x == y for x, y in zip(a, census))
     return a, census, matches
 
@@ -470,12 +483,14 @@ def _k_sets(
 ) -> CyclicAction:
     """The action on the k-subsets of an indexed ground set, or on its
     k-multisets when ``repeat`` is set, induced by the index permutation
-    ``gen``; a (multi)set is labelled by its members' labels."""
+    ``gen``; a (multi)set is labelled by its members' labels, the empty one
+    by "-".  The three iterables enumerate the same combinations of
+    positions, in the same order, all in C."""
     pick = itertools.combinations_with_replacement if repeat else itertools.combinations
     return action_from_objects(
         pick(range(len(labels)), k),
-        lambda t: tuple(sorted(gen[i] for i in t)),
-        lambda t: sep.join(labels[i] for i in t) if t else "-",
+        map(tuple, map(sorted, pick(gen, k))),
+        map(sep.join, pick(labels, k)) if k else ("-",),
         order,
     )
 
@@ -505,11 +520,9 @@ def _build_syt_rect(params: Mapping, cap: int) -> CSPInstance:
     lam = (n,) * m
     _check_size(tableaux.count_syt(lam), cap)
     order = _check_order(m * n)
+    X = tableaux.enumerate_syt(lam, cap=m * n)
     action = action_from_objects(
-        tableaux.enumerate_syt(lam, cap=m * n),
-        tableaux.promote,
-        tableaux.tableau_label,
-        order,
+        X, map(tableaux.promote, X), map(tableaux.tableau_label, X), order
     )
     return CSPInstance(
         action, tableaux.q_count_syt(lam), "syt_rect", (("m", m), ("n", n))
@@ -523,10 +536,11 @@ def _build_ncm(params: Mapping, cap: int) -> CSPInstance:
     _check_size(catalan.catalan_number(n), cap)
     order = _check_order(2 * n)
     # promotion transports to the clockwise rotation i -> i-1 (mod 2n)
+    X = catalan.enumerate_nc_matchings(n, cap=n)
     action = action_from_objects(
-        catalan.enumerate_nc_matchings(n, cap=n),
-        lambda edges: catalan.rotate_blocks(edges, 2 * n, -1),
-        catalan.matching_label,
+        X,
+        map(catalan.rotate_blocks, X, itertools.repeat(2 * n), itertools.repeat(-1)),
+        map(catalan.matching_label, X),
         order,
     )
     return CSPInstance(action, tableaux.q_count_syt((n, n)), "ncm", (("n", n),))
@@ -538,10 +552,11 @@ def _build_ncp(params: Mapping, cap: int) -> CSPInstance:
         raise PreconditionError("ncp needs n >= 1")
     _check_size(catalan.catalan_number(n), cap)
     order = _check_order(n)
+    X = catalan.enumerate_nc_partitions(n, cap=n)
     action = action_from_objects(
-        catalan.enumerate_nc_partitions(n, cap=n),
-        lambda blocks: catalan.rotate_blocks(blocks, n),
-        catalan.partition_label,
+        X,
+        map(catalan.rotate_blocks, X, itertools.repeat(n)),
+        map(catalan.partition_label, X),
         order,
     )
     return CSPInstance(action, q_catalan(n), "ncp", (("n", n),))
@@ -553,10 +568,11 @@ def _build_triangulation(params: Mapping, cap: int) -> CSPInstance:
         raise PreconditionError("triangulation needs n >= 1")
     _check_size(catalan.catalan_number(n), cap)
     order = _check_order(n + 2)
+    X = catalan.enumerate_triangulations(n + 2, cap=n + 2)
     action = action_from_objects(
-        catalan.enumerate_triangulations(n + 2, cap=n + 2),
-        lambda d: catalan.rotate_triangulation(d, n + 2),
-        catalan.triangulation_label,
+        X,
+        map(catalan.rotate_triangulation, X, itertools.repeat(n + 2)),
+        map(catalan.triangulation_label, X),
         order,
     )
     return CSPInstance(action, q_catalan(n), "triangulation", (("n", n),))
@@ -577,9 +593,7 @@ def _build_conj_class(params: Mapping, cap: int) -> CSPInstance:
     cls = perms.conjugacy_class(lam)
     f = subst_t_q_inverse(perms.maj_exc_genfun(cls))
     action = action_from_objects(
-        cls,
-        lambda w: perms.conjugate(c, w),
-        perms.perm_label,
+        cls, map(perms.conjugate, itertools.repeat(c), cls), map(perms.perm_label, cls),
         order,
     )
     return CSPInstance(action, f, "conj_class", (("lam", lam),))
@@ -601,10 +615,11 @@ def _build_proper_triangulation(params: Mapping, cap: int) -> CSPInstance:
         f = IntPolynomial((3, 1, 3, 1, 3, 1))
     else:
         f = q_proper_triangulations(half)
+    X = catalan.enumerate_proper_triangulations(N + 2, cap=N + 2)
     action = action_from_objects(
-        catalan.enumerate_proper_triangulations(N + 2, cap=N + 2),
-        lambda d: catalan.rotate_triangulation(d, N + 2),
-        catalan.triangulation_label,
+        X,
+        map(catalan.rotate_triangulation, X, itertools.repeat(N + 2)),
+        map(catalan.triangulation_label, X),
         order,
     )
     return CSPInstance(action, f, "proper_triangulation", (("n", N),))
@@ -618,8 +633,8 @@ def _build_cycle(params: Mapping, cap: int) -> CSPInstance:
     order = _check_order(n)
     action = action_from_objects(
         range(1, n + 1),
-        lambda i: i % n + 1,
-        str,
+        itertools.chain(range(2, n + 1), (1,)),
+        map(str, range(1, n + 1)),
         order,
     )
     return CSPInstance(action, q_int(n), "cycle", (("n", n),))

