@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from typing import Sequence
 
@@ -26,6 +27,7 @@ from .errors import (
     NegativeExponent,
     NonIntegerEvaluation,
     PreconditionError,
+    UnknownFamily,
 )
 
 INTERNAL_ERRORS = (
@@ -87,12 +89,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _signature_flags(family: str) -> set[str]:
+    """The flags a family's signature lists: {"n", "k", "gen"} for subset."""
+    if family not in sieve.FAMILIES:
+        raise UnknownFamily(family)
+    return set(re.findall(r"--(\w+)", sieve.FAMILIES[family].signature))
+
+
 def _collect_params(ns: argparse.Namespace) -> dict:
-    params = {}
-    for key in ("n", "k", "m", "lam", "gen", "base", "kind"):
-        value = getattr(ns, key, None)
-        if value is not None:
-            params[key] = value
+    """The family parameters given on the command line.  A flag that the
+    family's signature does not list is a usage error, not dropped; a family
+    that takes --base also takes its base family's flags."""
+    given = vars(ns)
+    keys = ("n", "k", "m", "lam", "gen", "base", "kind")
+    params = {key: given[key] for key in keys if given[key] is not None}
+    accepted = _signature_flags(ns.family)
+    signature = sieve.FAMILIES[ns.family].signature
+    base = params.get("base") if "base" in accepted else None
+    if base is not None:
+        accepted |= _signature_flags(base)
+        signature += f"; base {base}: {sieve.FAMILIES[base].signature}"
+    extra = " ".join(f"--{key}" for key in params if key not in accepted)
+    if extra:
+        raise PreconditionError(
+            f"family {ns.family} does not take {extra}; signature: {signature}"
+        )
     return params
 
 

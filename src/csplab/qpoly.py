@@ -474,9 +474,6 @@ class BivariatePolynomial:
             acc[pair] = acc.get(pair, 0) + c
         return BivariatePolynomial(acc)
 
-    def value_at_one(self) -> int:
-        return sum(self.terms.values())
-
     def __str__(self) -> str:
         if not self.terms:
             return "0"

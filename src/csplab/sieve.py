@@ -61,21 +61,6 @@ def _compose_idx(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(p[x] for x in q)
 
 
-def _faithful_order(p: tuple[int, ...]) -> int:
-    seen = [False] * len(p)
-    lengths = []
-    for start in range(len(p)):
-        if seen[start]:
-            continue
-        length, x = 0, start
-        while not seen[x]:
-            seen[x] = True
-            x = p[x]
-            length += 1
-        lengths.append(length)
-    return math.lcm(*lengths) if lengths else 1
-
-
 @dataclass(frozen=True)
 class CyclicAction:
     """A cyclic group acting on an indexed label list.
@@ -91,14 +76,11 @@ class CyclicAction:
     order: int
 
     def __post_init__(self) -> None:
-        n = len(self.labels)
-        if len(set(self.labels)) != n:
+        if len(set(self.labels)) != len(self.labels):
             raise PreconditionError("labels must be distinct canonical encodings")
-        if sorted(self.generator) != list(range(n)):
-            raise PreconditionError("generator is not a permutation of the indices")
         if self.order < 1:
             raise PreconditionError(f"declared order {self.order} is not positive")
-        self.orbits  # its one walk rejects orbit lengths that do not divide the order
+        self.orbits  # the one walk checks the generator and the orbit lengths
 
     @property
     def size(self) -> int:
@@ -164,10 +146,16 @@ def action_from_objects(
 
 def orbit_decompose(action: CyclicAction) -> tuple[Orbit, ...]:
     """Generator orbits in order of least member, with stabilizer-orders
-    order/|orbit| in the declared group."""
-    seen = [False] * action.size
+    order/|orbit| in the declared group.  A generator that is not a
+    permutation of the indices is rejected as ``perms.cycles_of`` rejects
+    one: once every entry is an index, a walk that closes on a point other
+    than its start has met a point with two preimages."""
+    gen, n = action.generator, action.size
+    if len(gen) != n or n and not 0 <= min(gen) <= max(gen) < n:
+        raise PreconditionError("generator is not a permutation of the indices")
+    seen = [False] * n
     orbits = []
-    for start in range(action.size):
+    for start in range(n):
         if seen[start]:
             continue
         members = []
@@ -175,7 +163,9 @@ def orbit_decompose(action: CyclicAction) -> tuple[Orbit, ...]:
         while not seen[x]:
             seen[x] = True
             members.append(x)
-            x = action.generator[x]
+            x = gen[x]
+        if x != start:
+            raise PreconditionError("generator is not a permutation of the indices")
         stab, rem = divmod(action.order, len(members))
         if rem:
             raise PreconditionError(f"orbit length {len(members)} does not divide "
@@ -360,8 +350,12 @@ def verify_bicsp(
     permutations g, h, where w and w' are primitive roots of unity of the
     two group orders and e1, e2 fix the embeddings.  Evaluation is exact, in
     the cyclotomic integers of order lcm(order1, order2)."""
-    o1 = CyclicAction(tuple(labels), gen1, order1 or _faithful_order(gen1)).order
-    o2 = CyclicAction(tuple(labels), gen2, order2 or _faithful_order(gen2)).order
+    def action_order(gen: tuple[int, ...], order: int | None) -> int:
+        if order is None:
+            order = perms.perm_order(tuple(x + 1 for x in gen))
+        return CyclicAction(tuple(labels), gen, order).order
+
+    o1, o2 = action_order(gen1, order1), action_order(gen2, order2)
     if _compose_idx(gen1, gen2) != _compose_idx(gen2, gen1):
         raise NonCommutingActions("the two generators do not commute")
     if math.gcd(e1, o1) != 1 or math.gcd(e2, o2) != 1:

@@ -7,6 +7,7 @@ and strictly down columns.
 """
 from __future__ import annotations
 
+import bisect
 import math
 from typing import Iterable, Iterator, Sequence
 
@@ -170,63 +171,23 @@ def promote(T: Tableau) -> Tableau:
 
 
 def promote_inverse(T: Tableau) -> Tableau:
-    """Inverse promotion: remove n, slide the hole back to (1,1) exchanging
-    with the larger of the neighbors above and to the left, increment, and
-    write 1 at the origin."""
-    rows = [list(row) for row in T]
-    n = sum(len(r) for r in rows)
-    if n == 0:
-        return T
-    i, j = next(
-        (r, c) for r, row in enumerate(rows) for c, x in enumerate(row) if x == n
-    )
-    while (i, j) != (0, 0):
-        above = rows[i - 1][j] if i > 0 else None
-        left = rows[i][j - 1] if j > 0 else None
-        if left is None or (above is not None and above > left):
-            rows[i][j] = above
-            i -= 1
-        else:
-            rows[i][j] = left
-            j -= 1
-    out = [[x + 1 for x in row] for row in rows]
-    out[0][0] = 1
-    return tuple(tuple(row) for row in out)
+    """Inverse promotion, by Schutzenberger's identity: evacuate, promote,
+    evacuate."""
+    return evacuate(promote(evacuate(T)))
 
 
 def evacuate(T: Tableau) -> Tableau:
-    """Evacuation: n truncated promotions.  After the i-th slide the freed
-    cell receives n-i+1 and freezes; frozen cells block later slides.
-    An involution on standard tableaux."""
-    rows = [list(row) for row in T]
-    n = sum(len(r) for r in rows)
-    frozen = [[False] * len(row) for row in rows]
-
-    def movable(r: int, c: int) -> int | None:
-        if r < len(rows) and c < len(rows[r]) and not frozen[r][c]:
-            return rows[r][c]
-        return None
-
-    for step in range(n):
-        i = j = 0
-        while True:
-            below = movable(i + 1, j)
-            right = movable(i, j + 1)
-            if below is None and right is None:
-                break
-            if right is None or (below is not None and below < right):
-                rows[i][j] = below
-                i += 1
-            else:
-                rows[i][j] = right
-                j += 1
-        for r, row in enumerate(rows):
-            for c in range(len(row)):
-                if not frozen[r][c]:
-                    row[c] -= 1
-        rows[i][j] = n - step
-        frozen[i][j] = True
-    return tuple(tuple(row) for row in rows)
+    """Evacuation: for m = n, ..., 1, promote the tableau of entries 1..m;
+    the cell that receives m keeps it and drops out.  An involution on
+    standard tableaux."""
+    out = [list(row) for row in T]
+    rows = T
+    for m in range(sum(map(len, T)), 0, -1):
+        rows = promote(rows)
+        r = next(r for r, row in enumerate(rows) if row and row[-1] == m)
+        out[r][len(rows[r]) - 1] = m
+        rows = rows[:r] + (rows[r][:-1],) + rows[r + 1:]
+    return tuple(map(tuple, out))
 
 
 def transpose_tableau(T: Tableau) -> Tableau:
@@ -280,14 +241,7 @@ def _insert(rows: list[list[int]], record: list[list[int]], x: int, mark: int) -
             record.append([mark])
             return
         row = rows[r]
-        # leftmost entry strictly greater than x
-        lo, hi = 0, len(row)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if row[mid] > x:
-                hi = mid
-            else:
-                lo = mid + 1
+        lo = bisect.bisect_right(row, x)  # leftmost entry strictly greater than x
         if lo == len(row):
             row.append(x)
             record[r].append(mark)
@@ -315,14 +269,7 @@ def _reverse_bump(rows: list[list[int]], r: int, c: int) -> int:
         rows.pop(r)
     for rr in range(r - 1, -1, -1):
         row = rows[rr]
-        # rightmost entry strictly less than x
-        lo, hi = 0, len(row)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if row[mid] < x:
-                lo = mid + 1
-            else:
-                hi = mid
+        lo = bisect.bisect_left(row, x)  # row[lo - 1] is the rightmost entry below x
         row[lo - 1], x = x, row[lo - 1]
     return x
 

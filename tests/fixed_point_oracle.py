@@ -4,9 +4,28 @@
 This module counts them the slow way instead: compose the generator with
 itself j times and count the points the result fixes.  Burnside's lemma
 then ties the power-iteration counts to the orbit decomposition.
+``faithful_order`` finds a 0-based permutation's order by its own walk.
 """
 
+import math
+
 from csplab import sieve
+
+
+def faithful_order(p: tuple[int, ...]) -> int:
+    """The order of a permutation of 0..len(p)-1: the lcm of its cycle lengths."""
+    seen = [False] * len(p)
+    lengths = []
+    for start in range(len(p)):
+        if seen[start]:
+            continue
+        length, x = 0, start
+        while not seen[x]:
+            seen[x] = True
+            x = p[x]
+            length += 1
+        lengths.append(length)
+    return math.lcm(*lengths) if lengths else 1
 
 
 def power_fixed_counts(action: sieve.CyclicAction) -> list[int]:

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from csplab import cli
+from csplab import cli, sieve
 from csplab.errors import CspLabError
 
 
@@ -207,12 +207,39 @@ def test_unexpected_exception_is_internal_error(capsys, monkeypatch):
 
 
 def test_unknown_base_family_is_named(capsys):
-    code, _, err = run(
-        capsys, "verify", "plethysm_derived", "--base", "nope", "--k", "2"
-    )
+    for base_flags in ([], ["--n", "3"]):
+        code, _, err = run(
+            capsys, "verify", "plethysm_derived", "--base", "nope", "--k", "2", *base_flags
+        )
+        assert code == 2
+        assert err == "error: 'nope'\n"
+
+
+@pytest.mark.parametrize("command", ["verify", "orbits"])
+@pytest.mark.parametrize(
+    "argv,flag,signature",
+    [
+        (["cycle", "--n", "3", "--gen", "(1,2)"], "--gen", "--n N"),
+        (["ncp", "--n", "3", "--k", "2"], "--k", "--n N"),
+        (["subset", "--n", "3", "--k", "1", "--kind", "h"], "--kind", "--n N --k K"),
+        (["plethysm_derived", "--base", "cycle", "--k", "2", "--n", "3", "--m", "2"],
+         "--m", "base cycle: --n N"),
+    ],
+)
+def test_flags_a_family_does_not_take_are_usage_errors(capsys, command, argv, flag,
+                                                       signature):
+    # these flags used to be dropped: `verify cycle --gen` passed for the long cycle
+    code, out, err = run(capsys, command, *argv)
     assert code == 2
-    assert "nope" in err
-    assert "needs parameter" not in err
+    assert out == ""
+    assert f"family {argv[0]} does not take {flag}; signature: " in err
+    assert sieve.FAMILIES[argv[0]].signature in err and signature in err
+
+
+def test_empty_instance_passes(capsys):
+    code, out, _ = run(capsys, "verify", "subset", "--n", "3", "--k", "5")
+    assert code == 0
+    assert "size 0  order 3" in out and "verdict: PASS" in out
 
 
 @pytest.mark.parametrize(

@@ -4,7 +4,7 @@ import math
 
 import pytest
 from evaluation_oracle import root_of_unity_binomial
-from fixed_point_oracle import burnside_ok, power_fixed_counts
+from fixed_point_oracle import burnside_ok, faithful_order, power_fixed_counts
 from materialize_oracle import FAMILIES as ORACLE_FAMILIES
 from materialize_oracle import k_sets, label_keyed_action, oracle_action
 from hypothesis import given, settings, strategies as st
@@ -33,8 +33,20 @@ def test_action_validation():
         sieve.CyclicAction(("a", "b"), (1, 0), 0)
     with pytest.raises(PreconditionError):
         sieve.CyclicAction(("a", "a"), (0, 1), 1)
-    with pytest.raises(PreconditionError):
-        sieve.CyclicAction(("a", "b"), (0, 0), 1)
+    # the orbit walk rejects these before any orbit length is checked against
+    # the order, which 6 would admit
+    for labels, gen in [
+        (("a", "b"), (0, 0)),  # the walk from 1 closes on 0
+        (("a", "b", "c"), (1, 1, 0)),  # the walk from 0 closes on 1
+        (("a", "b"), (-1, 0)),  # a negative index, which Python would wrap
+        (("a", "b"), (0, 2)),  # an index >= n
+        (("a", "b"), (1, 0, 2)),  # a generator longer than the labels
+        (("a", "b", "c"), (1, 0)),  # and one shorter
+    ]:
+        with pytest.raises(PreconditionError, match="generator is not a permutation"):
+            sieve.CyclicAction(labels, gen, 6)
+    empty = sieve.CyclicAction((), (), 1)
+    assert empty.size == 0 and empty.orbits == ()
 
 
 @pytest.mark.parametrize(
@@ -118,7 +130,7 @@ def test_k_sets_match_label_keyed_oracle(gen, k, repeat, sep):
     """The k-set builder, whose images and labels iterate in C, agrees with
     stepping and encoding every (multi)set one at a time."""
     labels = [str(x) for x in range(1, len(gen) + 1)]
-    order = sieve._faithful_order(tuple(gen))
+    order = faithful_order(tuple(gen))
     new = sieve._k_sets(labels, gen, k, repeat, sep, order)
     old = label_keyed_action(*k_sets(labels, gen, k, repeat, sep, order))
     assert (new.labels, new.generator, new.order) == (old.labels, old.generator, old.order)
@@ -172,7 +184,7 @@ def test_fixed_count_matches_power_iteration(gen, mult):
     generator j times, also when the declared order is a multiple of the
     permutation's own order (an unfaithful action)."""
     gen = tuple(gen)
-    order = sieve._faithful_order(gen) * mult
+    order = faithful_order(gen) * mult
     action = sieve.CyclicAction(tuple(f"x{i}" for i in range(len(gen))), gen, order)
     oracle = power_fixed_counts(action)
     assert [sieve.fixed_count(action, j) for j in range(order)] == oracle
@@ -181,7 +193,7 @@ def test_fixed_count_matches_power_iteration(gen, mult):
 def test_fixed_count_matches_power_iteration_conj_class():
     # conjugation by a 4-cycle acts on the class of (2,2) with order 2, not 4
     action = sieve.registry_instantiate("conj_class", {"lam": (2, 2)}).action
-    assert sieve._faithful_order(action.generator) < action.order
+    assert faithful_order(action.generator) < action.order
     oracle = power_fixed_counts(action)
     assert [sieve.fixed_count(action, j) for j in range(action.order)] == oracle
 
@@ -410,6 +422,7 @@ def test_bicsp_noncommuting_rejected():
         (("a", "b"), (0, 0), (0, 1), None),  # not a permutation
         (("a", "b", "c"), (1, 0), (1, 0), None),  # labels and generator differ in length
         (("a", "b"), (1, 0), (1, 0), 3),  # declared order not a multiple of 2
+        (("1", "w", "w2"), (1, 2, 0), (1, 2, 0), 0),  # the toy; 0 is not "not given"
     ],
 )
 def test_bicsp_rejects_invalid_generators(labels, gen1, gen2, order1):
@@ -471,7 +484,7 @@ def test_checkers_agree_on_arbitrary_instances(data):
     not just on instances where a theorem promises a pass."""
     gen, coeffs = data
     labels = tuple(f"x{i}" for i in range(len(gen)))
-    action = sieve.CyclicAction(labels, tuple(gen), sieve._faithful_order(tuple(gen)))
+    action = sieve.CyclicAction(labels, tuple(gen), faithful_order(tuple(gen)))
     inst = sieve.CSPInstance(action, IntPolynomial(coeffs))
     rep = sieve.build_report(inst)
     assert rep.roots_pass == rep.orbits_pass
@@ -483,7 +496,7 @@ def test_census_polynomial_always_sieves(gen, mult):
     """Reading the polynomial off the orbit census produces a passing
     instance for any action; a strong self-test of the whole engine."""
     gen = tuple(gen)
-    order = sieve._faithful_order(gen) * mult
+    order = faithful_order(gen) * mult
     labels = tuple(f"x{i}" for i in range(len(gen)))
     action = sieve.CyclicAction(labels, gen, order)
     stabs = [o.stabilizer_order for o in sieve.orbit_decompose(action)]

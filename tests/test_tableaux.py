@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+import tableaux_oracle
 from csplab import tableaux as tb
 from csplab.errors import CapExceeded, PreconditionError
 from csplab.qpoly import IntPolynomial, q_catalan
@@ -113,6 +114,16 @@ def test_evacuate_involution(n):
     for lam in _partitions(n):
         for T in tb.enumerate_syt(lam, cap=7):
             assert tb.evacuate(tb.evacuate(T)) == T
+
+
+def test_slides_built_from_promotion_match_oracle():
+    """Evacuation and inverse promotion, built from promotion, equal the
+    hand-written slides on every standard tableau with at most 9 cells."""
+    tabs = [T for n in range(10) for lam in _partitions(n) for T in tb.enumerate_syt(lam)]
+    assert len(tabs) == 3736
+    for T in tabs:
+        assert tb.evacuate(T) == tableaux_oracle.evacuate(T)
+        assert tb.promote_inverse(T) == tableaux_oracle.promote_inverse(T)
 
 
 def _staircase(n):
