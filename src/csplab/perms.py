@@ -5,6 +5,7 @@ A permutation is a tuple w with w[i-1] = w(i); composition is right to left.
 """
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 import re
@@ -139,16 +140,7 @@ def stat(w: Permutation, which: str) -> int:
 
 def stat_genfun(X: Iterable[Permutation], which: str) -> IntPolynomial:
     """Weight generating function: the sum of q^stat(w) over w in X."""
-    counts: dict[int, int] = {}
-    for w in X:
-        s = stat(w, which)
-        counts[s] = counts.get(s, 0) + 1
-    if not counts:
-        return IntPolynomial()
-    out = [0] * (max(counts) + 1)
-    for s, c in counts.items():
-        out[s] = c
-    return IntPolynomial(out)
+    return IntPolynomial.from_exponents(collections.Counter(stat(w, which) for w in X))
 
 
 # ---------------------------------------------------------------------------
@@ -177,11 +169,8 @@ def conjugate(c: Permutation, w: Permutation) -> Permutation:
 
 def maj_exc_genfun(X: Iterable[Permutation]) -> BivariatePolynomial:
     """Joint distribution: the sum of q^maj(w) t^exc(w) over w in X."""
-    acc: dict[tuple[int, int], int] = {}
-    for w in X:
-        key = (stat(w, "maj"), stat(w, "exc"))
-        acc[key] = acc.get(key, 0) + 1
-    return BivariatePolynomial(acc)
+    return BivariatePolynomial(
+        collections.Counter((stat(w, "maj"), stat(w, "exc")) for w in X))
 
 
 def nearly_free_kind(g: Permutation, N: int) -> str:

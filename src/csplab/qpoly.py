@@ -14,6 +14,7 @@ trailing zeros; the zero polynomial is the empty tuple.
 """
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 from dataclasses import dataclass
@@ -61,6 +62,15 @@ class IntPolynomial:
         if exponent < 0:
             raise PreconditionError("monomial exponent must be >= 0")
         return IntPolynomial((0,) * exponent + (coeff,))
+
+    @staticmethod
+    def from_exponents(terms: Mapping[int, int]) -> "IntPolynomial":
+        """The sum of c * q^e over the items (e, c) of ``terms``; raises
+        NegativeExponent for a nonzero c at a negative e (zero ones are dropped)."""
+        low = min((e for e, c in terms.items() if c), default=0)
+        if low < 0:
+            raise NegativeExponent(f"a nonzero term at q^{low}")
+        return IntPolynomial(terms.get(e, 0) for e in range(max(terms, default=-1) + 1))
 
     @property
     def degree(self) -> int:
@@ -509,13 +519,10 @@ def subst_t_q_inverse(F: BivariatePolynomial) -> IntPolynomial:
     >>> print(subst_t_q_inverse(BivariatePolynomial({(3, 1): 1, (1, 1): 2})))
     2+q^2
     """
-    acc: dict[int, int] = {}
+    acc = collections.Counter()
     for (i, j), c in F.terms.items():
-        acc[i - j] = acc.get(i - j, 0) + c
-    exponents = [e for e, c in acc.items() if c]
-    if exponents and min(exponents) < 0:
-        raise NegativeExponent(f"t = 1/q leaves q^{min(exponents)} in {F}")
-    coeffs = [0] * (max(exponents, default=-1) + 1)
-    for e in exponents:
-        coeffs[e] = acc[e]
-    return IntPolynomial(coeffs)
+        acc[i - j] += c
+    try:
+        return IntPolynomial.from_exponents(acc)
+    except NegativeExponent as exc:
+        raise NegativeExponent(f"t = 1/q leaves {exc} in {F}") from None

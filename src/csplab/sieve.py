@@ -22,6 +22,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 from . import catalan, perms, tableaux
 from .errors import (
     CapExceeded,
+    NegativeExponent,
     NonCommutingActions,
     NonIntegerEvaluation,
     NotNearlyFree,
@@ -54,11 +55,7 @@ __all__ = [
 
 DEFAULT_SIZE_CAP = 200_000
 ORDER_CAP = 10_000
-
-
-def _compose_idx(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
-    """(p o q)[i] = p[q[i]] on 0-based indices."""
-    return tuple(p[x] for x in q)
+_NOT_A_PERMUTATION = "generator is not a permutation of the indices"
 
 
 @dataclass(frozen=True)
@@ -152,7 +149,7 @@ def orbit_decompose(action: CyclicAction) -> tuple[Orbit, ...]:
     than its start has met a point with two preimages."""
     gen, n = action.generator, action.size
     if len(gen) != n or n and not 0 <= min(gen) <= max(gen) < n:
-        raise PreconditionError("generator is not a permutation of the indices")
+        raise PreconditionError(_NOT_A_PERMUTATION)
     seen = [False] * n
     orbits = []
     for start in range(n):
@@ -165,7 +162,7 @@ def orbit_decompose(action: CyclicAction) -> tuple[Orbit, ...]:
             members.append(x)
             x = gen[x]
         if x != start:
-            raise PreconditionError("generator is not a permutation of the indices")
+            raise PreconditionError(_NOT_A_PERMUTATION)
         stab, rem = divmod(action.order, len(members))
         if rem:
             raise PreconditionError(f"orbit length {len(members)} does not divide "
@@ -333,7 +330,8 @@ class BicspReport:
         return "pass" if all(c.match for c in self.cells) else "fail"
 
     def cell(self, j: int, k: int) -> BicspCell:
-        return self.cells[j * self.order2 + k]
+        """The cell of g^j h^k; j and k are read modulo the two orders."""
+        return self.cells[j % self.order1 * self.order2 + k % self.order2]
 
 
 def verify_bicsp(
@@ -349,24 +347,36 @@ def verify_bicsp(
     """Check #X^{(g^j, h^k)} = F(w^(e1*j), w'^(e2*k)) for commuting index
     permutations g, h, where w and w' are primitive roots of unity of the
     two group orders and e1, e2 fix the embeddings.  Evaluation is exact, in
-    the cyclotomic integers of order lcm(order1, order2)."""
-    def action_order(gen: tuple[int, ...], order: int | None) -> int:
+    the cyclotomic integers of order lcm(order1, order2).  Fixed points come
+    from the orbits of g: if h^k moves one point of a g-orbit O p steps along
+    O, it so moves every point of O, and g^j h^k fixes O iff j = -p mod |O|."""
+    def action(gen: tuple[int, ...], order: int | None) -> CyclicAction:
         if order is None:
-            order = perms.perm_order(tuple(x + 1 for x in gen))
-        return CyclicAction(tuple(labels), gen, order).order
+            try:  # perm_order's own message would name the 1-based copy of gen
+                order = perms.perm_order(tuple(x + 1 for x in gen))
+            except PreconditionError:
+                raise PreconditionError(_NOT_A_PERMUTATION) from None
+        return CyclicAction(tuple(labels), gen, order)
 
-    o1, o2 = action_order(gen1, order1), action_order(gen2, order2)
-    if _compose_idx(gen1, gen2) != _compose_idx(gen2, gen1):
+    g = action(gen1, order1)
+    o1, o2 = g.order, action(gen2, order2).order
+    if any(gen1[y] != gen2[x] for x, y in zip(gen1, gen2)):
         raise NonCommutingActions("the two generators do not commute")
     if math.gcd(e1, o1) != 1 or math.gcd(e2, o2) != 1:
         raise PreconditionError("embedding exponents must be units mod the orders")
+    landed: list[dict] = [{} for _ in range(o2)]  # k -> |O| -> j mod |O| -> #fixed
+    for orbit in g.orbits:
+        size, x = len(orbit.members), orbit.members[0]
+        step = dict(zip(orbit.members, range(size)))
+        for k in range(o2):
+            if x in step:
+                landed[k].setdefault(size, [0] * size)[-step[x] % size] += size
+            x = gen2[x]
     D = math.lcm(o1, o2)
     cells = []
-    pow1 = tuple(range(len(labels)))
     for j in range(o1):
-        pow12 = pow1
         for k in range(o2):
-            fixed = sum(1 for i, x in enumerate(pow12) if i == x)
+            fixed = sum(r[j % len(r)] for r in landed[k].values())
             qexp = (D // o1) * e1 * j % D
             texp = (D // o2) * e2 * k % D
             coeffs = [0] * D
@@ -377,8 +387,6 @@ def verify_bicsp(
             except NonIntegerEvaluation:
                 value = None
             cells.append(BicspCell(j, k, fixed, value, value == fixed))
-            pow12 = _compose_idx(gen2, pow12)
-        pow1 = _compose_idx(gen1, pow1)
     return BicspReport(o1, o2, tuple(cells))
 
 
@@ -412,16 +420,11 @@ def verify_block_partition(
         raise PreconditionError("blocks must partition the index set")
 
     def genfun(indices: Iterable[int]) -> IntPolynomial:
-        counts: dict[int, int] = {}
-        for i in indices:
-            s = value_of(action.labels[i])
-            if s < 0:
-                raise PreconditionError("statistic values must be nonnegative")
-            counts[s] = counts.get(s, 0) + 1
-        out = [0] * (max(counts) + 1 if counts else 0)
-        for s, c in counts.items():
-            out[s] = c
-        return IntPolynomial(out)
+        counts = collections.Counter(value_of(action.labels[i]) for i in indices)
+        try:
+            return IntPolynomial.from_exponents(counts)
+        except NegativeExponent:
+            raise PreconditionError("statistic values must be nonnegative") from None
 
     if genfun(range(action.size)) != inst.polynomial:
         raise StatisticMismatch(

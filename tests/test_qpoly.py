@@ -333,13 +333,23 @@ def test_q_proper_triangulations():
         assert q_proper_triangulations(n)(1) == expected
 
 
+def test_from_exponents():
+    assert P.from_exponents({0: 2, 3: -1}) == P([2, 0, 0, -1])
+    assert P.from_exponents({}).is_zero()
+    assert P.from_exponents({4: 0, 1: 1}) == P([0, 1])  # no trailing zero
+    assert P.from_exponents({-2: 0, 0: 1}) == P([1])  # a cancelled term
+    with pytest.raises(NegativeExponent, match=r"^a nonzero term at q\^-2$"):
+        P.from_exponents({-1: 1, -2: 3, 0: 1})
+
+
 def test_subst_t_q_inverse():
     F = BivariatePolynomial({(2, 2): 1, (1, 1): 1})
     assert subst_t_q_inverse(F) == P([2])
     assert subst_t_q_inverse(BivariatePolynomial({(0, 0): 1})) == P([1])
     assert subst_t_q_inverse(BivariatePolynomial({(3, 1): 1})) == P.monomial(1, 2)
     assert subst_t_q_inverse(BivariatePolynomial()).is_zero()
-    with pytest.raises(NegativeExponent):
+    message = r"^t = 1/q leaves a nonzero term at q\^-2 in t\^2$"
+    with pytest.raises(NegativeExponent, match=message):
         subst_t_q_inverse(BivariatePolynomial({(0, 2): 1}))
     # q^-1 terms that cancel leave an ordinary polynomial
     G = BivariatePolynomial({(0, 1): 1, (1, 2): -1, (2, 0): 3})

@@ -1,10 +1,18 @@
 """The verification engine: actions, orbits, both checkers, registry."""
 
+import itertools
 import math
 
 import pytest
 from evaluation_oracle import root_of_unity_binomial
-from fixed_point_oracle import burnside_ok, faithful_order, power_fixed_counts
+from fixed_point_oracle import (
+    bicyclic_burnside_ok,
+    burnside_ok,
+    compose_idx,
+    faithful_order,
+    power_fixed_counts,
+    power_fixed_grid,
+)
 from materialize_oracle import FAMILIES as ORACLE_FAMILIES
 from materialize_oracle import k_sets, label_keyed_action, oracle_action
 from hypothesis import given, settings, strategies as st
@@ -165,8 +173,6 @@ def test_fixed_multisets_of_mixed_generator():
     g = perms.parse_cycles("(1,2,4)(3,5)", 5)
     fixed_labels = []
     for k in range(1, 6):
-        import itertools
-
         for ms in itertools.combinations_with_replacement(range(1, 6), k):
             if tuple(sorted(g[x - 1] for x in ms)) == ms:
                 fixed_labels.append("".join(map(str, ms)))
@@ -416,20 +422,128 @@ def test_bicsp_noncommuting_rejected():
         )
 
 
-@pytest.mark.parametrize(
-    "labels,gen1,gen2,order1",
-    [
-        (("a", "b"), (0, 0), (0, 1), None),  # not a permutation
-        (("a", "b", "c"), (1, 0), (1, 0), None),  # labels and generator differ in length
-        (("a", "b"), (1, 0), (1, 0), 3),  # declared order not a multiple of 2
-        (("1", "w", "w2"), (1, 2, 0), (1, 2, 0), 0),  # the toy; 0 is not "not given"
-    ],
-)
+NOT_A_PERMUTATION = "generator is not a permutation of the indices"
+
+# (labels, gen1, gen2, order1) -> the exact message
+INVALID_GENERATORS = {
+    # not a permutation; the default order must not name a 1-based copy
+    (("a", "b"), (0, 0), (0, 1), None): NOT_A_PERMUTATION,
+    # labels and generator differ in length
+    (("a", "b", "c"), (1, 0), (1, 0), None): NOT_A_PERMUTATION,
+    # declared order not a multiple of 2
+    (("a", "b"), (1, 0), (1, 0), 3): "orbit length 2 does not divide the declared order 3",
+    # the toy; 0 is not "not given"
+    (("1", "w", "w2"), (1, 2, 0), (1, 2, 0), 0): "declared order 0 is not positive",
+    # the second generator is not a permutation
+    (("a", "b"), (1, 0), (1, 1), None): NOT_A_PERMUTATION,
+    # an entry past the end, under a declared order
+    (("a", "b"), (0, 2), (0, 1), 2): NOT_A_PERMUTATION,
+}
+
+
+@pytest.mark.parametrize("labels,gen1,gen2,order1", list(INVALID_GENERATORS))
 def test_bicsp_rejects_invalid_generators(labels, gen1, gen2, order1):
-    with pytest.raises(PreconditionError):
+    message = INVALID_GENERATORS[labels, gen1, gen2, order1]
+    with pytest.raises(PreconditionError, match=f"^{message}$"):
         sieve.verify_bicsp(
             labels, gen1, gen2, BivariatePolynomial({(0, 0): 2}), order1=order1
         )
+
+
+def test_bicsp_cell_reads_exponents_modulo_the_orders():
+    labels, gen, F = sieve.berget_eu_reiner_toy()
+    report = sieve.verify_bicsp(labels, gen, gen, F, order2=6)
+    assert (report.order1, report.order2) == (3, 6)
+    for j in range(-4, 8):
+        for k in range(-7, 14):
+            cell = report.cell(j, k)
+            assert (cell.j, cell.k) == (j % 3, k % 6)
+
+
+def _power(p: tuple[int, ...], e: int) -> tuple[int, ...]:
+    out = tuple(range(len(p)))
+    for _ in range(e):
+        out = compose_idx(p, out)
+    return out
+
+
+def _long_cycle_multiplications(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Left and right multiplication by the long cycle c on S_n, as index
+    permutations of the sorted permutations of 0..n-1: w -> c w, w -> w c."""
+    X = sorted(itertools.permutations(range(n)))
+    index = {w: i for i, w in enumerate(X)}
+    c = tuple(range(1, n)) + (0,)
+    left = tuple(index[compose_idx(c, w)] for w in X)
+    right = tuple(index[compose_idx(w, c)] for w in X)
+    return left, right
+
+
+_one_permutation_powers = st.integers(min_value=1, max_value=10).flatmap(
+    lambda n: st.tuples(
+        st.permutations(range(n)), st.integers(0, 6), st.integers(0, 6)
+    ).map(lambda t: (_power(tuple(t[0]), t[1]), _power(tuple(t[0]), t[2])))
+)
+
+
+def _disjoint(p: list[int], q: list[int]) -> tuple[tuple[int, ...], ...]:
+    """p on the first points, q on the rest, and their product."""
+    m, r = len(p), len(q)
+    return (
+        tuple(p) + tuple(range(m, m + r)),
+        tuple(range(m)) + tuple(m + x for x in q),
+        tuple(p) + tuple(m + x for x in q),
+    )
+
+
+_disjoint_supports = st.tuples(
+    st.integers(0, 5).flatmap(lambda m: st.permutations(range(m))),
+    st.integers(0, 5).flatmap(lambda r: st.permutations(range(r))),
+    st.integers(0, 2),
+    st.integers(0, 2),
+).filter(lambda t: t[0] or t[1]).map(
+    lambda t: (_disjoint(t[0], t[1])[t[2]], _disjoint(t[0], t[1])[t[3]])
+)
+
+_long_cycle_pairs = st.sampled_from(
+    [_long_cycle_multiplications(n) for n in range(1, 6)]
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(_one_permutation_powers, _disjoint_supports, _long_cycle_pairs),
+    st.integers(1, 3),
+    st.integers(1, 3),
+)
+def test_bicsp_fixed_points_match_power_iteration(pair, m1, m2):
+    """Every cell's fixed-point count, read off the orbits of g, equals the
+    count of the composed permutation g^j h^k, for commuting pairs drawn
+    three ways and declared orders up to three times the true ones."""
+    gen1, gen2 = pair
+    o1, o2 = faithful_order(gen1) * m1, faithful_order(gen2) * m2
+    labels = tuple(map(str, range(len(gen1))))
+    report = sieve.verify_bicsp(
+        labels, gen1, gen2, BivariatePolynomial(), order1=o1, order2=o2
+    )
+    grid = power_fixed_grid(gen1, gen2, o1, o2)
+    cells = itertools.product(range(o1), range(o2))
+    assert [(c.j, c.k) for c in report.cells] == list(cells)
+    assert [c.fixed for c in report.cells] == [x for row in grid for x in row]
+    assert bicyclic_burnside_ok(gen1, gen2, o1, o2)
+
+
+def test_bicsp_long_cycle_multiplications():
+    """S_4 under w -> c w and w -> w c: g^j h^k fixes w iff c^j w c^k = w,
+    i.e. iff w conjugates c^k to c^-j."""
+    left, right = _long_cycle_multiplications(4)
+    labels = tuple(map(str, range(24)))
+    report = sieve.verify_bicsp(labels, left, right, BivariatePolynomial())
+    assert [c.fixed for c in report.cells] == [
+        x for row in power_fixed_grid(left, right, 4, 4) for x in row
+    ]
+    assert report.cell(0, 0).fixed == 24
+    assert report.cell(1, 0).fixed == report.cell(0, 1).fixed == 0
+    assert report.cell(1, 3).fixed == 4  # w c^-1 w^-1 = c^-1: the centralizer of c
 
 
 def test_block_partition_shift():
@@ -459,6 +573,12 @@ def test_block_partition_multiset22():
         sieve.verify_block_partition(inst, {"11": 0, "22": 0, "12": 2}, blocks, 1)
     with pytest.raises(PreconditionError):
         sieve.verify_block_partition(inst, stat, [[0, 1]], 1)
+
+
+def test_block_partition_rejects_negative_statistic():
+    inst = sieve.registry_instantiate("cycle", {"n": 2})
+    with pytest.raises(PreconditionError, match="^statistic values must be nonnegative$"):
+        sieve.verify_block_partition(inst, {"1": -1, "2": 0}, [[0, 1]], 1)
 
 
 def test_block_partition_rejects_wrong_blocks():
