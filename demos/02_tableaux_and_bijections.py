@@ -30,7 +30,7 @@ print(f"  #SYT(3,2) = {len(enumerate_syt((3, 2)))},"
       f" q-analogue {q_count_syt((3, 2))}")
 
 print("\nThe promotion orbit structure on SYT(3,3):")
-tabs = list(enumerate_syt((3, 3)))
+tabs = sorted(enumerate_syt((3, 3)))
 seen = set()
 for T in tabs:
     if T in seen:
@@ -75,7 +75,7 @@ print(f"  matching: {matching_label(tableau_to_matching(T))}")
 
 print("\nPromotion upstairs is rotation downstairs (vertex i -> i-1):")
 n = 3
-for T in enumerate_syt((n, n)):
+for T in sorted(enumerate_syt((n, n))):
     lhs = tableau_to_matching(promote(T))
     rhs = rotate_blocks(tableau_to_matching(T), 2 * n, -1)
     print(f"  {tableau_label(T)}: {matching_label(lhs)}"

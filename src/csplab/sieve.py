@@ -517,10 +517,7 @@ def _build_syt_rect(params: Mapping, cap: int) -> CSPInstance:
     lam = (n,) * m
     _check_size(tableaux.count_syt(lam), cap)
     order = _check_order(m * n)
-    X = tableaux.enumerate_syt(lam, cap=m * n)
-    action = action_from_objects(
-        X, map(tableaux.promote, X), map(tableaux.tableau_label, X), order
-    )
+    action = action_from_objects(*tableaux.promotion_of_syt(lam, cap=m * n), order)
     return CSPInstance(
         action, tableaux.q_count_syt(lam), "syt_rect", (("m", m), ("n", n))
     )

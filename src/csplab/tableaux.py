@@ -4,20 +4,30 @@ Tableaux are tuples of row tuples in English notation, addressed (row,
 column) 1-based.  A standard tableau of shape lam holds 1..n with rows and
 columns strictly increasing; a semistandard one weakly increases along rows
 and strictly down columns.
+
+Standard tableaux are enumerated, promoted and labelled as flat tuples of
+their entries read row by row, the shape held apart; ``enumerate_syt``,
+``promote`` and ``tableau_label`` convert from and to row tuples around
+that flat code.
 """
 from __future__ import annotations
 
 import bisect
+import collections
+import functools
+import itertools
 import math
 from typing import Iterable, Iterator, Sequence
 
 from .errors import CapExceeded, InternalInvariantError, PreconditionError
-from .qpoly import IntPolynomial, exact_divide, q_factorial, q_int
+from .qpoly import ONE, IntPolynomial, exact_divide, q_int
 
 __all__ = [
     "Tableau", "shape", "is_standard", "is_semistandard", "content",
     "tableau_label", "hooklengths", "count_syt", "q_count_syt",
     "enumerate_syt", "promote", "promote_inverse", "evacuate",
+    "enumerate_syt_flat", "promote_flat", "neighbour_tables", "label_template",
+    "promotion_of_syt",
     "transpose_tableau", "pon_wang_iota", "rsk_word", "rsk_word_inverse",
     "rsk_matrix", "rsk_matrix_inverse", "ballot_sequence",
     "tableau_from_ballot", "tableau_to_matching", "matching_to_tableau",
@@ -25,6 +35,7 @@ __all__ = [
 ]
 
 Tableau = tuple[tuple[int, ...], ...]
+Flat = tuple[int, ...]  # a tableau's entries read row by row
 
 SYT_CELL_CAP = 12  # default bound on cells for single-shape enumeration
 
@@ -77,9 +88,25 @@ def content(T: Tableau) -> tuple[int, ...]:
 
 def tableau_label(T: Tableau) -> str:
     """Rows joined by '/'; digit strings while entries fit in one digit."""
-    if all(x <= 9 for row in T for x in row):
-        return "/".join("".join(str(x) for x in row) for row in T)
-    return "/".join(",".join(str(x) for x in row) for row in T)
+    flat = _flatten(T)
+    return label_template(shape(T), max(flat, default=0) <= 9).format(*flat)
+
+
+@functools.lru_cache(maxsize=256)
+def label_template(lam: tuple[int, ...], digits: bool) -> str:
+    """The label of a flat tableau of shape lam is ``template.format(*T)``:
+    one field per cell, rows joined by '/', cells by ',' unless ``digits``."""
+    sep = "" if digits else ","
+    return "/".join(sep.join(["{}"] * p) for p in lam)
+
+
+def _flatten(T: Tableau) -> Flat:
+    return tuple(itertools.chain.from_iterable(T))
+
+
+def _unflatten(T: Flat, lam: Sequence[int]) -> Tableau:
+    ends = tuple(itertools.accumulate(lam))
+    return tuple(T[end - p:end] for p, end in zip(lam, ends))
 
 
 # ---------------------------------------------------------------------------
@@ -109,36 +136,65 @@ def count_syt(lam: Sequence[int]) -> int:
 
 def q_count_syt(lam: Sequence[int]) -> IntPolynomial:
     """q-analogue of count_syt: [n]_q! divided exactly by the product of
-    the q-analogues of the hooklengths."""
+    the q-analogues of the hooklengths.  The multiset of hooklengths is
+    cancelled against 1..n first, so only the factors left on either side
+    are multiplied out."""
     lam = _check_partition(lam)
-    n = sum(lam)
-    den = IntPolynomial((1,))
-    for row in hooklengths(lam):
-        for h in row:
-            den = den * q_int(h)
-    return exact_divide(q_factorial(n), den)
+    hooks = collections.Counter(h for row in hooklengths(lam) for h in row)
+    factors = collections.Counter(range(1, sum(lam) + 1))
+    num = den = ONE
+    for h in (factors - hooks).elements():
+        num = num * q_int(h)
+    for h in (hooks - factors).elements():
+        den = den * q_int(h)
+    return exact_divide(num, den)
 
 
 def enumerate_syt(lam: Sequence[int], cap: int = SYT_CELL_CAP) -> tuple[Tableau, ...]:
-    """All standard tableaux of shape lam, by filling 1..n row-wise under
-    the usual column constraint."""
+    """All standard tableaux of shape lam, as row tuples."""
+    lam = _check_partition(lam)
+    return tuple(_unflatten(T, lam) for T in enumerate_syt_flat(lam, cap))
+
+
+def _growths(corners: tuple, lam: tuple[int, ...]) -> Iterator[tuple[int, tuple]]:
+    """Each way to add a cell to a shape inside lam: the cell's flat position
+    and the new shape.  A shape is held as its corners, the (row, length) of
+    each row longer than the row below it, top to bottom; a cell can go in
+    row 0 or in the row just below a corner, so no row is scanned."""
+    above = 0  # cells in the rows above row i
+    prev_row, prev_len = -1, 0
+    for k in range(len(corners) + 1):
+        i = prev_row + 1
+        nxt = corners[k] if k < len(corners) else None
+        length = nxt[1] if nxt else 0
+        if i < len(lam) and length < lam[i]:
+            head = corners[:k - 1] if prev_len == length + 1 else corners[:k]
+            tail = corners[k + 1:] if nxt and nxt[0] == i else corners[k:]
+            yield above + length, head + ((i, length + 1),) + tail
+        if nxt:
+            above += (nxt[0] - prev_row) * nxt[1]
+            prev_row, prev_len = nxt
+
+
+def enumerate_syt_flat(lam: Sequence[int], cap: int = SYT_CELL_CAP) -> list[Flat]:
+    """All standard tableaux of shape lam as flat tuples, built level by
+    level.  Level m maps each shape of m cells inside lam to its fillings
+    by 1..m, and each cell the shape can take extends all of them with one
+    slice and concatenation."""
     lam = _check_partition(lam)
     n = sum(lam)
     if n > cap:
         raise CapExceeded(f"shape has {n} cells, over the cap of {cap}")
-    rows: list[list[int]] = [[] for _ in lam]
-
-    def fill(m: int) -> Iterator[Tableau]:
-        if m > n:
-            yield tuple(tuple(row) for row in rows)
-            return
-        for r in range(len(lam)):
-            if len(rows[r]) < lam[r] and (r == 0 or len(rows[r - 1]) > len(rows[r])):
-                rows[r].append(m)
-                yield from fill(m + 1)
-                rows[r].pop()
-
-    return tuple(fill(1))
+    level: dict[tuple, list[Flat]] = {(): [()]}
+    for m in range(1, n + 1):
+        cell = (m,)
+        nxt: dict[tuple, list[Flat]] = {}
+        for corners, fillings in level.items():
+            for pos, child in _growths(corners, lam):
+                nxt.setdefault(child, []).extend([T[:pos] + cell + T[pos:] for T in fillings])
+        level = nxt
+    (fillings,) = level.values()
+    return fillings
 
 
 # ---------------------------------------------------------------------------
@@ -146,28 +202,73 @@ def enumerate_syt(lam: Sequence[int], cap: int = SYT_CELL_CAP) -> tuple[Tableau,
 
 
 def promote(T: Tableau) -> Tableau:
+    """Promotion of a standard tableau given as row tuples (see
+    ``promote_flat``)."""
+    lam = shape(T)
+    if not any(lam):
+        return T
+    return _unflatten(promote_flat(_flatten(T), *neighbour_tables(lam)), lam)
+
+
+@functools.lru_cache(maxsize=256)
+def neighbour_tables(lam: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """For each cell of lam in flat order, the flat index of the cell below
+    it and of the cell to its right; n, one past the last cell, where there
+    is none."""
+    n = sum(lam)
+    below: list[int] = []
+    right: list[int] = []
+    start = 0
+    for r, p in enumerate(lam):
+        under = lam[r + 1] if r + 1 < len(lam) else 0
+        below += [start + p + c if c < under else n for c in range(p)]
+        right += [start + c + 1 if c + 1 < p else n for c in range(p)]
+        start += p
+    return tuple(below), tuple(right)
+
+
+def promotion_of_syt(
+    lam: Sequence[int], cap: int = SYT_CELL_CAP
+) -> tuple[list[Flat], Iterator[Flat], Iterator[str]]:
+    """The standard tableaux of shape lam as flat tuples, and their images
+    under promotion and their labels as iterables aligned with them, made by
+    ``map`` and ``starmap`` with no Python frame per label."""
+    lam = _check_partition(lam)
+    X = enumerate_syt_flat(lam, cap)
+    below, right = neighbour_tables(lam)
+    return (
+        X,
+        map(promote_flat, X, itertools.repeat(below), itertools.repeat(right)),
+        itertools.starmap(label_template(lam, sum(lam) <= 9).format, X),
+    )
+
+
+_DECREMENT = (-1).__add__
+
+
+def promote_flat(T: Flat, below: Sequence[int], right: Sequence[int]) -> Flat:
     """Promotion: remove the 1, slide the hole to a corner by always
     exchanging with the smaller of the neighbors below and to the right,
-    then decrement everything and write n in the freed corner."""
-    rows = [list(row) for row in T]
-    n = sum(len(r) for r in rows)
-    if n == 0:
-        return T
-    i = j = 0
+    then decrement everything and write n in the freed corner.  T is a
+    nonempty flat standard tableau, and ``below`` and ``right`` are the
+    ``neighbour_tables`` of its shape; index n holds n + 1, larger than
+    every entry, so a missing neighbour is never the smaller."""
+    n = len(T)
+    t = [*T, n + 1]
+    i = 0
     while True:
-        below = rows[i + 1][j] if i + 1 < len(rows) and j < len(rows[i + 1]) else None
-        right = rows[i][j + 1] if j + 1 < len(rows[i]) else None
-        if below is None and right is None:
-            break
-        if right is None or (below is not None and below < right):
-            rows[i][j] = below
-            i += 1
+        b, r = below[i], right[i]
+        if t[b] < t[r]:
+            t[i] = t[b]
+            i = b
+        elif r < n:
+            t[i] = t[r]
+            i = r
         else:
-            rows[i][j] = right
-            j += 1
-    out = [[x - 1 for x in row] for row in rows]
-    out[i][j] = n
-    return tuple(tuple(row) for row in out)
+            break
+    t[i] = n + 1
+    del t[n]
+    return tuple(map(_DECREMENT, t))
 
 
 def promote_inverse(T: Tableau) -> Tableau:

@@ -15,7 +15,8 @@ written from the family's definition rather than from its builder.
 
 import itertools
 
-from csplab import catalan, perms, sieve, tableaux
+import tableaux_oracle
+from csplab import catalan, perms, sieve
 from csplab.errors import PreconditionError
 
 
@@ -79,8 +80,8 @@ FAMILIES = {
     "multiset": lambda p: _ground_k_sets(p, True),
     "subset": lambda p: _ground_k_sets(p, False),
     "syt_rect": lambda p: (
-        tableaux.enumerate_syt((p["n"],) * p["m"], cap=p["m"] * p["n"]),
-        tableaux.promote, tableaux.tableau_label, p["m"] * p["n"],
+        tableaux_oracle.enumerate_syt((p["n"],) * p["m"]),
+        tableaux_oracle.promote, tableaux_oracle.tableau_label, p["m"] * p["n"],
     ),
     "ncm": lambda p: (
         catalan.enumerate_nc_matchings(p["n"], cap=p["n"]),

@@ -1,13 +1,81 @@
-"""Test oracle for evacuation and inverse promotion: hand-written slides.
+"""Test oracle for the tableau code: recursive fill and hand-written slides.
 
-``csplab.tableaux`` builds both from ``promote``: evacuation promotes the
-tableau of entries 1..m for m = n, ..., 1, and inverse promotion is
-evacuation, promotion, evacuation.  This module keeps the direct slides
-instead: evacuation slides among cells that freeze as they are filled, and
-inverse promotion slides the hole from n's cell back to the origin.
+``csplab.tableaux`` enumerates, promotes and labels standard tableaux as
+flat row-major tuples: enumeration level by level over shapes, promotion by
+one slide over per-shape neighbour tables, labels by a per-shape format
+template.  It builds evacuation and inverse promotion from promotion:
+evacuation promotes the tableau of entries 1..m for m = n, ..., 1, and
+inverse promotion is evacuation, promotion, evacuation.  This module keeps
+the direct forms on row tuples instead: the recursive row-wise fill, the
+slide on rows, labels joined row by row, the q-count with [n]_q! multiplied
+out, evacuation sliding among cells that freeze as they are filled, and
+inverse promotion sliding the hole from n's cell back to the origin.
 """
 
-from csplab.tableaux import Tableau
+from typing import Iterator
+
+from csplab.qpoly import IntPolynomial, exact_divide, q_factorial, q_int
+from csplab.tableaux import Tableau, hooklengths
+
+
+def enumerate_syt(lam: tuple[int, ...]) -> tuple[Tableau, ...]:
+    """All standard tableaux of the partition lam, by filling 1..n row-wise
+    under the usual column constraint; lexicographic in the ballot word."""
+    n = sum(lam)
+    rows: list[list[int]] = [[] for _ in lam]
+
+    def fill(m: int) -> Iterator[Tableau]:
+        if m > n:
+            yield tuple(tuple(row) for row in rows)
+            return
+        for r in range(len(lam)):
+            if len(rows[r]) < lam[r] and (r == 0 or len(rows[r - 1]) > len(rows[r])):
+                rows[r].append(m)
+                yield from fill(m + 1)
+                rows[r].pop()
+
+    return tuple(fill(1))
+
+
+def q_count_syt(lam: tuple[int, ...]) -> IntPolynomial:
+    """[n]_q! multiplied out, divided by every hooklength's q-integer."""
+    den = IntPolynomial((1,))
+    for row in hooklengths(lam):
+        for h in row:
+            den = den * q_int(h)
+    return exact_divide(q_factorial(sum(lam)), den)
+
+
+def promote(T: Tableau) -> Tableau:
+    """Remove the 1, slide the hole to a corner by always exchanging with
+    the smaller of the neighbors below and to the right, then decrement
+    everything and write n in the freed corner."""
+    rows = [list(row) for row in T]
+    n = sum(len(r) for r in rows)
+    if n == 0:
+        return T
+    i = j = 0
+    while True:
+        below = rows[i + 1][j] if i + 1 < len(rows) and j < len(rows[i + 1]) else None
+        right = rows[i][j + 1] if j + 1 < len(rows[i]) else None
+        if below is None and right is None:
+            break
+        if right is None or (below is not None and below < right):
+            rows[i][j] = below
+            i += 1
+        else:
+            rows[i][j] = right
+            j += 1
+    out = [[x - 1 for x in row] for row in rows]
+    out[i][j] = n
+    return tuple(tuple(row) for row in out)
+
+
+def tableau_label(T: Tableau) -> str:
+    """Rows joined by '/'; digit strings while entries fit in one digit."""
+    if all(x <= 9 for row in T for x in row):
+        return "/".join("".join(str(x) for x in row) for row in T)
+    return "/".join(",".join(str(x) for x in row) for row in T)
 
 
 def evacuate(T: Tableau) -> Tableau:

@@ -134,15 +134,28 @@ def test_poly_command(capsys):
     (("poly", "eulerian", "60"), 0),
 ])
 def test_large_inputs_end_at_once(argv, code):
+    done = _run_child(argv)
+    assert done.returncode == code, done.stderr
+
+
+@pytest.mark.parametrize("m,n", [(1, 1200), (1, 10000), (10000, 1)])
+def test_one_row_and_one_column_rectangles_pass(m, n):
+    # one tableau, order m*n at most ORDER_CAP: no recursion 10000 deep, and
+    # [mn]_q! is never multiplied out, since every hooklength cancels
+    done = _run_child(("verify", "syt_rect", "--m", str(m), "--n", str(n)))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.endswith("verdict: PASS\n")
+
+
+def _run_child(argv):
     # in a child process, so that a run that never ends fails the test
     # through the timeout instead of stalling the suite
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    done = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "csplab.cli", *argv],
         env=env, capture_output=True, text=True, timeout=10,
     )
-    assert done.returncode == code, done.stderr
 
 
 def test_list_command(capsys):

@@ -121,6 +121,15 @@ def test_materialization_matches_label_keyed_oracle(family, params):
     assert (new.labels, new.generator, new.order) == (old.labels, old.generator, old.order)
 
 
+@pytest.mark.parametrize("m,n", [(1, 10), (2, 5), (5, 2), (3, 4), (1, 1)])
+def test_syt_rect_matches_row_tuple_oracle(m, n):
+    """The flat build labels with commas from 10 cells on, as the row-tuple
+    labels do, and its slide moves the same cells."""
+    new = sieve.registry_instantiate("syt_rect", {"m": m, "n": n}).action
+    old = oracle_action("syt_rect", {"m": m, "n": n})
+    assert (new.labels, new.generator, new.order) == (old.labels, old.generator, old.order)
+
+
 def test_label_keyed_oracle_table_covers_every_family():
     assert sorted(ORACLE_FAMILIES) == sorted(sieve.FAMILIES)
 

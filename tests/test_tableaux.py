@@ -59,13 +59,13 @@ def test_enumerate_matches_count(n):
 
 
 def test_enumerate_syt_golden():
-    assert tb.enumerate_syt((3, 2)) == (
+    assert sorted(tb.enumerate_syt((3, 2))) == [
         ((1, 2, 3), (4, 5)),
         ((1, 2, 4), (3, 5)),
         ((1, 2, 5), (3, 4)),
         ((1, 3, 4), (2, 5)),
         ((1, 3, 5), (2, 4)),
-    )
+    ]
     assert tb.enumerate_syt((1, 1, 1)) == (((1,), (2,), (3,)),)
     assert len(tb.enumerate_syt((2, 2))) == 2
     with pytest.raises(CapExceeded):
@@ -114,6 +114,71 @@ def test_evacuate_involution(n):
     for lam in _partitions(n):
         for T in tb.enumerate_syt(lam, cap=7):
             assert tb.evacuate(tb.evacuate(T)) == T
+
+
+_ORACLE_SHAPES = [lam for n in range(11) for lam in _partitions(n)] + [
+    (n,) * m for m in range(1, 5) for n in range(1, 5) if m * n > 10
+]
+
+
+@pytest.mark.parametrize("lam", _ORACLE_SHAPES, ids=str)
+def test_flat_tableaux_match_oracle(lam):
+    """Level-by-level enumeration, the slide over neighbour tables and the
+    label templates equal the recursive fill, the slide on rows and the
+    labels joined row by row, on every partition of n <= 10 and on the
+    rectangles up to 4x4."""
+    n = sum(lam)
+    expected = tableaux_oracle.enumerate_syt(lam)
+    tabs = tb.enumerate_syt(lam, cap=n)
+    assert sorted(tabs) == sorted(expected)
+    flat = tb.enumerate_syt_flat(lam, cap=n)
+    assert flat == [tuple(x for row in T for x in row) for T in tabs]
+    below, right = tb.neighbour_tables(lam)
+    template = tb.label_template(lam, n <= 9)
+    for T, F in zip(tabs, flat):
+        image = tableaux_oracle.promote(T)
+        assert tb.promote(T) == image
+        if n:
+            assert tb.promote_flat(F, below, right) == tuple(x for row in image for x in row)
+        label = tableaux_oracle.tableau_label(T)
+        assert tb.tableau_label(T) == label
+        assert template.format(*F) == label
+
+
+def _corners(mu):
+    return tuple((r, p) for r, p in enumerate(mu) if r + 1 == len(mu) or mu[r + 1] < p)
+
+
+def test_growths_keep_shapes_as_their_corners():
+    """Each shape inside lam grows at every addable row, to the corners of
+    the grown shape, with the new cell after the cells of rows 0..r."""
+    for lam in [lam for n in range(8) for lam in _partitions(n)]:
+        for mu in {nu for n in range(sum(lam)) for nu in _partitions(n)}:
+            if len(mu) > len(lam) or any(a > b for a, b in zip(mu, lam)):
+                continue
+            grown = []
+            for r in range(min(len(mu) + 1, len(lam))):
+                nu = list(mu) + [0] * (r + 1 - len(mu))
+                nu[r] += 1
+                if nu[r] <= lam[r] and (r == 0 or nu[r] <= nu[r - 1]):
+                    grown.append((sum(nu[:r + 1]) - 1, _corners(tuple(nu))))
+            assert list(tb._growths(_corners(mu), lam)) == grown
+
+
+@pytest.mark.parametrize("lam", [
+    (4, 4, 4, 4), (5, 5, 5), (8, 8), (2,) * 6, (3, 2, 1), (6, 3, 3, 1),
+    (7,), (1,) * 7, (5, 1), (),
+])
+def test_q_count_syt_matches_q_factorial_quotient(lam):
+    assert tb.q_count_syt(lam) == tableaux_oracle.q_count_syt(lam)
+
+
+def test_long_row_and_column_are_one_tableau():
+    for lam in ((3000,), (1,) * 3000):
+        (T,) = tb.enumerate_syt_flat(lam, cap=3000)
+        assert T == tuple(range(1, 3001))
+        assert tb.promote_flat(T, *tb.neighbour_tables(lam)) == T
+        assert tb.q_count_syt(lam) == IntPolynomial([1])
 
 
 def test_slides_built_from_promotion_match_oracle():
