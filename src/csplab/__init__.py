@@ -30,6 +30,7 @@ from .qpoly import (
     q_fuss_catalan_A,
     q_int,
     q_proper_triangulations,
+    q_ratio,
     subst_t_q_inverse,
 )
 from .sieve import (

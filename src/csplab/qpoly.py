@@ -14,13 +14,17 @@ trailing zeros; the zero polynomial is the empty tuple.
 """
 from __future__ import annotations
 
-import collections
 import functools
 import itertools
+import math
+import operator
+import sys
+from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Collection, Iterable, Iterator, Mapping
 
 from .errors import (
+    CapExceeded,
     InexactDivision,
     NegativeExponent,
     NonIntegerEvaluation,
@@ -28,8 +32,8 @@ from .errors import (
 )
 
 __all__ = [
-    "IntPolynomial", "BivariatePolynomial",
-    "q_int", "q_factorial", "gaussian_binomial", "cyclotomic",
+    "IntPolynomial", "BivariatePolynomial", "DEGREE_CAP", "WORK_CAP",
+    "q_int", "q_ratio", "q_factorial", "gaussian_binomial", "cyclotomic",
     "eval_at_root", "fold_mod_qn", "exact_divide",
     "q_catalan", "q_fuss_catalan_A", "eulerian_poly",
     "plethysm_h", "plethysm_e", "face_poly", "subst_t_q_inverse",
@@ -119,18 +123,6 @@ class IntPolynomial:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> "IntPolynomial":
-        if n < 0:
-            raise PreconditionError("negative powers are not polynomials")
-        result = IntPolynomial((1,))
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def shift(self, k: int) -> "IntPolynomial":
         """Multiply by q^k."""
         if self.is_zero():
@@ -171,7 +163,23 @@ class IntPolynomial:
 
 
 ZERO = IntPolynomial()
-ONE = IntPolynomial((1,))
+
+# Caps checked in closed form before any arithmetic (CapExceeded above them).
+# DEGREE_CAP bounds the degree of every polynomial built here.  It admits
+# each verify instance under the default size cap of 200,000: [n choose k]_q
+# has no zero coefficient up to its degree, which is below C(n, k) = |X|.
+DEGREE_CAP = 200_000
+# WORK_CAP bounds the coefficient operations of q_ratio (factors times the
+# length of the product it multiplies out) and of cyclotomic.  Under it the
+# product is below 10^1212 at q=1, inside Python's int-to-str limit.
+WORK_CAP = 12_000_000
+
+
+def _check_cap(what: str, degree: int, work: int = 0) -> None:
+    if degree > DEGREE_CAP:
+        raise CapExceeded(f"{what} has degree {degree}, above the cap {DEGREE_CAP}")
+    if work > WORK_CAP:
+        raise CapExceeded(f"{what} needs about {work} steps, above the cap {WORK_CAP}")
 
 
 def _coerce(x: "IntPolynomial | int") -> IntPolynomial:
@@ -233,25 +241,63 @@ def q_int(n: int) -> IntPolynomial:
     """
     if n < 0:
         raise PreconditionError("q_int needs n >= 0")
+    _check_cap(f"[{n}]_q", n - 1)
     return IntPolynomial((1,) * n)
+
+
+def q_ratio(num: Collection[int], den: Collection[int] = ()) -> IntPolynomial:
+    """Prod [a]_q over the multiset num / Prod [b]_q over the multiset den.
+
+    Equal factors cancel first.  Each [a]_q left multiplies in as a sum over
+    a sliding window of a coefficients.  Each [b]_q left divides out as a
+    product with 1 - q, then running sums along each residue class mod b;
+    a nonzero one among the last b is a remainder (InexactDivision).
+
+    >>> print(q_ratio([4, 3], [2, 1]))
+    1+q+2q^2+q^3+q^4
+    """
+    top, bottom, _ = _cancel(num, den)
+    coeffs = [1]
+    for a in sorted(top.elements()):
+        sums = [0, *itertools.accumulate(coeffs)]
+        coeffs = list(map(operator.sub, sums[1:] + [sums[-1]] * (a - 1), [0] * a + sums[1:-1]))
+    for b in sorted(bottom.elements(), reverse=True):
+        coeffs = list(map(operator.sub, coeffs + [0], [0] + coeffs))
+        for r in range(b):
+            coeffs[r::b] = itertools.accumulate(coeffs[r::b])
+        if any(coeffs[-b:]):
+            raise InexactDivision(f"[{b}]_q leaves a remainder: the ratio is not a polynomial")
+        del coeffs[-b:]
+    return IntPolynomial(coeffs)
+
+
+def _cancel(num: Collection[int], den: Collection[int]) -> tuple[Counter, Counter, int]:
+    """The factors of num and of den left once equal ones and 1s cancel, and
+    the coefficient operations of their ratio, checked against the caps."""
+    factors = max(len(num), len(den))
+    if factors > DEGREE_CAP:
+        raise CapExceeded(f"q_ratio has {factors} factors a side, above the cap {DEGREE_CAP}")
+    num, den = Counter(num), Counter(den)
+    if any(a < 1 for a in num | den):
+        raise PreconditionError("q_ratio needs factors >= 1")
+    top, bottom = num - den, den - num
+    del top[1], bottom[1]
+    top_degree = sum(a - 1 for a in top.elements())
+    work = (top.total() + bottom.total()) * (top_degree + 1)
+    _check_cap("q_ratio", top_degree - sum(b - 1 for b in bottom.elements()), work)
+    return top, bottom, work
 
 
 def q_factorial(n: int) -> IntPolynomial:
     """The q-factorial [1]q [2]q ... [n]q; equals n! at q=1."""
     if n < 0:
         raise PreconditionError("q_factorial needs n >= 0")
-    out = ONE
-    for i in range(1, n + 1):
-        out = out * q_int(i)
-    return out
+    return q_ratio(range(1, n + 1))
 
 
 @functools.lru_cache(maxsize=None)
 def gaussian_binomial(n: int, k: int) -> IntPolynomial:
-    """The Gaussian binomial coefficient [n choose k]_q, computed as
-    h_k(1, q, ..., q^(n-k)) = plethysm_h(k, [n-k+1]_q) with k replaced by
-    the smaller of k and n - k, so the computation stays in Z[q] and its
-    depth does not grow with n.
+    """The Gaussian binomial coefficient [n choose k]_q = [n]_q! / ([k]_q! [n-k]_q!).
 
     Out-of-range k gives the zero polynomial.  The value at q=1 is C(n, k);
     coefficients are nonnegative and symmetric.
@@ -264,7 +310,7 @@ def gaussian_binomial(n: int, k: int) -> IntPolynomial:
     if k < 0 or k > n:
         return ZERO
     k = min(k, n - k)
-    return plethysm_h(k, q_int(n - k + 1))
+    return q_ratio(range(n - k + 1, n + 1), range(1, k + 1))
 
 
 def _at_power(f: IntPolynomial, k: int) -> IntPolynomial:
@@ -286,16 +332,25 @@ def cyclotomic(d: int) -> IntPolynomial:
     """
     if d < 1:
         raise PreconditionError("cyclotomic needs d >= 1")
-    poly, r, rest, p = IntPolynomial((-1, 1)), 1, d, 2
+    if d > 2 * DEGREE_CAP**2:  # phi(d) >= sqrt(d / 2)
+        raise CapExceeded(f"Phi_{d} has degree above the cap {DEGREE_CAP}")
+    primes, phi, work, rest, p = [], 1, 0, d, 2
     while rest > 1:
         if p * p > rest:
             p = rest  # what is left is prime
         if rest % p == 0:
-            poly = exact_divide(_at_power(poly, p), poly)
-            r *= p
+            primes.append(p)
+            # its step: (p-1) phi(m) rounds of division by Phi_m, <= phi(m)+1 terms
+            work += (p - 1) * phi * (phi + 1)
+            phi *= p - 1
             while rest % p == 0:
                 rest //= p
         p += 1
+    r = math.prod(primes)
+    _check_cap(f"Phi_{d}", phi * (d // r), work)
+    poly = IntPolynomial((-1, 1))
+    for p in primes:
+        poly = exact_divide(_at_power(poly, p), poly)
     return _at_power(poly, d // r)
 
 
@@ -331,30 +386,25 @@ def fold_mod_qn(f: IntPolynomial, n: int) -> tuple[int, ...]:
 
 
 def q_catalan(n: int) -> IntPolynomial:
-    """The q-Catalan polynomial [2n choose n]_q / [n+1]_q.
+    """The q-Catalan polynomial [2n choose n]_q / [n+1]_q = [n+2]_q ... [2n]_q / [n]_q!.
 
     >>> print(q_catalan(3))
     1+q^2+q^3+q^4+q^6
     """
     if n < 0:
         raise PreconditionError("q_catalan needs n >= 0")
-    return exact_divide(gaussian_binomial(2 * n, n), q_int(n + 1))
+    return q_ratio(range(n + 2, 2 * n + 1), range(2, n + 1))
 
 
 def q_fuss_catalan_A(n: int, m: int) -> IntPolynomial:
     """q-analogue of the Fuss-Catalan number Cat_{n,m}: the product over
-    i = 1..n-1 of [mn+i+1]_q / [i+1]_q, taken by one exact division.
+    i = 1..n-1 of [mn+i+1]_q / [i+1]_q.
 
     q_fuss_catalan_A(n, 1) == q_catalan(n).
     """
     if n < 1 or m < 1:
         raise PreconditionError("q_fuss_catalan_A needs n, m >= 1")
-    num = ONE
-    den = ONE
-    for i in range(1, n):
-        num = num * q_int(m * n + i + 1)
-        den = den * q_int(i + 1)
-    return exact_divide(num, den)
+    return q_ratio(range(m * n + 2, m * n + n + 1), range(2, n + 1))
 
 
 def eulerian_poly(n: int) -> IntPolynomial:
@@ -367,6 +417,10 @@ def eulerian_poly(n: int) -> IntPolynomial:
     """
     if n < 0:
         raise PreconditionError("eulerian_poly needs n >= 0")
+    _check_cap(f"the Eulerian polynomial A_{n}", n - 1)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and math.lgamma(n + 1) / math.log(10) >= limit:
+        raise CapExceeded(f"A_{n} sums to {n}!, which has more than {limit} digits")
     row = [1]
     for m in range(2, n + 1):
         prev = [0] + row + [0]  # prev[k + 1] = A(m-1, k)
@@ -392,7 +446,7 @@ def _h_or_e(k: int, values: list[int], repeat: bool) -> IntPolynomial:
     """h_k (``repeat``) or e_k of the monomials q^v for v in values, adding
     one value at a time: updating j = 1..k lets q^v enter an entry that
     already holds it, updating j = k..1 lets it enter once."""
-    out = [ONE] + [ZERO] * k
+    out = [IntPolynomial((1,))] + [ZERO] * k
     js = range(1, k + 1) if repeat else range(k, 0, -1)
     for v in values:
         for j in js:
@@ -426,36 +480,40 @@ def plethysm_e(k: int, f: IntPolynomial) -> IntPolynomial:
 def face_poly(k: int, n: int, d: int) -> IntPolynomial:
     """q-analogue of the number of k-dimensional faces of a cyclic polytope
     with n vertices in even dimension d: the sum over j = 1..d/2 of
-    ([n]_q / [n-j]_q) [n-j choose j]_q [j choose k+1-j]_q, with the division
-    realized exactly on [n]_q * [n-j choose j]_q."""
+    ([n]_q / [n-j]_q) [n-j choose j]_q [j choose i]_q, with i = k+1-j: that is
+    [n]_q [n-2j+1]_q ... [n-j-1]_q / ([i]_q! [j-i]_q!), zero unless 0 <= i <= j."""
     if d <= 0 or d % 2 != 0:
         raise PreconditionError("face_poly needs even d > 0")
     if not 0 <= k < d:
         raise PreconditionError("face_poly needs 0 <= k < d")
     if n <= d:
         raise PreconditionError("face_poly needs n > d")
-    total = ZERO
-    for j in range(1, d // 2 + 1):
-        ring = exact_divide(q_int(n) * gaussian_binomial(n - j, j), q_int(n - j))
-        total = total + ring * gaussian_binomial(j, k + 1 - j)
-    return total
+    if d > DEGREE_CAP:  # every term has degree >= j (d + 2 - 2j) >= d
+        raise CapExceeded(f"face_poly({k}, {n}, {d}) has degree above the cap {DEGREE_CAP}")
+    js = range((k + 2) // 2, min(k + 1, d // 2) + 1)  # the j with 0 <= i <= j
+
+    def term(j: int) -> tuple[list[int], list[int]]:
+        return [n, *range(n - 2 * j + 1, n - j)], [*range(2, k + 2 - j), *range(2, 2 * j - k)]
+
+    for work in itertools.accumulate(_cancel(*term(j))[2] for j in js):
+        _check_cap(f"face_poly({k}, {n}, {d})", 0, work)
+    return sum((q_ratio(*term(j)) for j in js), ZERO)
 
 
 def q_proper_triangulations(n: int) -> IntPolynomial:
     """Counting polynomial for proper 2-colored triangulations of a
     (2n+2)-gon:  [2]_{q^2} ([2]_q^{n-1} - [2]_q^{ceil(n/2)-1} + 2^{ceil(n/2)-1})
-    * [3n choose n]_q / [2n+1]_q, realized by exact division.
+    * [3n choose n]_q / [2n+1]_q, where [2]_{q^2} = [4]_q / [2]_q and the
+    last ratio is [2n+2]_q ... [3n]_q / [n]_q!.
 
     At q=1 this is 2^n/(2n+1) * C(3n, n).
     """
     if n < 1:
         raise PreconditionError("q_proper_triangulations needs n >= 1")
-    two_q = q_int(2)
+    _check_cap(f"q_proper_triangulations({n})", 2 * n * n - n + 1)
     half = -(-n // 2)  # ceil(n/2)
-    bracket = two_q ** (n - 1) - two_q ** (half - 1) + IntPolynomial((2 ** (half - 1),))
-    lead = IntPolynomial((1, 0, 1))  # [2] in the variable q^2
-    num = lead * bracket * gaussian_binomial(3 * n, n)
-    return exact_divide(num, q_int(2 * n + 1))
+    bracket = q_ratio([2] * (n - 1)) - q_ratio([2] * (half - 1)) + 2 ** (half - 1)
+    return bracket * q_ratio([4, *range(2 * n + 2, 3 * n + 1)], [2, *range(2, n + 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -519,7 +577,7 @@ def subst_t_q_inverse(F: BivariatePolynomial) -> IntPolynomial:
     >>> print(subst_t_q_inverse(BivariatePolynomial({(3, 1): 1, (1, 1): 2})))
     2+q^2
     """
-    acc = collections.Counter()
+    acc = Counter()
     for (i, j), c in F.terms.items():
         acc[i - j] += c
     try:

@@ -13,14 +13,13 @@ that flat code.
 from __future__ import annotations
 
 import bisect
-import collections
 import functools
 import itertools
 import math
 from typing import Iterable, Iterator, Sequence
 
 from .errors import CapExceeded, InternalInvariantError, PreconditionError
-from .qpoly import ONE, IntPolynomial, exact_divide, q_int
+from .qpoly import DEGREE_CAP, IntPolynomial, q_ratio
 
 __all__ = [
     "Tableau", "shape", "is_standard", "is_semistandard", "content",
@@ -135,19 +134,13 @@ def count_syt(lam: Sequence[int]) -> int:
 
 
 def q_count_syt(lam: Sequence[int]) -> IntPolynomial:
-    """q-analogue of count_syt: [n]_q! divided exactly by the product of
-    the q-analogues of the hooklengths.  The multiset of hooklengths is
-    cancelled against 1..n first, so only the factors left on either side
-    are multiplied out."""
+    """q-analogue of count_syt: [n]_q! divided by the product of the
+    q-analogues of the hooklengths.  q_ratio cancels the hooklengths
+    against 1..n first, so a long row or column multiplies nothing out."""
     lam = _check_partition(lam)
-    hooks = collections.Counter(h for row in hooklengths(lam) for h in row)
-    factors = collections.Counter(range(1, sum(lam) + 1))
-    num = den = ONE
-    for h in (factors - hooks).elements():
-        num = num * q_int(h)
-    for h in (hooks - factors).elements():
-        den = den * q_int(h)
-    return exact_divide(num, den)
+    if sum(lam) > DEGREE_CAP:  # more factors a side than q_ratio takes
+        raise CapExceeded(f"q_count_syt of {sum(lam)} cells is above the cap {DEGREE_CAP}")
+    return q_ratio(range(1, sum(lam) + 1), [h for row in hooklengths(lam) for h in row])
 
 
 def enumerate_syt(lam: Sequence[int], cap: int = SYT_CELL_CAP) -> tuple[Tableau, ...]:

@@ -14,8 +14,9 @@ inverse promotion sliding the hole from n's cell back to the origin.
 
 from typing import Iterator
 
-from csplab.qpoly import IntPolynomial, exact_divide, q_factorial, q_int
+from csplab.qpoly import IntPolynomial, exact_divide
 from csplab.tableaux import Tableau, hooklengths
+from qpoly_oracle import product
 
 
 def enumerate_syt(lam: tuple[int, ...]) -> tuple[Tableau, ...]:
@@ -38,12 +39,10 @@ def enumerate_syt(lam: tuple[int, ...]) -> tuple[Tableau, ...]:
 
 
 def q_count_syt(lam: tuple[int, ...]) -> IntPolynomial:
-    """[n]_q! multiplied out, divided by every hooklength's q-integer."""
-    den = IntPolynomial((1,))
-    for row in hooklengths(lam):
-        for h in row:
-            den = den * q_int(h)
-    return exact_divide(q_factorial(sum(lam)), den)
+    """[n]_q! multiplied out as a product of q-integers, divided by every
+    hooklength's q-integer; neither side goes through ``q_ratio``."""
+    hooks = [h for row in hooklengths(lam) for h in row]
+    return exact_divide(product(range(1, sum(lam) + 1)), product(hooks))
 
 
 def promote(T: Tableau) -> Tableau:

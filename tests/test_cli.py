@@ -2,6 +2,7 @@
 
 import json
 import os
+import resource
 import subprocess
 import sys
 
@@ -147,14 +148,39 @@ def test_one_row_and_one_column_rectangles_pass(m, n):
     assert done.stdout.endswith("verdict: PASS\n")
 
 
-def _run_child(argv):
+@pytest.mark.parametrize("argv", [
+    ("poly", "qbinom", "2000", "1000"),
+    ("poly", "qfact", "2000"),
+    ("poly", "qfuss", "200", "3"),
+    ("poly", "propertri", "400"),
+    ("poly", "qint", "1000000000"),
+    ("poly", "eulerian", "3000"),
+    ("poly", "propertri", "1000000000"),
+    ("poly", "qhook", "1000000000"),
+], ids=lambda argv: "-".join(argv[1:]))
+def test_poly_caps_refuse_dear_calls_at_once(argv):
+    # these ran for minutes, ran out of memory, or failed on the int-to-str
+    # limit after seconds of work; the closed-form caps refuse them first,
+    # and before any list as long as the argument is built
+    done = _run_child(argv, address_space=1 << 30)
+    assert done.returncode == 2, done.stderr
+    assert done.stdout == ""
+    assert "above the cap" in done.stderr or "digits" in done.stderr
+
+
+def _run_child(argv, address_space=None):
     # in a child process, so that a run that never ends fails the test
-    # through the timeout instead of stalling the suite
+    # through the timeout instead of stalling the suite; address_space
+    # limits the child's memory, not this process's
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
+
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     return subprocess.run(
         [sys.executable, "-m", "csplab.cli", *argv],
         env=env, capture_output=True, text=True, timeout=10,
+        preexec_fn=limit if address_space else None,
     )
 
 

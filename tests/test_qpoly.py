@@ -7,14 +7,17 @@ import pytest
 from hypothesis import given, strategies as st
 
 import evaluation_oracle
+import qpoly_oracle
 from evaluation_oracle import root_of_unity_binomial
 from csplab.errors import (
+    CapExceeded,
     InexactDivision,
     NegativeExponent,
     NonIntegerEvaluation,
     PreconditionError,
 )
 from csplab.qpoly import (
+    DEGREE_CAP,
     BivariatePolynomial,
     IntPolynomial,
     cyclotomic,
@@ -31,8 +34,10 @@ from csplab.qpoly import (
     q_fuss_catalan_A,
     q_int,
     q_proper_triangulations,
+    q_ratio,
     subst_t_q_inverse,
 )
+from csplab.tableaux import q_count_syt
 
 P = IntPolynomial
 
@@ -365,6 +370,101 @@ def test_divide_after_multiply_roundtrip(a, b):
     if g.is_zero():
         return
     assert exact_divide(f * g, g) == f
+
+
+def test_q_ratio():
+    assert q_ratio([]) == P([1])
+    assert q_ratio([7, 5, 1], [5, 1, 7]) == P([1])
+    assert q_ratio([4], [2]) == P([1, 0, 1])
+    assert q_ratio([6], [2, 3]) == P([1, -1, 1])  # Phi_6: a negative coefficient
+    assert q_ratio([3, 3], [1]) == P([1, 2, 3, 2, 1])
+    with pytest.raises(PreconditionError):
+        q_ratio([0])
+    with pytest.raises(PreconditionError):
+        q_ratio([3], [-1])
+
+
+@pytest.mark.parametrize("num,den", [([5], [2]), ([2], [4]), ([], [3]), ([4, 3], [6]), ([6], [4])])
+def test_q_ratio_raises_on_a_remainder(num, den):
+    with pytest.raises(InexactDivision):
+        q_ratio(num, den)
+
+
+@given(
+    st.lists(st.integers(min_value=1, max_value=12), max_size=6),
+    st.lists(st.integers(min_value=1, max_value=12), max_size=4),
+)
+def test_q_ratio_matches_multiply_then_divide(num, den):
+    try:
+        expected = exact_divide(qpoly_oracle.product(num), qpoly_oracle.product(den))
+    except InexactDivision:
+        with pytest.raises(InexactDivision):
+            q_ratio(num, den)
+    else:
+        assert q_ratio(num, den) == expected
+
+
+@given(st.integers(min_value=0, max_value=40), st.integers(min_value=-1, max_value=41))
+def test_gaussian_binomial_matches_h_k_loop(n, k):
+    assert gaussian_binomial(n, k) == qpoly_oracle.gaussian_binomial(n, k)
+
+
+@given(st.integers(min_value=0, max_value=30))
+def test_q_factorial_and_q_catalan_match_exact_division(n):
+    assert q_factorial(n) == qpoly_oracle.q_factorial(n)
+    assert q_catalan(n) == qpoly_oracle.q_catalan(n)
+
+
+@given(st.integers(min_value=1, max_value=14), st.integers(min_value=1, max_value=6))
+def test_q_fuss_catalan_matches_exact_division(n, m):
+    assert q_fuss_catalan_A(n, m) == qpoly_oracle.q_fuss_catalan_A(n, m)
+
+
+@given(st.data())
+def test_face_poly_matches_exact_division(data):
+    d = data.draw(st.sampled_from([2, 4, 6, 8, 10, 12]))
+    n = data.draw(st.integers(min_value=d + 1, max_value=d + 16))
+    k = data.draw(st.integers(min_value=0, max_value=d - 1))
+    assert face_poly(k, n, d) == qpoly_oracle.face_poly(k, n, d)
+
+
+@given(st.integers(min_value=1, max_value=24))
+def test_q_proper_triangulations_matches_repeated_products(n):
+    assert q_proper_triangulations(n) == qpoly_oracle.q_proper_triangulations(n)
+
+
+def test_caps_admit_the_largest_verify_polynomial():
+    # multiset --n 2 --k 199999, or subset --n 200000 --k 1 under a
+    # fixed-point-free involution: within the default size and order caps
+    assert gaussian_binomial(DEGREE_CAP, 1) == q_int(DEGREE_CAP)
+    assert q_int(DEGREE_CAP + 1).degree == DEGREE_CAP
+
+
+@pytest.mark.parametrize("build", [
+    lambda: q_int(DEGREE_CAP + 2),
+    lambda: q_ratio([DEGREE_CAP + 2]),
+    lambda: q_ratio(range(1, DEGREE_CAP + 2)),  # more factors than it takes
+    lambda: q_factorial(10**9),
+    lambda: gaussian_binomial(400, 200),  # the degree is admitted, the work is not
+    lambda: q_catalan(300),
+    lambda: q_fuss_catalan_A(200, 3),
+    lambda: face_poly(25, 8048, 50),  # every term is admitted, their sum is not
+    lambda: face_poly(1, 10**12 + 1, 10**12),
+    lambda: q_proper_triangulations(400),
+    lambda: q_count_syt((DEGREE_CAP + 1,)),
+    lambda: eulerian_poly(1559),  # 1559! has 4,303 digits
+    lambda: cyclotomic(200_003),  # a prime: degree 200,002
+    lambda: cyclotomic(510_510),  # 2*3*5*7*11*13*17: degree 92,160, but dear
+    lambda: cyclotomic(10**11),  # above 2 DEGREE_CAP^2: refused before factoring
+], ids=[
+    "q_int", "q_ratio-degree", "q_ratio-factors", "q_factorial", "gaussian_binomial",
+    "q_catalan", "q_fuss_catalan_A", "face_poly-sum", "face_poly-d",
+    "q_proper_triangulations", "q_count_syt", "eulerian_poly", "cyclotomic-prime",
+    "cyclotomic-primorial", "cyclotomic-huge",
+])
+def test_caps_refuse_before_any_arithmetic(build):
+    with pytest.raises(CapExceeded):
+        build()
 
 
 def test_docstring_examples():
