@@ -11,6 +11,7 @@ them.
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import math
 from typing import Iterator, Sequence
@@ -40,26 +41,23 @@ def _nc_blocks(n: int, sizes: Sequence[int]) -> list[SetPartition]:
     gaps: one between each two consecutive members and one after the last.
     A block reaching across a gap's end would cross the leading block, so
     each gap is an independent contiguous range.  Each range is built once
-    and kept in `built` until the enumeration returns.  Blocks come out in
-    order of their minima, so results need no canonicalization.
+    and cached until the enumeration returns.  Blocks come out in order of
+    their minima, so results need no canonicalization.
     """
-    built: dict[tuple[int, int], list[SetPartition]] = {}
-
+    @functools.cache
     def build(lo: int, hi: int) -> list[SetPartition]:
         if lo > hi:
             return [()]
-        out = built.get((lo, hi))
-        if out is None:
-            out = built[lo, hi] = []
-            for size in sizes:
-                for picks in itertools.combinations(range(lo + 1, hi + 1), size - 1):
-                    block = (lo,) + picks
-                    gaps = [build(a + 1, b - 1) for a, b in zip(block, picks + (hi + 1,))]
-                    out.extend(sum(sub, (block,)) for sub in itertools.product(*gaps))
+        out = []
+        for size in sizes:
+            for picks in itertools.combinations(range(lo + 1, hi + 1), size - 1):
+                block = (lo,) + picks
+                gaps = [build(a + 1, b - 1) for a, b in zip(block, picks + (hi + 1,))]
+                out.extend(sum(sub, (block,)) for sub in itertools.product(*gaps))
         return out
 
     parts = build(1, n)
-    built.clear()  # build closes over itself: free the ranges now, not at a GC pass
+    build.cache_clear()  # build closes over itself: free the ranges now, not at a GC pass
     return parts
 
 
@@ -89,13 +87,11 @@ def _cells(n: int, proper: bool) -> list[Diagonals]:
     k between them, and splits the rest into the polygons on lo..k and
     k..hi.  For proper triangulations an apex of the parity of lo and hi is
     pruned there, so every triangle is tested once, when it is made.  Each
-    range is built once and kept in `built` until the enumeration returns.
-    It is kept with its chord (lo, hi) in place, beside the number of its
+    range is built once and cached until the enumeration returns.  It is
+    kept with its chord (lo, hi) in place, beside the number of its
     diagonals that start at lo: a triangulation is its two sides
     concatenated, and a chord over it goes in after those diagonals.
     """
-    built: dict[tuple[int, int], list[tuple[Diagonals, int]]] = {}
-
     def fill(lo: int, hi: int) -> Iterator[tuple[Diagonals, int]]:
         for k in range(lo + 1, hi):
             if proper and lo % 2 == k % 2 == hi % 2:
@@ -105,17 +101,15 @@ def _cells(n: int, proper: bool) -> list[Diagonals]:
                 for r, _ in right:
                     yield left + r, j
 
+    @functools.cache
     def chorded(lo: int, hi: int) -> list[tuple[Diagonals, int]]:
         if hi - lo < 2:
             return [((), 0)]
-        out = built.get((lo, hi))
-        if out is None:
-            chord = ((lo, hi),)
-            out = built[lo, hi] = [(d[:j] + chord + d[j:], j + 1) for d, j in fill(lo, hi)]
-        return out
+        chord = ((lo, hi),)
+        return [(d[:j] + chord + d[j:], j + 1) for d, j in fill(lo, hi)]
 
     triangulations = [d for d, _ in fill(1, n)]
-    built.clear()  # the closures form a cycle: free the ranges now, not at a GC pass
+    chorded.cache_clear()  # the closures form a cycle: free the ranges now, not at a GC pass
     return triangulations
 
 

@@ -9,7 +9,7 @@ import collections
 import itertools
 import math
 import re
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import CapExceeded, PreconditionError
 from .qpoly import BivariatePolynomial, IntPolynomial
@@ -17,7 +17,7 @@ from .tableaux import _check_partition
 
 __all__ = [
     "Permutation", "identity", "compose", "inverse", "perm_order",
-    "from_cycles", "cycles_of", "parse_cycles", "perm_label",
+    "from_cycles", "index_cycles", "cycles_of", "parse_cycles", "perm_label",
     "symmetric_group", "stat", "stat_genfun", "cycle_type",
     "conjugacy_class", "conjugate", "maj_exc_genfun", "nearly_free_kind",
     "CLASS_CAP",
@@ -28,6 +28,8 @@ Permutation = tuple[int, ...]
 CLASS_CAP = 8  # full S_n is filtered for class enumeration; 8! is trivial
 
 STATISTICS = ("inv", "maj", "des", "exc")
+
+NOT_A_PERMUTATION = "generator is not a permutation of the indices"
 
 
 def identity(n: int) -> Permutation:
@@ -46,31 +48,42 @@ def inverse(w: Permutation) -> Permutation:
     return tuple(out)
 
 
-def cycles_of(w: Permutation) -> list[tuple[int, ...]]:
-    """Disjoint cycles, each starting at its minimum, sorted by minimum.
-    Raises PreconditionError when w is not a permutation of [len(w)]: the
-    walk then leaves [1, len(w)] or meets a point before its cycle closes."""
-    n = len(w)
+def index_cycles(gen: Sequence[int]) -> list[tuple[int, ...]]:
+    """The cycles of a permutation of the indices 0..len(gen)-1, each from
+    its least member, in order of least member.  Raises PreconditionError
+    when gen is not one: after one bounds check every entry is an index, so
+    a walk that closes on a point other than its start has met a point with
+    two preimages."""
+    n = len(gen)
+    if n and not 0 <= min(gen) <= max(gen) < n:
+        raise PreconditionError(NOT_A_PERMUTATION)
     seen = [False] * n
     cycles = []
-    for start in range(1, n + 1):
-        if seen[start - 1]:
+    for start in range(n):
+        if seen[start]:
             continue
-        cyc = [start]
-        seen[start - 1] = True
-        x = w[start - 1]
-        while x != start:
-            if not 1 <= x <= n or seen[x - 1]:
-                raise PreconditionError(f"{w} is not a permutation of [{n}]")
-            cyc.append(x)
-            seen[x - 1] = True
-            x = w[x - 1]
-        cycles.append(tuple(cyc))
+        members = []
+        x = start
+        while not seen[x]:
+            seen[x] = True
+            members.append(x)
+            x = gen[x]
+        if x != start:
+            raise PreconditionError(NOT_A_PERMUTATION)
+        cycles.append(tuple(members))
     return cycles
 
 
+def cycles_of(w: Permutation) -> list[tuple[int, ...]]:
+    """Disjoint cycles, each starting at its minimum, sorted by minimum.
+    Raises PreconditionError when w is not a permutation of [len(w)].
+    (0, *w) permutes the indices 0..len(w) exactly when w permutes [len(w)],
+    and its first cycle is (0,)."""
+    return index_cycles((0, *w))[1:]
+
+
 def perm_order(w: Permutation) -> int:
-    return math.lcm(*(len(c) for c in cycles_of(w))) if w else 1
+    return math.lcm(*map(len, cycles_of(w)))
 
 
 def from_cycles(n: int, cycles: Iterable[Iterable[int]]) -> Permutation:
@@ -149,7 +162,7 @@ def stat_genfun(X: Iterable[Permutation], which: str) -> IntPolynomial:
 
 def cycle_type(w: Permutation) -> tuple[int, ...]:
     """Cycle lengths in weakly decreasing order."""
-    return tuple(sorted((len(c) for c in cycles_of(w)), reverse=True))
+    return tuple(sorted(map(len, cycles_of(w)), reverse=True))
 
 
 def conjugacy_class(lam: tuple[int, ...], cap: int = CLASS_CAP) -> tuple[Permutation, ...]:
@@ -179,8 +192,8 @@ def nearly_free_kind(g: Permutation, N: int) -> str:
     allowed, "neither" otherwise."""
     if len(g) != N:
         raise PreconditionError(f"generator must permute [{N}]")
-    n = perm_order(g)
-    lengths = sorted((len(c) for c in cycles_of(g)), reverse=True)
+    lengths = sorted(map(len, cycles_of(g)), reverse=True)
+    n = math.lcm(*lengths)
     if all(l == n for l in lengths):
         return "free"
     if lengths.count(1) == 1 and all(l == n for l in lengths[:-1]):

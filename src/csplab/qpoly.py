@@ -169,8 +169,8 @@ ZERO = IntPolynomial()
 # each verify instance under the default size cap of 200,000: [n choose k]_q
 # has no zero coefficient up to its degree, which is below C(n, k) = |X|.
 DEGREE_CAP = 200_000
-# WORK_CAP bounds the coefficient operations of q_ratio (factors times the
-# length of the product it multiplies out) and of cyclotomic.  Under it the
+# WORK_CAP bounds the coefficient operations of q_ratio, cyclotomic's too:
+# factors times the length of the product it multiplies out.  Under it the
 # product is below 10^1212 at q=1, inside Python's int-to-str limit.
 WORK_CAP = 12_000_000
 
@@ -322,36 +322,33 @@ def _at_power(f: IntPolynomial, k: int) -> IntPolynomial:
 
 @functools.lru_cache(maxsize=None)
 def cyclotomic(d: int) -> IntPolynomial:
-    """The d-th cyclotomic polynomial, built from the primes of d: from
-    Phi_1 = q - 1, each prime p of d gives Phi_mp(q) = Phi_m(q^p) / Phi_m(q)
-    by exact division, and Phi_d(q) = Phi_r(q^(d/r)) where r is the product
-    of the primes of d.
+    """The d-th cyclotomic polynomial.  For d > 1 it is the product of
+    [e]_q^mu(d/e) over the divisors e of d.  With r the product of the
+    primes of d, Phi_d(q) = Phi_r(q^(d/r)), and Phi_r is the q_ratio of the
+    e | r with mu(r/e) = 1 by those with mu(r/e) = -1.
 
     >>> print(cyclotomic(6))
     1-q+q^2
     """
     if d < 1:
         raise PreconditionError("cyclotomic needs d >= 1")
+    if d == 1:
+        return IntPolynomial((-1, 1))
     if d > 2 * DEGREE_CAP**2:  # phi(d) >= sqrt(d / 2)
         raise CapExceeded(f"Phi_{d} has degree above the cap {DEGREE_CAP}")
-    primes, phi, work, rest, p = [], 1, 0, d, 2
+    num, den = [1], []  # the e | r with mu(r/e) = 1, and with mu(r/e) = -1
+    r, phi, rest, p = 1, 1, d, 2
     while rest > 1:
         if p * p > rest:
             p = rest  # what is left is prime
         if rest % p == 0:
-            primes.append(p)
-            # its step: (p-1) phi(m) rounds of division by Phi_m, <= phi(m)+1 terms
-            work += (p - 1) * phi * (phi + 1)
-            phi *= p - 1
+            r, phi = r * p, phi * (p - 1)
+            num, den = den + [e * p for e in num], num + [e * p for e in den]
             while rest % p == 0:
                 rest //= p
         p += 1
-    r = math.prod(primes)
-    _check_cap(f"Phi_{d}", phi * (d // r), work)
-    poly = IntPolynomial((-1, 1))
-    for p in primes:
-        poly = exact_divide(_at_power(poly, p), poly)
-    return _at_power(poly, d // r)
+    _check_cap(f"Phi_{d}", phi * (d // r))
+    return _at_power(q_ratio(num, den), d // r)
 
 
 def eval_at_root(f: IntPolynomial, d: int) -> int:

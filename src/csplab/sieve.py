@@ -55,7 +55,6 @@ __all__ = [
 
 DEFAULT_SIZE_CAP = 200_000
 ORDER_CAP = 10_000
-_NOT_A_PERMUTATION = "generator is not a permutation of the indices"
 
 
 @dataclass(frozen=True)
@@ -77,6 +76,8 @@ class CyclicAction:
             raise PreconditionError("labels must be distinct canonical encodings")
         if self.order < 1:
             raise PreconditionError(f"declared order {self.order} is not positive")
+        if len(self.generator) != len(self.labels):
+            raise PreconditionError(perms.NOT_A_PERMUTATION)
         self.orbits  # the one walk checks the generator and the orbit lengths
 
     @property
@@ -143,31 +144,15 @@ def action_from_objects(
 
 def orbit_decompose(action: CyclicAction) -> tuple[Orbit, ...]:
     """Generator orbits in order of least member, with stabilizer-orders
-    order/|orbit| in the declared group.  A generator that is not a
-    permutation of the indices is rejected as ``perms.cycles_of`` rejects
-    one: once every entry is an index, a walk that closes on a point other
-    than its start has met a point with two preimages."""
-    gen, n = action.generator, action.size
-    if len(gen) != n or n and not 0 <= min(gen) <= max(gen) < n:
-        raise PreconditionError(_NOT_A_PERMUTATION)
-    seen = [False] * n
+    order/|orbit| in the declared group.  ``perms.index_cycles`` walks them
+    and rejects a generator that is not a permutation of the indices."""
     orbits = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        members = []
-        x = start
-        while not seen[x]:
-            seen[x] = True
-            members.append(x)
-            x = gen[x]
-        if x != start:
-            raise PreconditionError(_NOT_A_PERMUTATION)
+    for members in perms.index_cycles(action.generator):
         stab, rem = divmod(action.order, len(members))
         if rem:
             raise PreconditionError(f"orbit length {len(members)} does not divide "
                                     f"the declared order {action.order}")
-        orbits.append(Orbit(tuple(members), stab))
+        orbits.append(Orbit(members, stab))
     return tuple(orbits)
 
 
@@ -352,10 +337,7 @@ def verify_bicsp(
     O, it so moves every point of O, and g^j h^k fixes O iff j = -p mod |O|."""
     def action(gen: tuple[int, ...], order: int | None) -> CyclicAction:
         if order is None:
-            try:  # perm_order's own message would name the 1-based copy of gen
-                order = perms.perm_order(tuple(x + 1 for x in gen))
-            except PreconditionError:
-                raise PreconditionError(_NOT_A_PERMUTATION) from None
+            order = math.lcm(*map(len, perms.index_cycles(gen)))
         return CyclicAction(tuple(labels), gen, order)
 
     g = action(gen1, order1)
@@ -446,16 +428,37 @@ def verify_block_partition(
 # the family registry
 
 
+# A size or order with this many digits or more is not printed: it may be
+# too long for Python to convert to a string.
+_SHOWN_DIGITS = 30
+
+
+def _check_cap(what: str, value: int, cap: int) -> int:
+    if value > cap:
+        shown = value if value < 10**_SHOWN_DIGITS else f"of {_SHOWN_DIGITS} or more digits"
+        raise CapExceeded(f"{what} {shown} exceeds the cap {cap}")
+    return value
+
+
 def _check_size(count: int, cap: int) -> int:
-    if count > cap:
-        raise CapExceeded(f"instance size {count} exceeds the cap {cap}")
-    return count
+    return _check_cap("instance size", count, cap)
 
 
 def _check_order(order: int) -> int:
-    if order > ORDER_CAP:
-        raise CapExceeded(f"group order {order} exceeds the cap {ORDER_CAP}")
-    return order
+    return _check_cap("group order", order, ORDER_CAP)
+
+
+def _comb(n: int, k: int, cap: int) -> int:
+    """C(n, k), or a lower bound on it once that bound is above the cap and
+    too long to print: C(n, j) grows with j up to min(k, n - k)."""
+    if not 0 <= k <= n:
+        return 0
+    count, enough = 1, max(cap + 1, 10**_SHOWN_DIGITS)
+    for j in range(min(k, n - k)):
+        count = count * (n - j) // (j + 1)
+        if count >= enough:
+            break
+    return count
 
 
 def _generator_on_ground(params: Mapping, n: int) -> tuple[perms.Permutation, str | None]:
@@ -463,6 +466,7 @@ def _generator_on_ground(params: Mapping, n: int) -> tuple[perms.Permutation, st
     a supplied nearly-free generator."""
     gen = params.get("gen")
     if gen is None:
+        _check_order(n)  # the order of the full cycle, before it is built
         g = perms.from_cycles(n, [tuple(range(1, n + 1))] if n else [])
         return g, None
     g = perms.parse_cycles(gen, n) if isinstance(gen, str) else tuple(gen)
@@ -499,7 +503,7 @@ def _build_k_sets(params: Mapping, cap: int, repeat: bool) -> CSPInstance:
     if n < 1 or k < 0:
         raise PreconditionError(f"{name} needs n >= 1 and k >= 0")
     top = n + k - 1 if repeat else n
-    _check_size(math.comb(top, k), cap)
+    _check_size(_comb(top, k, cap), cap)
     g, gen_label = _generator_on_ground(params, n)
     order = _check_order(perms.perm_order(g))
     action = _k_sets(
@@ -514,9 +518,9 @@ def _build_syt_rect(params: Mapping, cap: int) -> CSPInstance:
     m, n = int(params["m"]), int(params["n"])
     if m < 1 or n < 1:
         raise PreconditionError("syt_rect needs m, n >= 1")
+    order = _check_order(m * n)
     lam = (n,) * m
     _check_size(tableaux.count_syt(lam), cap)
-    order = _check_order(m * n)
     action = action_from_objects(*tableaux.promotion_of_syt(lam, cap=m * n), order)
     return CSPInstance(
         action, tableaux.q_count_syt(lam), "syt_rect", (("m", m), ("n", n))
@@ -527,8 +531,8 @@ def _build_ncm(params: Mapping, cap: int) -> CSPInstance:
     n = int(params["n"])
     if n < 1:
         raise PreconditionError("ncm needs n >= 1")
-    _check_size(catalan.catalan_number(n), cap)
     order = _check_order(2 * n)
+    _check_size(catalan.catalan_number(n), cap)
     # promotion transports to the clockwise rotation i -> i-1 (mod 2n)
     X = catalan.enumerate_nc_matchings(n, cap=n)
     action = action_from_objects(
@@ -544,8 +548,8 @@ def _build_ncp(params: Mapping, cap: int) -> CSPInstance:
     n = int(params["n"])
     if n < 1:
         raise PreconditionError("ncp needs n >= 1")
-    _check_size(catalan.catalan_number(n), cap)
     order = _check_order(n)
+    _check_size(catalan.catalan_number(n), cap)
     X = catalan.enumerate_nc_partitions(n, cap=n)
     action = action_from_objects(
         X,
@@ -560,8 +564,8 @@ def _build_triangulation(params: Mapping, cap: int) -> CSPInstance:
     n = int(params["n"])
     if n < 1:
         raise PreconditionError("triangulation needs n >= 1")
-    _check_size(catalan.catalan_number(n), cap)
     order = _check_order(n + 2)
+    _check_size(catalan.catalan_number(n), cap)
     X = catalan.enumerate_triangulations(n + 2, cap=n + 2)
     action = action_from_objects(
         X,
@@ -578,11 +582,11 @@ def _build_conj_class(params: Mapping, cap: int) -> CSPInstance:
         lam = tuple(int(x) for x in lam.split(",") if x)
     lam = tableaux._check_partition(lam)
     n = sum(lam)
+    order = _check_order(max(n, 1))  # the long cycle of S_0 is the identity
     z = math.prod(
         i ** lam.count(i) * math.factorial(lam.count(i)) for i in set(lam)
     )
     _check_size(math.factorial(n) // z, cap)
-    order = _check_order(max(n, 1))  # the long cycle of S_0 is the identity
     c = tuple(range(2, n + 1)) + (1,)
     cls = perms.conjugacy_class(lam)
     f = subst_t_q_inverse(perms.maj_exc_genfun(cls))
@@ -598,8 +602,8 @@ def _build_proper_triangulation(params: Mapping, cap: int) -> CSPInstance:
     if N < 2 or N % 2:
         raise PreconditionError("proper_triangulation needs even n >= 2")
     half = N // 2
-    _check_size(catalan.proper_count(N), cap)
     order = _check_order(N + 2)
+    _check_size(catalan.proper_count(N), cap)
     if N == 4:
         # The closed form q_proper_triangulations(2) evaluates to 0 at q=-1,
         # but six proper hexagon triangulations are fixed by the half turn;
@@ -623,8 +627,8 @@ def _build_cycle(params: Mapping, cap: int) -> CSPInstance:
     n = int(params["n"])
     if n < 1:
         raise PreconditionError("cycle needs n >= 1")
-    _check_size(n, cap)
     order = _check_order(n)
+    _check_size(n, cap)
     action = action_from_objects(
         range(1, n + 1),
         itertools.chain(range(2, n + 1), (1,)),
@@ -648,14 +652,14 @@ def _build_plethysm(params: Mapping, cap: int) -> CSPInstance:
     base = registry_instantiate(base_id, base_params, cap)
     N = base.action.size
     if kind == "h":
-        _check_size(math.comb(N + k - 1, k), cap)
+        _check_size(_comb(N + k - 1, k, cap), cap)
         f = plethysm_h(k, base.polynomial)
     else:
         if base.action.order % 2 == 0:
             raise PreconditionError(
                 "the e_k construction needs a group of odd order"
             )
-        _check_size(math.comb(N, k), cap)
+        _check_size(_comb(N, k, cap), cap)
         f = plethysm_e(k, base.polynomial)
     action = _k_sets(
         base.action.labels, base.action.generator, k, kind == "h", ",",

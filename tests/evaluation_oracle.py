@@ -6,6 +6,9 @@ long division.  Neither uses ``fold_mod_qn``, so the roots side stays
 independent of the orbit checker's fold.  Both are slow for large d: the
 division steps grow with d times the sum of phi(e) over its divisors.
 
+``cyclotomic_by_prime_steps`` is the construction that ``qpoly.cyclotomic``
+replaced with one ``q_ratio``: exact division by Phi_m once per prime of d.
+
 ``root_of_unity_binomial`` is the closed form of a Gaussian binomial at a
 root of unity, which the multiset fixed-point counts are checked against.
 """
@@ -25,6 +28,32 @@ def cyclotomic(d: int) -> IntPolynomial:
         if d % e == 0:
             poly = exact_divide(poly, cyclotomic(e))
     return poly
+
+
+def cyclotomic_by_prime_steps(d: int) -> IntPolynomial:
+    """From Phi_1 = q - 1, each prime p of d gives Phi_mp(q) =
+    Phi_m(q^p) / Phi_m(q) by exact division, and Phi_d(q) = Phi_r(q^(d/r))
+    where r is the product of the primes of d."""
+    primes, rest, p = [], d, 2
+    while rest > 1:
+        if p * p > rest:
+            p = rest  # what is left is prime
+        if rest % p == 0:
+            primes.append(p)
+            while rest % p == 0:
+                rest //= p
+        p += 1
+    poly = IntPolynomial((-1, 1))
+    for p in primes:
+        poly = exact_divide(_at_power(poly, p), poly)
+    return _at_power(poly, d // math.prod(primes))
+
+
+def _at_power(f: IntPolynomial, k: int) -> IntPolynomial:
+    """f(q^k)."""
+    out = [0] * (k * f.degree + 1)
+    out[::k] = f.coeffs
+    return IntPolynomial(out)
 
 
 def _remainder_monic(f: IntPolynomial, g: IntPolynomial) -> IntPolynomial:

@@ -133,10 +133,36 @@ def test_poly_command(capsys):
     (("verify", "proper_triangulation", "--n", "14"), 2),
     # the recurrence, not the 60! permutations it counts
     (("poly", "eulerian", "60"), 0),
+    # the dearest Phi_d that WORK_CAP admits up to 200,000: one q_ratio
+    (("poly", "cyclotomic", "117390"), 0),
+    # the order, a closed form, is checked before the size is computed
+    (("verify", "ncp", "--n", "3000000"), 2),
+    (("verify", "syt_rect", "--m", "300", "--n", "300"), 2),
+    (("verify", "syt_rect", "--m", "1000", "--n", "1000"), 2),
+    (("verify", "syt_rect", "--m", "101", "--n", "100"), 2),
+    (("verify", "ncm", "--n", "10000"), 2),
+    # neither (n,) * m nor the full cycle of [n] is built before its order
+    # is checked; both ran out of memory, or raised OverflowError (exit 3)
+    (("verify", "syt_rect", "--m", "1" + "0" * 20, "--n", "1"), 2),
+    (("verify", "syt_rect", "--m", "1" + "0" * 2199, "--n", "1" + "0" * 2199), 2),
+    (("verify", "subset", "--n", "1" + "0" * 12, "--k", "0"), 2),
+    # C(n, k) is computed only until it passes the cap
+    (("verify", "subset", "--n", "3000000", "--k", "1500000"), 2),
+    (("verify", "multiset", "--n", "1500000", "--k", "1500000"), 2),
+    # sizes too long to print, some beyond Python's int-to-str limit
+    (("verify", "syt_rect", "--m", "100", "--n", "100"), 2),
+    (("verify", "ncp", "--n", "10000"), 2),
+    (("verify", "triangulation", "--n", "9998"), 2),
+    (("verify", "triangulation", "--n", "5000"), 2),
+    (("verify", "subset", "--n", "100000", "--k", "50000"), 2),
 ])
 def test_large_inputs_end_at_once(argv, code):
-    done = _run_child(argv)
+    done = _run_child(argv, address_space=1 << 30)
     assert done.returncode == code, done.stderr
+    if code == 2:
+        assert done.stdout == ""
+        assert done.stderr.count("\n") == 1 and "exceeds the cap" in done.stderr
+        assert len(done.stderr) < 100, done.stderr
 
 
 @pytest.mark.parametrize("m,n", [(1, 1200), (1, 10000), (10000, 1)])
@@ -198,6 +224,24 @@ def test_env_cap(capsys, monkeypatch):
     # explicit --cap wins over the environment
     assert run(capsys, "verify", "multiset", "--n", "6", "--k", "3",
                "--cap", "100")[0] == 0
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("verify", "subset", "--n", "30", "--k", "15"),
+     "instance size 155117520 exceeds the cap 200000"),
+    (("verify", "multiset", "--n", "6", "--k", "3", "--cap", "5"),
+     "instance size 56 exceeds the cap 5"),
+    (("verify", "ncp", "--n", "15"), "instance size 9694845 exceeds the cap 200000"),
+    (("verify", "syt_rect", "--m", "5", "--n", "5"),
+     "instance size 701149020 exceeds the cap 200000"),
+    (("verify", "cycle", "--n", "10001"), "group order 10001 exceeds the cap 10000"),
+    (("verify", "subset", "--n", "200", "--k", "100"),
+     "instance size of 30 or more digits exceeds the cap 200000"),
+])
+def test_cap_messages(capsys, argv, message):
+    # a size short enough to print is printed in full
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_deterministic_output(capsys):

@@ -39,9 +39,7 @@ def test_cycles_and_order():
 
 @pytest.mark.parametrize("w", [(2, 2), (1, 1, 3), (0,), (5,), (2, 3, 1, 1)])
 def test_non_permutations_are_rejected_not_walked_forever(w):
-    # in a child process, so that a walk that never ends fails the test
-    # through the timeout instead of stalling the suite
-    code = (
+    done = _run_child(
         "from csplab import perms\n"
         "from csplab.errors import PreconditionError\n"
         "for fn in (perms.cycles_of, perms.perm_order, perms.cycle_type):\n"
@@ -52,12 +50,43 @@ def test_non_permutations_are_rejected_not_walked_forever(w):
         "    else:\n"
         "        raise SystemExit(f'{fn.__name__} accepted the input')\n"
     )
-    src = os.path.dirname(os.path.dirname(perms.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    done = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=10
+    assert done.returncode == 0, done.stderr
+
+
+def test_index_cycles():
+    assert perms.index_cycles((4, 0, 2, 1, 3)) == [(0, 4, 3, 1), (2,)]
+    assert perms.index_cycles(()) == []
+    # cycles_of reads the same walk, of (0, *w)
+    assert perms.cycles_of((5, 1, 3, 2, 4)) == [(1, 5, 4, 2), (3,)]
+
+
+@pytest.mark.parametrize("gen", [
+    (0, 0), (1, 1), (1, 2, 1), (2, 0, 0),  # a point with two preimages
+    (-1, 0), (0, -2),  # negative entries, which Python would wrap
+    (0, 2), (1,),  # an entry past the end
+])
+def test_index_cycles_rejects_0_based_non_permutations(gen):
+    done = _run_child(
+        "from csplab import perms\n"
+        "from csplab.errors import PreconditionError\n"
+        "try:\n"
+        f"    perms.index_cycles({gen!r})\n"
+        "except PreconditionError as exc:\n"
+        "    assert str(exc) == perms.NOT_A_PERMUTATION, exc\n"
+        "else:\n"
+        "    raise SystemExit('index_cycles accepted the input')\n"
     )
     assert done.returncode == 0, done.stderr
+
+
+def _run_child(code):
+    # in a child process, so that a walk that never ends fails the test
+    # through the timeout instead of stalling the suite
+    src = os.path.dirname(os.path.dirname(perms.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=10
+    )
 
 
 def test_parse_cycles():

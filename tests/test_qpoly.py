@@ -153,6 +153,19 @@ def test_cyclotomic_matches_iterated_division(d):
     assert cyclotomic(d) == evaluation_oracle.cyclotomic(d)
 
 
+def test_cyclotomic_matches_prime_steps():
+    # one q_ratio of q-integers against exact division once per prime
+    for d in range(1, 2001):
+        assert cyclotomic(d) == evaluation_oracle.cyclotomic_by_prime_steps(d), d
+
+
+@pytest.mark.parametrize("d", [5040, 9240, 30030, 60060, 117390])
+def test_cyclotomic_matches_prime_steps_at_the_cap_edge(d):
+    # 117390 = 2*3*5*7*13*43 is the dearest Phi_d that WORK_CAP admits up to
+    # 200,000; the prime-step construction priced it above the cap
+    assert cyclotomic(d) == evaluation_oracle.cyclotomic_by_prime_steps(d)
+
+
 @pytest.mark.parametrize("d,phi", [(5040, 1152), (9240, 1920)])
 def test_cyclotomic_near_order_cap(d, phi):
     # the oracle is too slow here, so check identities instead
@@ -454,13 +467,14 @@ def test_caps_admit_the_largest_verify_polynomial():
     lambda: q_count_syt((DEGREE_CAP + 1,)),
     lambda: eulerian_poly(1559),  # 1559! has 4,303 digits
     lambda: cyclotomic(200_003),  # a prime: degree 200,002
+    lambda: cyclotomic(2**19),  # Phi_2 at q^(2^18): degree 262,144
     lambda: cyclotomic(510_510),  # 2*3*5*7*11*13*17: degree 92,160, but dear
     lambda: cyclotomic(10**11),  # above 2 DEGREE_CAP^2: refused before factoring
 ], ids=[
     "q_int", "q_ratio-degree", "q_ratio-factors", "q_factorial", "gaussian_binomial",
     "q_catalan", "q_fuss_catalan_A", "face_poly-sum", "face_poly-d",
     "q_proper_triangulations", "q_count_syt", "eulerian_poly", "cyclotomic-prime",
-    "cyclotomic-primorial", "cyclotomic-huge",
+    "cyclotomic-power", "cyclotomic-primorial", "cyclotomic-huge",
 ])
 def test_caps_refuse_before_any_arithmetic(build):
     with pytest.raises(CapExceeded):

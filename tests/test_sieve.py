@@ -707,3 +707,17 @@ def test_registry_ends_in_verdict_or_usage_error(family, params):
     except (CspLabError, ValueError):
         return
     assert sieve.build_report(inst).verdict in ("pass", "fail")
+
+
+def test_bounded_binomial():
+    # exact while it is short enough to print, a lower bound above the cap
+    # once it is not
+    for n in range(0, 120):
+        for k in range(-1, n + 2):
+            exact = math.comb(n, k) if k >= 0 else 0
+            got = sieve._comb(n, k, sieve.DEFAULT_SIZE_CAP)
+            if exact < 10**30:
+                assert got == exact, (n, k)
+            else:
+                assert 10**30 <= got <= exact, (n, k)
+    assert sieve._comb(200, 100, 10**70) == math.comb(200, 100)
