@@ -10,15 +10,16 @@ from csplab.sieve import CSPInstance
 def show(family, params):
     inst = registry_instantiate(family, params)
     rep = build_report(inst)
-    head = " ".join(f"{k}={v}" for k, v in rep.params.items())
-    print(f"\n{family} {head}: |X| = {rep.size}, group order {rep.order}")
+    head = inst.header()
+    params = " ".join(f"{k}={v}" for k, v in head["params"].items())
+    print(f"\n{family} {params}: |X| = {head['size']}, group order {head['order']}")
     print(f"  f = {inst.polynomial}")
     print("   j  ord  fixed  eval")
     for r in rep.rows:
         print(f"  {r.j:>2} {r.elem_order:>4} {r.fixed:>6} {r.value!s:>5}"
               + ("" if r.match else "  <-- mismatch"))
-    sizes = [len(o.members) for o in rep.orbits]
-    stabs = [o.stabilizer_order for o in rep.orbits]
+    sizes = [len(o.members) for o in inst.action.orbits]
+    stabs = [o.stabilizer_order for o in inst.action.orbits]
     print(f"  orbits {sizes} stabilizers {stabs}")
     print(f"  folded a {list(rep.a)} vs census {list(rep.census)}")
     print(f"  verdict: {rep.verdict}")

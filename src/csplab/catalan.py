@@ -16,7 +16,7 @@ import itertools
 import math
 from typing import Iterator, Sequence
 
-from .errors import CapExceeded, PreconditionError
+from .errors import PreconditionError, check_cap
 
 __all__ = [
     "SetPartition", "Matching", "Diagonals", "enumerate_nc_partitions",
@@ -65,8 +65,7 @@ def enumerate_nc_partitions(n: int, cap: int = NC_CAP) -> tuple[SetPartition, ..
     """All noncrossing partitions of [n]; there are Catalan(n) of them."""
     if n < 0:
         raise PreconditionError("n must be >= 0")
-    if n > cap:
-        raise CapExceeded(f"noncrossing partitions capped at n <= {cap}")
+    check_cap("noncrossing partition ground set size", n, cap)
     return tuple(_nc_blocks(n, range(1, n + 1)))
 
 
@@ -74,8 +73,7 @@ def enumerate_nc_matchings(n: int, cap: int = NC_CAP) -> tuple[Matching, ...]:
     """All noncrossing perfect matchings on [2n]; Catalan(n) of them."""
     if n < 0:
         raise PreconditionError("n must be >= 0")
-    if n > cap:
-        raise CapExceeded(f"noncrossing matchings capped at n <= {cap}")
+    check_cap("noncrossing matching arc count", n, cap)
     return tuple(_nc_blocks(2 * n, (2,)))
 
 
@@ -116,8 +114,7 @@ def _cells(n: int, proper: bool) -> list[Diagonals]:
 def _check_polygon(n: int, cap: int) -> None:
     if n < 3:
         raise PreconditionError("a polygon needs at least 3 vertices")
-    if n > cap:
-        raise CapExceeded(f"triangulations capped at polygon size {cap}")
+    check_cap("triangulated polygon size", n, cap)
 
 
 def enumerate_triangulations(n: int, cap: int = NC_CAP + 2) -> tuple[Diagonals, ...]:

@@ -13,6 +13,7 @@ overrides the default size cap.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import re
@@ -135,21 +136,24 @@ def _emit(text: str, out: str | None) -> None:
         print(text)
 
 
+def _title(inst: sieve.CSPInstance) -> str:
+    """The two lines of the header that both text reports start with."""
+    head = inst.header()
+    params = " ".join(f"{k}={v}" for k, v in head["params"].items())
+    return f"family {head['family']}  params {params}\nsize {head['size']}  order {head['order']}"
+
+
 def _format_report(report: sieve.CSPReport) -> str:
-    lines = [
-        f"family {report.family}  params "
-        + " ".join(f"{k}={v}" for k, v in report.params.items()),
-        f"size {report.size}  order {report.order}  f = {report.polynomial}",
-        "  j  ord  fixed  eval  match",
-    ]
+    inst = report.instance
+    lines = [_title(inst) + f"  f = {inst.polynomial}", "  j  ord  fixed  eval  match"]
     for r in report.rows:
         value = "-" if r.value is None else r.value
         lines.append(
             f"{r.j:>3} {r.elem_order:>4} {r.fixed:>6} {value!s:>5}  "
             + ("yes" if r.match else "NO")
         )
-    sizes = [len(o.members) for o in report.orbits]
-    stabs = [o.stabilizer_order for o in report.orbits]
+    sizes = [len(o.members) for o in inst.action.orbits]
+    stabs = [o.stabilizer_order for o in inst.action.orbits]
     lines.append(f"orbits: {len(sizes)} (sizes {sizes}, stabilizers {stabs})")
     lines.append(f"a: {list(report.a)}  census: {list(report.census)}")
     lines.append(f"verdict: {report.verdict.upper()}")
@@ -159,12 +163,8 @@ def _format_report(report: sieve.CSPReport) -> str:
 def cmd_verify(ns: argparse.Namespace) -> int:
     inst = sieve.registry_instantiate(ns.family, _collect_params(ns), _size_cap(ns))
     if ns.corrupt_coeff is not None:
-        inst = sieve.CSPInstance(
-            inst.action,
-            sieve.corrupt_polynomial(inst.polynomial, ns.corrupt_coeff),
-            inst.family,
-            inst.params,
-        )
+        bad = sieve.corrupt_polynomial(inst.polynomial, ns.corrupt_coeff)
+        inst = dataclasses.replace(inst, polynomial=bad)
     report = sieve.build_report(inst, ns.checker)
     if ns.json:
         _emit(json.dumps(report.to_dict(), indent=2), ns.out)
@@ -175,19 +175,16 @@ def cmd_verify(ns: argparse.Namespace) -> int:
 
 def cmd_orbits(ns: argparse.Namespace) -> int:
     inst = sieve.registry_instantiate(ns.family, _collect_params(ns), _size_cap(ns))
-    a, _, _ = sieve.verify_csp_orbits(inst)
-    orbits = inst.action.orbits
+    a, _ = sieve.verify_csp_orbits(inst)
+    orbits, labels = inst.action.orbits, inst.action.labels
     if ns.json:
         payload = {
-            "family": inst.family,
-            "params": inst.params_dict(),
-            "size": inst.action.size,
-            "order": inst.action.order,
+            **inst.header(),
             "orbits": [
                 {
                     "size": len(o.members),
                     "stab": o.stabilizer_order,
-                    "members": [inst.action.labels[i] for i in o.members],
+                    "members": [labels[i] for i in o.members],
                 }
                 for o in orbits
             ],
@@ -195,13 +192,9 @@ def cmd_orbits(ns: argparse.Namespace) -> int:
         }
         _emit(json.dumps(payload, indent=2), ns.out)
         return 0
-    lines = [
-        f"family {inst.family}  params "
-        + " ".join(f"{k}={v}" for k, v in inst.params_dict().items()),
-        f"size {inst.action.size}  order {inst.action.order}",
-    ]
+    lines = [_title(inst)]
     for o in orbits:
-        members = " ".join(inst.action.labels[i] for i in o.members)
+        members = " ".join(labels[i] for i in o.members)
         lines.append(f"orbit size {len(o.members):>4}  stab {o.stabilizer_order:>4}  {members}")
     lines.append(f"a: {list(a)}")
     _emit("\n".join(lines), ns.out)

@@ -38,6 +38,26 @@ class CapExceeded(CspLabError):
     """An enumeration request is larger than the configured cap."""
 
 
+# A value with this many digits or more is not printed: it may be too long
+# for Python to convert to a string.
+SHOWN_DIGITS = 30
+
+
+def check_cap(what: str, value: int, cap: int) -> int:
+    """Return value, or raise CapExceeded when it is above cap; every cap
+    message in the package is this one.
+
+    >>> check_cap("group order", 10**40, 10_000)
+    Traceback (most recent call last):
+    ...
+    csplab.errors.CapExceeded: group order of 30 or more digits exceeds the cap 10000
+    """
+    if value > cap:
+        shown = value if value < 10**SHOWN_DIGITS else f"of {SHOWN_DIGITS} or more digits"
+        raise CapExceeded(f"{what} {shown} exceeds the cap {cap}")
+    return value
+
+
 class UnknownFamily(CspLabError, KeyError):
     """Requested sieving family is not registered."""
 

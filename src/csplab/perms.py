@@ -11,7 +11,7 @@ import math
 import re
 from typing import Iterable, Iterator, Sequence
 
-from .errors import CapExceeded, PreconditionError
+from .errors import PreconditionError, check_cap
 from .qpoly import BivariatePolynomial, IntPolynomial
 from .tableaux import _check_partition
 
@@ -169,8 +169,7 @@ def conjugacy_class(lam: tuple[int, ...], cap: int = CLASS_CAP) -> tuple[Permuta
     """All permutations with the given cycle type, by filtering S_n."""
     lam = _check_partition(lam)
     n = sum(lam)
-    if n > cap:
-        raise CapExceeded(f"conjugacy class enumeration capped at n <= {cap}")
+    check_cap("conjugacy class ground set size", n, cap)
     return tuple(w for w in symmetric_group(n) if cycle_type(w) == lam)
 
 

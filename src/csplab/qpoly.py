@@ -21,14 +21,14 @@ import operator
 import sys
 from collections import Counter
 from dataclasses import dataclass
-from typing import Collection, Iterable, Iterator, Mapping
+from typing import Callable, Collection, Iterable, Iterator, Mapping
 
 from .errors import (
-    CapExceeded,
     InexactDivision,
     NegativeExponent,
     NonIntegerEvaluation,
     PreconditionError,
+    check_cap,
 )
 
 __all__ = [
@@ -65,6 +65,7 @@ class IntPolynomial:
         """The single term coeff * q^exponent."""
         if exponent < 0:
             raise PreconditionError("monomial exponent must be >= 0")
+        check_cap("monomial degree", exponent, DEGREE_CAP)
         return IntPolynomial((0,) * exponent + (coeff,))
 
     @staticmethod
@@ -140,23 +141,7 @@ class IntPolynomial:
         return self.coeffs == tuple(reversed(self.coeffs))
 
     def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if i == 0:
-                term = str(c)
-            else:
-                mag = "" if abs(c) == 1 else str(abs(c))
-                var = "q" if i == 1 else f"q^{i}"
-                term = ("-" if c < 0 else "") + mag + var
-            if parts and not term.startswith("-"):
-                parts.append("+" + term)
-            else:
-                parts.append(term)
-        return "".join(parts)
+        return _format_terms(enumerate(self.coeffs), functools.partial(_power, "q"))
 
     def __repr__(self) -> str:
         return f"IntPolynomial({str(self)!r})"
@@ -175,11 +160,21 @@ DEGREE_CAP = 200_000
 WORK_CAP = 12_000_000
 
 
-def _check_cap(what: str, degree: int, work: int = 0) -> None:
-    if degree > DEGREE_CAP:
-        raise CapExceeded(f"{what} has degree {degree}, above the cap {DEGREE_CAP}")
-    if work > WORK_CAP:
-        raise CapExceeded(f"{what} needs about {work} steps, above the cap {WORK_CAP}")
+def _power(var: str, i: int) -> str:
+    return "" if i == 0 else var if i == 1 else f"{var}^{i}"
+
+
+def _format_terms(terms: Iterable[tuple], monomial: Callable[..., str]) -> str:
+    """The sum of c * monomial(e) over the (e, c) in terms, zero c skipped:
+    a magnitude of 1 is not printed before a nonconstant monomial, and each
+    term after the first carries its sign."""
+    out = []
+    for e, c in terms:
+        if c:
+            var = monomial(e)
+            mag = "" if var and abs(c) == 1 else str(abs(c))
+            out.append(("-" if c < 0 else "+" if out else "") + mag + var)
+    return "".join(out) or "0"
 
 
 def _coerce(x: "IntPolynomial | int") -> IntPolynomial:
@@ -241,7 +236,7 @@ def q_int(n: int) -> IntPolynomial:
     """
     if n < 0:
         raise PreconditionError("q_int needs n >= 0")
-    _check_cap(f"[{n}]_q", n - 1)
+    check_cap("[n]_q degree", n - 1, DEGREE_CAP)
     return IntPolynomial((1,) * n)
 
 
@@ -274,9 +269,7 @@ def q_ratio(num: Collection[int], den: Collection[int] = ()) -> IntPolynomial:
 def _cancel(num: Collection[int], den: Collection[int]) -> tuple[Counter, Counter, int]:
     """The factors of num and of den left once equal ones and 1s cancel, and
     the coefficient operations of their ratio, checked against the caps."""
-    factors = max(len(num), len(den))
-    if factors > DEGREE_CAP:
-        raise CapExceeded(f"q_ratio has {factors} factors a side, above the cap {DEGREE_CAP}")
+    check_cap("q_ratio factors a side", max(map(_count, (num, den))), DEGREE_CAP)
     num, den = Counter(num), Counter(den)
     if any(a < 1 for a in num | den):
         raise PreconditionError("q_ratio needs factors >= 1")
@@ -284,8 +277,16 @@ def _cancel(num: Collection[int], den: Collection[int]) -> tuple[Counter, Counte
     del top[1], bottom[1]
     top_degree = sum(a - 1 for a in top.elements())
     work = (top.total() + bottom.total()) * (top_degree + 1)
-    _check_cap("q_ratio", top_degree - sum(b - 1 for b in bottom.elements()), work)
+    check_cap("q_ratio degree", top_degree - sum(b - 1 for b in bottom.elements()), DEGREE_CAP)
+    check_cap("q_ratio step count", work, WORK_CAP)
     return top, bottom, work
+
+
+def _count(factors: Collection[int]) -> int:
+    """len(factors), also for a range longer than len() can return."""
+    if isinstance(factors, range) and factors:
+        return (factors[-1] - factors[0]) // factors.step + 1
+    return len(factors)
 
 
 def q_factorial(n: int) -> IntPolynomial:
@@ -334,8 +335,7 @@ def cyclotomic(d: int) -> IntPolynomial:
         raise PreconditionError("cyclotomic needs d >= 1")
     if d == 1:
         return IntPolynomial((-1, 1))
-    if d > 2 * DEGREE_CAP**2:  # phi(d) >= sqrt(d / 2)
-        raise CapExceeded(f"Phi_{d} has degree above the cap {DEGREE_CAP}")
+    check_cap("Phi_d index d", d, 2 * DEGREE_CAP**2)  # phi(d) >= sqrt(d / 2)
     num, den = [1], []  # the e | r with mu(r/e) = 1, and with mu(r/e) = -1
     r, phi, rest, p = 1, 1, d, 2
     while rest > 1:
@@ -347,7 +347,7 @@ def cyclotomic(d: int) -> IntPolynomial:
             while rest % p == 0:
                 rest //= p
         p += 1
-    _check_cap(f"Phi_{d}", phi * (d // r))
+    check_cap("Phi_d degree", phi * (d // r), DEGREE_CAP)
     return _at_power(q_ratio(num, den), d // r)
 
 
@@ -414,10 +414,10 @@ def eulerian_poly(n: int) -> IntPolynomial:
     """
     if n < 0:
         raise PreconditionError("eulerian_poly needs n >= 0")
-    _check_cap(f"the Eulerian polynomial A_{n}", n - 1)
+    check_cap("A_n degree", n - 1, DEGREE_CAP)
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit and math.lgamma(n + 1) / math.log(10) >= limit:
-        raise CapExceeded(f"A_{n} sums to {n}!, which has more than {limit} digits")
+    if limit:  # A_n(1) = n! must print
+        check_cap("digit count of A_n(1) = n!", int(math.lgamma(n + 1) / math.log(10)) + 1, limit)
     row = [1]
     for m in range(2, n + 1):
         prev = [0] + row + [0]  # prev[k + 1] = A(m-1, k)
@@ -485,15 +485,15 @@ def face_poly(k: int, n: int, d: int) -> IntPolynomial:
         raise PreconditionError("face_poly needs 0 <= k < d")
     if n <= d:
         raise PreconditionError("face_poly needs n > d")
-    if d > DEGREE_CAP:  # every term has degree >= j (d + 2 - 2j) >= d
-        raise CapExceeded(f"face_poly({k}, {n}, {d}) has degree above the cap {DEGREE_CAP}")
+    # every term has degree >= j (d + 2 - 2j) >= d
+    check_cap("face_poly degree (at least d)", d, DEGREE_CAP)
     js = range((k + 2) // 2, min(k + 1, d // 2) + 1)  # the j with 0 <= i <= j
 
     def term(j: int) -> tuple[list[int], list[int]]:
         return [n, *range(n - 2 * j + 1, n - j)], [*range(2, k + 2 - j), *range(2, 2 * j - k)]
 
     for work in itertools.accumulate(_cancel(*term(j))[2] for j in js):
-        _check_cap(f"face_poly({k}, {n}, {d})", 0, work)
+        check_cap("face_poly step count", work, WORK_CAP)
     return sum((q_ratio(*term(j)) for j in js), ZERO)
 
 
@@ -507,7 +507,7 @@ def q_proper_triangulations(n: int) -> IntPolynomial:
     """
     if n < 1:
         raise PreconditionError("q_proper_triangulations needs n >= 1")
-    _check_cap(f"q_proper_triangulations({n})", 2 * n * n - n + 1)
+    check_cap("q_proper_triangulations degree", 2 * n * n - n + 1, DEGREE_CAP)
     half = -(-n // 2)  # ceil(n/2)
     bracket = q_ratio([2] * (n - 1)) - q_ratio([2] * (half - 1)) + 2 ** (half - 1)
     return bracket * q_ratio([4, *range(2 * n + 2, 3 * n + 1)], [2, *range(2, n + 1)])
@@ -540,26 +540,8 @@ class BivariatePolynomial:
         return BivariatePolynomial(acc)
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-
-        def fmt(pair: tuple[int, int], c: int) -> str:
-            i, j = pair
-            bits = [] if abs(c) == 1 and (i or j) else [str(abs(c))]
-            if i:
-                bits.append("q" if i == 1 else f"q^{i}")
-            if j:
-                bits.append("t" if j == 1 else f"t^{j}")
-            return ("-" if c < 0 else "") + "".join(bits)
-
-        parts = []
-        for pair in sorted(self.terms):
-            term = fmt(pair, self.terms[pair])
-            if parts and not term.startswith("-"):
-                parts.append("+" + term)
-            else:
-                parts.append(term)
-        return "".join(parts)
+        pairs = sorted(self.terms.items())
+        return _format_terms(pairs, lambda e: _power("q", e[0]) + _power("t", e[1]))
 
     def __repr__(self) -> str:
         return f"BivariatePolynomial({str(self)!r})"

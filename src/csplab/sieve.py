@@ -21,7 +21,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from . import catalan, perms, tableaux
 from .errors import (
-    CapExceeded,
+    SHOWN_DIGITS,
     NegativeExponent,
     NonCommutingActions,
     NonIntegerEvaluation,
@@ -29,6 +29,7 @@ from .errors import (
     PreconditionError,
     StatisticMismatch,
     UnknownFamily,
+    check_cap,
 )
 from .qpoly import (
     BivariatePolynomial,
@@ -104,8 +105,14 @@ class CSPInstance:
     family: str = ""
     params: tuple[tuple[str, object], ...] = ()
 
-    def params_dict(self) -> dict:
-        return dict(self.params)
+    def header(self) -> dict:
+        """What every report of the instance starts with, text or JSON."""
+        return {
+            "family": self.family,
+            "params": dict(self.params),
+            "size": self.action.size,
+            "order": self.action.order,
+        }
 
 
 def action_from_objects(
@@ -194,35 +201,29 @@ def verify_csp_roots(inst: CSPInstance) -> tuple[RootRow, ...]:
     return tuple(rows)
 
 
-def verify_csp_orbits(
-    inst: CSPInstance,
-) -> tuple[tuple[int, ...], tuple[int, ...], tuple[bool, ...]]:
-    """Fold the polynomial modulo 1 - q^order and compare each coefficient
-    a_i with the number of orbits whose stabilizer-order divides i (every
-    stabilizer-order divides 0, so a_0 counts all orbits).
+def verify_csp_orbits(inst: CSPInstance) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Fold the polynomial modulo 1 - q^order into (a_0, ..., a_{order-1}),
+    and count for each i the orbits whose stabilizer-order divides i (every
+    stabilizer-order divides 0, so a_0 counts all orbits).  The check passes
+    when the two agree.
 
-    Returns (a, census, matches).
+    Returns (a, census).
     """
     action = inst.action
     a = fold_mod_qn(inst.polynomial, action.order)
     stabs = collections.Counter(o.stabilizer_order for o in action.orbits).items()
     census = tuple(sum(c for s, c in stabs if i % s == 0) for i in range(action.order))
-    matches = tuple(x == y for x, y in zip(a, census))
-    return a, census, matches
+    return a, census
 
 
 @dataclass
 class CSPReport:
-    family: str
-    params: dict
-    size: int
-    order: int
-    polynomial: IntPolynomial
+    """Both checkers' results on ``instance``, which holds what they checked."""
+
+    instance: CSPInstance
     rows: tuple[RootRow, ...]
-    orbits: tuple[Orbit, ...]
     a: tuple[int, ...]
     census: tuple[int, ...]
-    orbit_matches: tuple[bool, ...]
     checker: str = "both"
 
     @property
@@ -231,7 +232,7 @@ class CSPReport:
 
     @property
     def orbits_pass(self) -> bool:
-        return all(self.orbit_matches)
+        return self.a == self.census
 
     @property
     def verdict(self) -> str:
@@ -244,10 +245,7 @@ class CSPReport:
 
     def to_dict(self) -> dict:
         return {
-            "family": self.family,
-            "params": self.params,
-            "size": self.size,
-            "order": self.order,
+            **self.instance.header(),
             "rows": [
                 {
                     "j": r.j,
@@ -260,7 +258,7 @@ class CSPReport:
             ],
             "orbits": [
                 {"size": len(o.members), "stab": o.stabilizer_order}
-                for o in self.orbits
+                for o in self.instance.action.orbits
             ],
             "a": list(self.a),
             "verdict": self.verdict,
@@ -270,20 +268,8 @@ class CSPReport:
 def build_report(inst: CSPInstance, checker: str = "both") -> CSPReport:
     if checker not in ("roots", "orbits", "both"):
         raise PreconditionError("checker must be roots, orbits, or both")
-    a, census, matches = verify_csp_orbits(inst)
-    return CSPReport(
-        family=inst.family,
-        params=inst.params_dict(),
-        size=inst.action.size,
-        order=inst.action.order,
-        polynomial=inst.polynomial,
-        rows=verify_csp_roots(inst),
-        orbits=inst.action.orbits,
-        a=a,
-        census=census,
-        orbit_matches=matches,
-        checker=checker,
-    )
+    a, census = verify_csp_orbits(inst)
+    return CSPReport(inst, verify_csp_roots(inst), a, census, checker)
 
 
 def corrupt_polynomial(f: IntPolynomial, i: int) -> IntPolynomial:
@@ -428,24 +414,12 @@ def verify_block_partition(
 # the family registry
 
 
-# A size or order with this many digits or more is not printed: it may be
-# too long for Python to convert to a string.
-_SHOWN_DIGITS = 30
-
-
-def _check_cap(what: str, value: int, cap: int) -> int:
-    if value > cap:
-        shown = value if value < 10**_SHOWN_DIGITS else f"of {_SHOWN_DIGITS} or more digits"
-        raise CapExceeded(f"{what} {shown} exceeds the cap {cap}")
-    return value
-
-
 def _check_size(count: int, cap: int) -> int:
-    return _check_cap("instance size", count, cap)
+    return check_cap("instance size", count, cap)
 
 
 def _check_order(order: int) -> int:
-    return _check_cap("group order", order, ORDER_CAP)
+    return check_cap("group order", order, ORDER_CAP)
 
 
 def _comb(n: int, k: int, cap: int) -> int:
@@ -453,7 +427,7 @@ def _comb(n: int, k: int, cap: int) -> int:
     too long to print: C(n, j) grows with j up to min(k, n - k)."""
     if not 0 <= k <= n:
         return 0
-    count, enough = 1, max(cap + 1, 10**_SHOWN_DIGITS)
+    count, enough = 1, max(cap + 1, 10**SHOWN_DIGITS)
     for j in range(min(k, n - k)):
         count = count * (n - j) // (j + 1)
         if count >= enough:
@@ -504,6 +478,8 @@ def _build_k_sets(params: Mapping, cap: int, repeat: bool) -> CSPInstance:
         raise PreconditionError(f"{name} needs n >= 1 and k >= 0")
     top = n + k - 1 if repeat else n
     _check_size(_comb(top, k, cap), cap)
+    check_cap("ground set size n", n, cap)  # a size of 0 or 1 bounds neither n
+    check_cap("k", k, cap)  # nor k; any other size bounds both
     g, gen_label = _generator_on_ground(params, n)
     order = _check_order(perms.perm_order(g))
     action = _k_sets(
@@ -651,16 +627,11 @@ def _build_plethysm(params: Mapping, cap: int) -> CSPInstance:
     }
     base = registry_instantiate(base_id, base_params, cap)
     N = base.action.size
-    if kind == "h":
-        _check_size(_comb(N + k - 1, k, cap), cap)
-        f = plethysm_h(k, base.polynomial)
-    else:
-        if base.action.order % 2 == 0:
-            raise PreconditionError(
-                "the e_k construction needs a group of odd order"
-            )
-        _check_size(_comb(N, k, cap), cap)
-        f = plethysm_e(k, base.polynomial)
+    if kind == "e" and base.action.order % 2 == 0:
+        raise PreconditionError("the e_k construction needs a group of odd order")
+    _check_size(_comb(N + k - 1, k, cap) if kind == "h" else _comb(N, k, cap), cap)
+    check_cap("k", k, cap)  # a size of 0 or 1 bounds no k
+    f = (plethysm_h if kind == "h" else plethysm_e)(k, base.polynomial)
     action = _k_sets(
         base.action.labels, base.action.generator, k, kind == "h", ",",
         base.action.order,

@@ -18,7 +18,7 @@ import itertools
 import math
 from typing import Iterable, Iterator, Sequence
 
-from .errors import CapExceeded, InternalInvariantError, PreconditionError
+from .errors import InternalInvariantError, PreconditionError, check_cap
 from .qpoly import DEGREE_CAP, IntPolynomial, q_ratio
 
 __all__ = [
@@ -138,8 +138,7 @@ def q_count_syt(lam: Sequence[int]) -> IntPolynomial:
     q-analogues of the hooklengths.  q_ratio cancels the hooklengths
     against 1..n first, so a long row or column multiplies nothing out."""
     lam = _check_partition(lam)
-    if sum(lam) > DEGREE_CAP:  # more factors a side than q_ratio takes
-        raise CapExceeded(f"q_count_syt of {sum(lam)} cells is above the cap {DEGREE_CAP}")
+    check_cap("q_count_syt cell count", sum(lam), DEGREE_CAP)  # q_ratio's factors a side
     return q_ratio(range(1, sum(lam) + 1), [h for row in hooklengths(lam) for h in row])
 
 
@@ -176,8 +175,7 @@ def enumerate_syt_flat(lam: Sequence[int], cap: int = SYT_CELL_CAP) -> list[Flat
     slice and concatenation."""
     lam = _check_partition(lam)
     n = sum(lam)
-    if n > cap:
-        raise CapExceeded(f"shape has {n} cells, over the cap of {cap}")
+    check_cap("shape cell count", n, cap)
     level: dict[tuple, list[Flat]] = {(): [()]}
     for m in range(1, n + 1):
         cell = (m,)

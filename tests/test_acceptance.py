@@ -120,7 +120,7 @@ def test_c06_triangulations():
     for n in range(1, 11):  # polygon sizes 3..12
         _checked("triangulation", {"n": n})
     inst, rep = _checked("triangulation", {"n": 3})
-    assert [len(o.members) for o in rep.orbits] == [5]
+    assert [len(o.members) for o in inst.action.orbits] == [5]
     _report(6, "triangulation rotation passes for polygons up to 12; "
                "the pentagon is a single orbit of size 5")
 

@@ -128,6 +128,9 @@ def test_poly_command(capsys):
     assert run(capsys, "poly", "qbinom", "4")[0] == 2
 
 
+HUGE = "1" + "0" * 4299  # the most digits Python converts to an int by default
+
+
 @pytest.mark.parametrize("argv,code", [
     # proper_count(14) = 992,256 is over the default cap: refused before any work
     (("verify", "proper_triangulation", "--n", "14"), 2),
@@ -155,14 +158,39 @@ def test_poly_command(capsys):
     (("verify", "triangulation", "--n", "9998"), 2),
     (("verify", "triangulation", "--n", "5000"), 2),
     (("verify", "subset", "--n", "100000", "--k", "50000"), 2),
+    # a k-set instance of size 0 or 1 bounds neither n nor k: both are checked
+    # before the generator is parsed or anything is built (exit 3 before, on
+    # MemoryError or OverflowError)
+    (("verify", "subset", "--n", "1" + "0" * 12, "--k", "0", "--gen", "(1,2)"), 2),
+    (("verify", "subset", "--n", "5", "--k", "1" + "0" * 40), 2),
+    (("verify", "multiset", "--n", "1", "--k", "1" + "0" * 40), 2),
+    (("verify", "multiset", "--n", "1", "--k", "100000000"), 2),
+    (("verify", "plethysm_derived", "--base", "cycle", "--n", "1", "--k", "100000000"), 2),
+    (("verify", "plethysm_derived", "--base", "cycle", "--n", "1", "--k", "1" + "0" * 40,
+      "--kind", "e"), 2),
+    # a corrupted coefficient above the degree cap
+    (("verify", "ncm", "--n", "1", "--corrupt-coeff", "100000000"), 2),
+    (("verify", "cycle", "--n", "3", "--corrupt-coeff", "1" + "0" * 40), 2),
+    # q_ratio counts a range of factors longer than len() can return
+    (("poly", "qfact", "1" + "0" * 40), 2),
+    (("poly", "qcatalan", "1" + "0" * 40), 2),
+    (("poly", "qfuss", "1" + "0" * 40, "2"), 2),
+    # 4,300-digit arguments: no cap message prints them or values built from
+    # them (before: the int-to-str ValueError, or 8,600-character messages)
+    (("poly", "propertri", HUGE), 2),
+    (("poly", "qbinom", HUGE, "3"), 2),
+    (("poly", "qfuss", "3", HUGE), 2),
+    (("poly", "qint", HUGE), 2),
+    (("poly", "eulerian", HUGE), 2),
+    # the prime 2^61 - 1, far above 2 DEGREE_CAP^2: refused before trial
+    # division, which would run for hours
+    (("poly", "cyclotomic", str(2**61 - 1)), 2),
 ])
 def test_large_inputs_end_at_once(argv, code):
     done = _run_child(argv, address_space=1 << 30)
     assert done.returncode == code, done.stderr
     if code == 2:
-        assert done.stdout == ""
-        assert done.stderr.count("\n") == 1 and "exceeds the cap" in done.stderr
-        assert len(done.stderr) < 100, done.stderr
+        _assert_one_short_cap_message(done)
 
 
 @pytest.mark.parametrize("m,n", [(1, 1200), (1, 10000), (10000, 1)])
@@ -190,8 +218,13 @@ def test_poly_caps_refuse_dear_calls_at_once(argv):
     # and before any list as long as the argument is built
     done = _run_child(argv, address_space=1 << 30)
     assert done.returncode == 2, done.stderr
+    _assert_one_short_cap_message(done)
+
+
+def _assert_one_short_cap_message(done):
     assert done.stdout == ""
-    assert "above the cap" in done.stderr or "digits" in done.stderr
+    assert done.stderr.count("\n") == 1 and "exceeds the cap" in done.stderr
+    assert len(done.stderr) < 100, done.stderr
 
 
 def _run_child(argv, address_space=None):

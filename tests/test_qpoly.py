@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import evaluation_oracle
+import printer_oracle
 import qpoly_oracle
 from evaluation_oracle import root_of_unity_binomial
 from csplab.errors import (
@@ -374,6 +375,22 @@ def test_subst_t_q_inverse():
     assert subst_t_q_inverse(G) == P([0, 0, 3])
 
 
+# coefficients where the printing rules differ: zero, +-1, other magnitudes
+COEFFS = st.one_of(st.sampled_from([0, 1, -1]), st.integers(min_value=-10**6, max_value=10**6))
+
+
+@given(st.lists(COEFFS, max_size=12))
+def test_str_matches_the_old_printer(coeffs):
+    f = P(coeffs)
+    assert str(f) == printer_oracle.int_polynomial_str(f.coeffs)
+
+
+@given(st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)), COEFFS, max_size=10))
+def test_bivariate_str_matches_the_old_printer(terms):
+    F = BivariatePolynomial(terms)
+    assert str(F) == printer_oracle.bivariate_str(F.terms)
+
+
 @given(
     st.lists(st.integers(min_value=-5, max_value=5), max_size=10),
     st.lists(st.integers(min_value=-5, max_value=5), min_size=1, max_size=6),
@@ -479,6 +496,14 @@ def test_caps_admit_the_largest_verify_polynomial():
 def test_caps_refuse_before_any_arithmetic(build):
     with pytest.raises(CapExceeded):
         build()
+
+
+def test_q_ratio_counts_a_range_of_factors_of_any_length():
+    # len() of a range longer than sys.maxsize raises OverflowError
+    with pytest.raises(CapExceeded, match="^q_ratio factors a side 200001 exceeds the cap"):
+        q_ratio(range(2, DEGREE_CAP + 3))
+    with pytest.raises(CapExceeded, match="^q_ratio factors a side of 30 or more digits"):
+        q_ratio(range(2, 10**40))
 
 
 def test_docstring_examples():

@@ -244,15 +244,14 @@ def test_verify_roots_syt33_golden():
 
 def test_verify_orbits_multiset_golden():
     inst = sieve.registry_instantiate("multiset", {"n": 3, "k": 2})
-    a, census, matches = sieve.verify_csp_orbits(inst)
+    a, census = sieve.verify_csp_orbits(inst)
     assert a == (2, 2, 2)
     assert census == (2, 2, 2)
-    assert all(matches)
 
 
 def test_verify_orbits_subset_golden():
     inst = sieve.registry_instantiate("subset", {"n": 4, "k": 2})
-    a, census, matches = sieve.verify_csp_orbits(inst)
+    a, census = sieve.verify_csp_orbits(inst)
     assert a == (2, 1, 2, 1)
     assert census == (2, 1, 2, 1)
     orbits = sieve.orbit_decompose(inst.action)
@@ -263,7 +262,7 @@ def test_single_fixed_point_census():
     # one fixed point contributes to every a_i through its stabilizer
     a = sieve.CyclicAction(("p", "q", "r", "s"), (0, 2, 3, 1), 3)
     inst = sieve.CSPInstance(a, IntPolynomial([2, 1, 1]))
-    _, census, _ = sieve.verify_csp_orbits(inst)
+    _, census = sieve.verify_csp_orbits(inst)
     assert census == (2, 1, 1)
 
 
