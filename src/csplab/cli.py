@@ -16,7 +16,6 @@ import argparse
 import dataclasses
 import json
 import os
-import re
 import sys
 from typing import Sequence
 
@@ -28,7 +27,6 @@ from .errors import (
     NegativeExponent,
     NonIntegerEvaluation,
     PreconditionError,
-    UnknownFamily,
 )
 
 INTERNAL_ERRORS = (
@@ -90,32 +88,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _signature_flags(family: str) -> set[str]:
-    """The flags a family's signature lists: {"n", "k", "gen"} for subset."""
-    if family not in sieve.FAMILIES:
-        raise UnknownFamily(family)
-    return set(re.findall(r"--(\w+)", sieve.FAMILIES[family].signature))
-
-
 def _collect_params(ns: argparse.Namespace) -> dict:
-    """The family parameters given on the command line.  A flag that the
-    family's signature does not list is a usage error, not dropped; a family
-    that takes --base also takes its base family's flags."""
+    """The family parameters given on the command line; the registry checks them."""
     given = vars(ns)
     keys = ("n", "k", "m", "lam", "gen", "base", "kind")
-    params = {key: given[key] for key in keys if given[key] is not None}
-    accepted = _signature_flags(ns.family)
-    signature = sieve.FAMILIES[ns.family].signature
-    base = params.get("base") if "base" in accepted else None
-    if base is not None:
-        accepted |= _signature_flags(base)
-        signature += f"; base {base}: {sieve.FAMILIES[base].signature}"
-    extra = " ".join(f"--{key}" for key in params if key not in accepted)
-    if extra:
-        raise PreconditionError(
-            f"family {ns.family} does not take {extra}; signature: {signature}"
-        )
-    return params
+    return {key: given[key] for key in keys if given[key] is not None}
 
 
 def _size_cap(ns: argparse.Namespace) -> int | None:

@@ -16,6 +16,7 @@ import collections
 import functools
 import itertools
 import math
+import re
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -622,9 +623,8 @@ def _build_plethysm(params: Mapping, cap: int) -> CSPInstance:
         raise PreconditionError("plethysm kind must be 'h' or 'e'")
     if k < 0:
         raise PreconditionError("plethysm_derived needs k >= 0")
-    base_params = {
-        key: val for key, val in params.items() if key not in ("base", "k", "kind")
-    }
+    _, base_flags = _parameters(base_id)
+    base_params = {key: val for key, val in params.items() if key in base_flags}
     base = registry_instantiate(base_id, base_params, cap)
     N = base.action.size
     if kind == "e" and base.action.order % 2 == 0:
@@ -702,7 +702,7 @@ FAMILIES: dict[str, Family] = {
             _build_cycle,
         ),
         Family(
-            "plethysm_derived", "--base FAMILY --k K --kind h|e [base params]",
+            "plethysm_derived", "--base FAMILY --k K [--kind h|e] [base params]",
             "k-multisets (h) or k-subsets (e, odd order) of a base instance",
             _build_plethysm,
         ),
@@ -714,19 +714,37 @@ def list_families() -> tuple[Family, ...]:
     return tuple(FAMILIES[name] for name in sorted(FAMILIES))
 
 
-def registry_instantiate(
-    family_id: str, params: Mapping, size_cap: int | None = None
-) -> CSPInstance:
-    """Build the (X, generator, f) triple for a registered family."""
+def _parameters(family_id: str) -> tuple[Family, dict[str, bool]]:
+    """A registered family and its parameter table, read off its signature:
+    each flag the signature lists, and whether it is required (not in brackets)."""
     if family_id not in FAMILIES:
         raise UnknownFamily(family_id)
     fam = FAMILIES[family_id]
-    cap = DEFAULT_SIZE_CAP if size_cap is None else size_cap
-    try:
-        return fam.builder(params, cap)
-    except UnknownFamily:  # a base family of plethysm_derived
-        raise
-    except KeyError as exc:
-        raise PreconditionError(
-            f"family {family_id} needs parameter {exc}; signature: {fam.signature}"
-        ) from exc
+    return fam, {flag: not opt for opt, flag in re.findall(r"(\[?)--(\w+)", fam.signature)}
+
+
+def registry_instantiate(
+    family_id: str, params: Mapping, size_cap: int | None = None
+) -> CSPInstance:
+    """Build the (X, generator, f) triple for a registered family, once its
+    parameters match the family's table (and its base family's, which may not
+    share a flag with it): none unlisted, none of the required ones missing."""
+    fam, table = _parameters(family_id)
+    accepted, signature = set(table), fam.signature
+    if "base" in table and "base" in params:
+        base, base_table = _parameters(params["base"])
+        shared = " ".join(f"--{flag}" for flag in base_table if flag in table)
+        if shared:
+            raise PreconditionError(f"family {family_id} cannot take base {base.name}, "
+                                    f"which also takes {shared}")
+        accepted |= set(base_table)
+        signature += f"; base {base.name}: {base.signature}"
+    extra = " ".join(f"--{key}" for key in params if key not in accepted)
+    if extra:
+        raise PreconditionError(f"family {family_id} does not take {extra}; "
+                                f"signature: {signature}")
+    missing = [flag for flag, required in table.items() if required and flag not in params]
+    if missing:
+        raise PreconditionError(f"family {family_id} needs parameter {missing[0]!r}; "
+                                f"signature: {fam.signature}")
+    return fam.builder(params, DEFAULT_SIZE_CAP if size_cap is None else size_cap)

@@ -1,5 +1,6 @@
 """Command line behavior: exit codes, JSON schema, determinism."""
 
+import dataclasses
 import json
 import os
 import resource
@@ -350,6 +351,54 @@ def test_flags_a_family_does_not_take_are_usage_errors(capsys, command, argv, fl
     assert out == ""
     assert f"family {argv[0]} does not take {flag}; signature: " in err
     assert sieve.FAMILIES[argv[0]].signature in err and signature in err
+
+
+def test_base_is_resolved_only_for_a_family_that_takes_it(capsys):
+    code, out, err = run(capsys, "verify", "ncp", "--n", "3", "--base", "nope")
+    assert code == 2
+    assert out == ""
+    assert err == "error: family ncp does not take --base; signature: --n N\n"
+
+
+@pytest.mark.parametrize(
+    "base,shared",
+    [("subset", "--k"), ("multiset", "--k"), ("plethysm_derived", "--base --k --kind")],
+)
+def test_plethysm_base_sharing_a_flag_is_usage_error(capsys, base, shared):
+    # subset used to be told it needed parameter 'k', although --k was given
+    code, out, err = run(capsys, "verify", "plethysm_derived", "--base", base,
+                         "--n", "4", "--k", "2", "--kind", "h")
+    assert code == 2
+    assert out == ""
+    assert err == (
+        f"error: family plethysm_derived cannot take base {base}, which also takes {shared}\n"
+    )
+
+
+@pytest.mark.parametrize("command", ["verify", "orbits"])
+def test_collected_options_are_the_signature_flags(command):
+    """build_parser declares the family options by hand and _collect_params
+    names them again; both must be the flags that the signatures list."""
+    flags = set().union(*(sieve._parameters(name)[1] for name in sieve.FAMILIES))
+    ns = cli.build_parser().parse_args([command, "cycle"])
+    others = {"command", "family", "json", "out", "cap", "checker", "corrupt_coeff"}
+    assert set(vars(ns)) - others == flags
+    for key in vars(ns):
+        setattr(ns, key, key)
+    assert set(cli._collect_params(ns)) == flags
+
+
+def test_key_error_in_a_builder_is_internal_error(capsys, monkeypatch):
+    # the registry no longer turns a builder's KeyError into a usage error
+    def builder(params, cap):
+        raise KeyError("oops")
+
+    fam = sieve.FAMILIES["ncp"]
+    monkeypatch.setitem(sieve.FAMILIES, "ncp", dataclasses.replace(fam, builder=builder))
+    code, out, err = run(capsys, "verify", "ncp", "--n", "2")
+    assert code == 3
+    assert out == ""
+    assert err == "internal error: KeyError: 'oops'\n"
 
 
 def test_empty_instance_passes(capsys):

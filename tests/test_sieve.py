@@ -1,5 +1,8 @@
 """The verification engine: actions, orbits, both checkers, registry."""
 
+import contextlib
+import dataclasses
+import io
 import itertools
 import math
 
@@ -15,9 +18,9 @@ from fixed_point_oracle import (
 )
 from materialize_oracle import FAMILIES as ORACLE_FAMILIES
 from materialize_oracle import k_sets, label_keyed_action, oracle_action
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from csplab import perms, sieve
+from csplab import cli, perms, sieve
 from csplab.errors import (
     CapExceeded,
     CspLabError,
@@ -677,35 +680,155 @@ def test_checker_equivalence_across_families(family, params):
 
 _junk_int = st.integers(min_value=-2, max_value=7)
 
+# junk values for every flag a family signature lists
+_JUNK = {
+    "n": _junk_int,
+    "k": _junk_int,
+    "m": _junk_int,
+    "lam": st.one_of(
+        st.lists(st.integers(min_value=-1, max_value=3), max_size=3).map(tuple),
+        st.text(alphabet="0123,-", max_size=5),
+    ),
+    "gen": st.sampled_from(["(1,2)", "(1,2,3)", "(1,2)(3,4)", "(1,1)", "(9)", "1,2"]),
+    "base": st.sampled_from(sorted(sieve.FAMILIES) + ["nope"]),
+    "kind": st.sampled_from(["h", "e", "x"]),
+}
+
+
+def _junk_params(family):
+    """Junk values for the flags the family's signature lists; the optional
+    ones may be left out."""
+    _, table = sieve._parameters(family)
+    return st.fixed_dictionaries(
+        {flag: _JUNK[flag] for flag, required in table.items() if required},
+        optional={flag: _JUNK[flag] for flag, required in table.items() if not required},
+    )
+
+
+@st.composite
+def _family_and_junk_params(draw):
+    """A family and junk values for its flags, and for its base's flags when
+    it takes a registered base; its own values win a flag both list."""
+    family = draw(st.sampled_from(sorted(sieve.FAMILIES)))
+    params = draw(_junk_params(family))
+    if params.get("base") in sieve.FAMILIES:
+        params = {**draw(_junk_params(params["base"])), **params}
+    return family, params
+
 
 @settings(deadline=None, max_examples=300)
-@given(
-    st.sampled_from(sorted(sieve.FAMILIES)),
-    st.fixed_dictionaries(
-        {
-            "n": _junk_int,
-            "k": _junk_int,
-            "m": _junk_int,
-            "lam": st.one_of(
-                st.lists(st.integers(min_value=-1, max_value=3), max_size=3).map(tuple),
-                st.text(alphabet="0123,-", max_size=5),
-            ),
-        },
-        optional={
-            "gen": st.sampled_from(["(1,2)", "(1,2,3)", "(1,2)(3,4)", "(1,1)", "(9)", "1,2"]),
-            "base": st.sampled_from(sorted(sieve.FAMILIES) + ["nope"]),
-            "kind": st.sampled_from(["h", "e", "x"]),
-        },
-    ),
-)
-def test_registry_ends_in_verdict_or_usage_error(family, params):
-    """Any parameters, junk included, end in a verdict or in one of the
-    errors the CLI maps to exit 2 (usage), never in another exception."""
+@given(_family_and_junk_params())
+def test_registry_ends_in_verdict_or_usage_error(family_and_params):
+    """Junk values of the flags a family takes end in a verdict or in one of
+    the errors the CLI maps to exit 2 (usage), never in another exception."""
+    family, params = family_and_params
     try:
         inst = sieve.registry_instantiate(family, params, size_cap=60)
     except (CspLabError, ValueError):
         return
     assert sieve.build_report(inst).verdict in ("pass", "fail")
+
+
+# a value the CLI accepts for each family flag, in the order it collects them
+_CLI_VALUES = {
+    "n": "3", "k": "2", "m": "2", "lam": "2,1", "gen": "(1,2)", "base": "cycle",
+    "kind": "h",
+}
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    st.sampled_from(sorted(sieve.FAMILIES)),
+    st.sets(
+        st.sampled_from(sorted(_CLI_VALUES)) | st.text("abcxyz_", min_size=1, max_size=4),
+        min_size=1, max_size=3,
+    ),
+)
+def test_unlisted_parameters_are_refused_with_the_cli_message(family, names):
+    """On the library path, a parameter the signature does not list raises
+    the same PreconditionError that the CLI prints, before any builder runs;
+    plethysm_derived also takes its base's flags (here cycle's --n)."""
+    fam, table = sieve._parameters(family)
+    accepted = set(table) | ({"n"} if "base" in table else set())
+    extras = names - accepted
+    assume(extras)
+    params = {
+        flag: value for flag, value in _CLI_VALUES.items()
+        if flag in accepted or flag in extras
+    }
+    params.update((name, "1") for name in sorted(extras - set(_CLI_VALUES)))
+    shown = " ".join(f"--{name}" for name in params if name not in accepted)
+    signature = fam.signature + ("; base cycle: --n N" if "base" in table else "")
+    message = f"family {family} does not take {shown}; signature: {signature}"
+    with pytest.raises(PreconditionError) as exc:
+        sieve.registry_instantiate(family, params)
+    assert str(exc.value) == message
+    if extras <= set(_CLI_VALUES):
+        argv = ["verify", family]
+        for name, value in params.items():
+            argv += [f"--{name}", value]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert cli.main(argv) == 2
+        assert err.getvalue() == f"error: {message}\n"
+
+
+def test_unknown_parameter_is_refused_not_dropped():
+    # the registry used to build `ncp --n 4` and ignore k
+    with pytest.raises(PreconditionError, match="^family ncp does not take --k; "
+                       "signature: --n N$"):
+        sieve.registry_instantiate("ncp", {"n": 4, "k": 99})
+
+
+@pytest.mark.parametrize(
+    "params,missing", [({"n": 3}, "k"), ({}, "n"), ({"k": 2, "gen": "(1,2)"}, "n")]
+)
+def test_first_missing_parameter_is_named_before_the_builder_runs(monkeypatch, params,
+                                                                  missing):
+    def builder(params, cap):
+        raise AssertionError(f"builder ran on {params}")
+
+    fam = sieve.FAMILIES["multiset"]
+    monkeypatch.setitem(sieve.FAMILIES, "multiset", dataclasses.replace(fam, builder=builder))
+    with pytest.raises(PreconditionError) as exc:
+        sieve.registry_instantiate("multiset", params)
+    assert str(exc.value) == (
+        f"family multiset needs parameter '{missing}'; signature: {fam.signature}"
+    )
+
+
+@pytest.mark.parametrize(
+    "base,shared",
+    [("subset", "--k"), ("multiset", "--k"), ("plethysm_derived", "--base --k --kind")],
+)
+def test_plethysm_refuses_a_base_that_shares_its_flags(base, shared):
+    # --k went to plethysm_derived, and the base was told it needed parameter 'k'
+    params = {"base": base, "n": 4, "k": 2, "kind": "h"}
+    with pytest.raises(PreconditionError) as exc:
+        sieve.registry_instantiate("plethysm_derived", params)
+    assert str(exc.value) == (
+        f"family plethysm_derived cannot take base {base}, which also takes {shared}"
+    )
+
+
+@pytest.mark.parametrize(
+    "base,base_params",
+    [
+        ("cycle", {"n": 3}),
+        ("ncp", {"n": 3}),
+        ("ncm", {"n": 2}),
+        ("triangulation", {"n": 2}),
+        ("syt_rect", {"m": 2, "n": 2}),
+        ("conj_class", {"lam": "2,1"}),
+        ("proper_triangulation", {"n": 2}),
+    ],
+)
+def test_plethysm_builds_on_every_other_base(base, base_params):
+    inst = sieve.registry_instantiate(
+        "plethysm_derived", {"base": base, "k": 2, **base_params}
+    )
+    assert inst.params[:3] == (("base", base), ("k", 2), ("kind", "h"))
+    assert sieve.build_report(inst).verdict == "pass"
 
 
 def test_bounded_binomial():
