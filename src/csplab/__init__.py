@@ -10,7 +10,6 @@ from .errors import (
     NonIntegerEvaluation,
     NotNearlyFree,
     PreconditionError,
-    StatisticMismatch,
     UnknownFamily,
 )
 from .qpoly import (
@@ -47,7 +46,6 @@ from .sieve import (
     orbit_decompose,
     registry_instantiate,
     verify_bicsp,
-    verify_block_partition,
     verify_csp_orbits,
     verify_csp_roots,
 )

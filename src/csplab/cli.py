@@ -99,7 +99,12 @@ def _size_cap(ns: argparse.Namespace) -> int | None:
     if getattr(ns, "cap", None) is not None:
         return ns.cap
     env = os.environ.get("CSP_LAB_CAP")
-    return int(env) if env else None
+    if not env:
+        return None
+    try:
+        return int(env)
+    except ValueError:
+        raise PreconditionError("CSP_LAB_CAP must be an integer") from None
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -189,8 +194,10 @@ def cmd_poly(ns: argparse.Namespace) -> int:
 
 
 def cmd_list() -> int:
-    for fam in sieve.list_families():
-        print(f"{fam.name:<22} {fam.signature:<42} {fam.description}")
+    families = sieve.list_families()
+    width = max(len(fam.signature) for fam in families)
+    for fam in families:
+        print(f"{fam.name:<22} {fam.signature:<{width}} {fam.description}")
     print(f"caps: size {sieve.DEFAULT_SIZE_CAP} (override with --cap or CSP_LAB_CAP), "
           f"order {sieve.ORDER_CAP}")
     return 0

@@ -71,10 +71,5 @@ class NonCommutingActions(CspLabError, ValueError):
     """The two generators of a bicyclic check do not commute."""
 
 
-class StatisticMismatch(CspLabError, ValueError):
-    """A statistic's generating function disagrees with the instance
-    polynomial, so a block-partition certificate cannot be checked."""
-
-
 class InternalInvariantError(CspLabError, AssertionError):
     """An internal consistency check failed (a bug, not a usage error)."""

@@ -12,13 +12,13 @@ import re
 from typing import Iterable, Iterator, Sequence
 
 from .errors import PreconditionError, check_cap
-from .qpoly import BivariatePolynomial, IntPolynomial
+from .qpoly import BivariatePolynomial
 from .tableaux import _check_partition
 
 __all__ = [
-    "Permutation", "identity", "compose", "inverse", "perm_order",
+    "Permutation", "inverse", "perm_order",
     "from_cycles", "index_cycles", "cycles_of", "parse_cycles", "perm_label",
-    "symmetric_group", "stat", "stat_genfun", "cycle_type",
+    "symmetric_group", "stat", "cycle_type",
     "conjugacy_class", "conjugate", "maj_exc_genfun", "nearly_free_kind",
     "CLASS_CAP",
 ]
@@ -30,15 +30,6 @@ CLASS_CAP = 8  # full S_n is filtered for class enumeration; 8! is trivial
 STATISTICS = ("inv", "maj", "des", "exc")
 
 NOT_A_PERMUTATION = "generator is not a permutation of the indices"
-
-
-def identity(n: int) -> Permutation:
-    return tuple(range(1, n + 1))
-
-
-def compose(v: Permutation, w: Permutation) -> Permutation:
-    """(v o w)(i) = v(w(i))."""
-    return tuple(v[x - 1] for x in w)
 
 
 def inverse(w: Permutation) -> Permutation:
@@ -149,11 +140,6 @@ def stat(w: Permutation, which: str) -> int:
     if which == "exc":
         return sum(1 for i, x in enumerate(w, start=1) if x > i)
     raise PreconditionError(f"unknown statistic {which!r}; pick from {STATISTICS}")
-
-
-def stat_genfun(X: Iterable[Permutation], which: str) -> IntPolynomial:
-    """Weight generating function: the sum of q^stat(w) over w in X."""
-    return IntPolynomial.from_exponents(collections.Counter(stat(w, which) for w in X))
 
 
 # ---------------------------------------------------------------------------

@@ -82,9 +82,6 @@ class IntPolynomial:
         """Degree of the leading term; the zero polynomial has degree -1."""
         return len(self.coeffs) - 1
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
@@ -126,7 +123,7 @@ class IntPolynomial:
 
     def shift(self, k: int) -> "IntPolynomial":
         """Multiply by q^k."""
-        if self.is_zero():
+        if not self:
             return self
         return IntPolynomial((0,) * k + self.coeffs)
 
@@ -136,9 +133,6 @@ class IntPolynomial:
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
-
-    def is_palindromic(self) -> bool:
-        return self.coeffs == tuple(reversed(self.coeffs))
 
     def __str__(self) -> str:
         return _format_terms(enumerate(self.coeffs), functools.partial(_power, "q"))
@@ -191,7 +185,7 @@ def _divmod(f: IntPolynomial, g: IntPolynomial) -> tuple[IntPolynomial, IntPolyn
     Requires every leading-coefficient division along the way to be exact,
     which always holds when g is monic or when f is a true multiple of g.
     """
-    if g.is_zero():
+    if not g:
         raise ZeroDivisionError("division by the zero polynomial")
     lead_g = g.coeffs[-1]
     rem = list(f.coeffs)
@@ -219,7 +213,7 @@ def _divmod(f: IntPolynomial, g: IntPolynomial) -> tuple[IntPolynomial, IntPolyn
 def exact_divide(f: IntPolynomial, g: IntPolynomial) -> IntPolynomial:
     """Return h with f = g*h, raising InexactDivision if no such h exists."""
     quot, rem = _divmod(f, g)
-    if not rem.is_zero():
+    if rem:
         raise InexactDivision(f"{f} is not a multiple of {g} (remainder {rem})")
     return quot
 

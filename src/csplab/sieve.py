@@ -23,12 +23,10 @@ from typing import Callable, Iterable, Mapping, Sequence
 from . import catalan, perms, tableaux
 from .errors import (
     SHOWN_DIGITS,
-    NegativeExponent,
     NonCommutingActions,
     NonIntegerEvaluation,
     NotNearlyFree,
     PreconditionError,
-    StatisticMismatch,
     UnknownFamily,
     check_cap,
 )
@@ -50,7 +48,7 @@ __all__ = [
     "CyclicAction", "Orbit", "CSPInstance", "RootRow", "CSPReport",
     "BicspCell", "BicspReport", "action_from_objects", "orbit_decompose",
     "fixed_count", "verify_csp_roots", "verify_csp_orbits", "build_report",
-    "verify_bicsp", "verify_block_partition", "berget_eu_reiner_toy",
+    "verify_bicsp", "berget_eu_reiner_toy",
     "registry_instantiate", "list_families", "corrupt_polynomial",
     "DEFAULT_SIZE_CAP", "ORDER_CAP",
 ]
@@ -366,49 +364,6 @@ def berget_eu_reiner_toy() -> tuple[tuple[str, ...], tuple[int, ...], BivariateP
     gen = (1, 2, 0)
     F = BivariatePolynomial({(0, 0): 1, (1, 1): 1, (2, 2): 1})
     return labels, gen, F
-
-
-# ---------------------------------------------------------------------------
-# block-partition certificates
-
-
-def verify_block_partition(
-    inst: CSPInstance,
-    stat: Mapping[str, int] | Callable[[str], int],
-    blocks: Sequence[Sequence[int]],
-    j: int,
-) -> bool:
-    """Check a combinatorial sieving certificate at g^j: with a statistic
-    whose generating function over X is the instance polynomial, the first
-    #X^{g^j} blocks must have weight evaluating to 1 at the root of unity
-    and the rest to 0."""
-    action = inst.action
-    value_of = stat.__getitem__ if isinstance(stat, Mapping) else stat
-    flat = sorted(i for block in blocks for i in block)
-    if flat != list(range(action.size)):
-        raise PreconditionError("blocks must partition the index set")
-
-    def genfun(indices: Iterable[int]) -> IntPolynomial:
-        counts = collections.Counter(value_of(action.labels[i]) for i in indices)
-        try:
-            return IntPolynomial.from_exponents(counts)
-        except NegativeExponent:
-            raise PreconditionError("statistic values must be nonnegative") from None
-
-    if genfun(range(action.size)) != inst.polynomial:
-        raise StatisticMismatch(
-            "statistic generating function differs from the instance polynomial"
-        )
-    d = action.order // math.gcd(action.order, j)
-    m = fixed_count(action, j)
-    for i, block in enumerate(blocks, start=1):
-        try:
-            value = eval_at_root(genfun(block), d)
-        except NonIntegerEvaluation:
-            return False
-        if value != (1 if i <= m else 0):
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -16,20 +16,19 @@ import bisect
 import functools
 import itertools
 import math
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .errors import InternalInvariantError, PreconditionError, check_cap
 from .qpoly import DEGREE_CAP, IntPolynomial, q_ratio
 
 __all__ = [
-    "Tableau", "shape", "is_standard", "is_semistandard", "content",
+    "Tableau", "shape", "is_standard", "is_semistandard",
     "tableau_label", "hooklengths", "count_syt", "q_count_syt",
-    "enumerate_syt", "promote", "promote_inverse", "evacuate",
+    "enumerate_syt", "promote", "evacuate",
     "enumerate_syt_flat", "promote_flat", "neighbour_tables", "label_template",
     "promotion_of_syt",
-    "transpose_tableau", "pon_wang_iota", "rsk_word", "rsk_word_inverse",
-    "rsk_matrix", "rsk_matrix_inverse", "ballot_sequence",
-    "tableau_from_ballot", "tableau_to_matching", "matching_to_tableau",
+    "transpose_tableau", "pon_wang_iota", "rsk_word", "rsk_matrix",
+    "ballot_sequence", "tableau_to_matching",
     "SYT_CELL_CAP",
 ]
 
@@ -72,17 +71,6 @@ def is_semistandard(T: Tableau) -> bool:
             if T[i][j] >= T[i + 1][j]:
                 return False
     return True
-
-
-def content(T: Tableau) -> tuple[int, ...]:
-    """Multiplicity vector: entry k appears content(T)[k-1] times."""
-    entries = [x for row in T for x in row]
-    if not entries:
-        return ()
-    out = [0] * max(entries)
-    for x in entries:
-        out[x - 1] += 1
-    return tuple(out)
 
 
 def tableau_label(T: Tableau) -> str:
@@ -262,12 +250,6 @@ def promote_flat(T: Flat, below: Sequence[int], right: Sequence[int]) -> Flat:
     return tuple(map(_DECREMENT, t))
 
 
-def promote_inverse(T: Tableau) -> Tableau:
-    """Inverse promotion, by Schutzenberger's identity: evacuate, promote,
-    evacuate."""
-    return evacuate(promote(evacuate(T)))
-
-
 def evacuate(T: Tableau) -> Tableau:
     """Evacuation: for m = n, ..., 1, promote the tableau of entries 1..m;
     the cell that receives m keeps it and drops out.  An involution on
@@ -354,32 +336,6 @@ def rsk_word(w: Sequence[int]) -> tuple[Tableau, Tableau]:
     return P, Q
 
 
-def _reverse_bump(rows: list[list[int]], r: int, c: int) -> int:
-    """Undo an insertion that ended at cell (r, c); return the inserted value."""
-    x = rows[r].pop(c)
-    if not rows[r]:
-        rows.pop(r)
-    for rr in range(r - 1, -1, -1):
-        row = rows[rr]
-        lo = bisect.bisect_left(row, x)  # row[lo - 1] is the rightmost entry below x
-        row[lo - 1], x = x, row[lo - 1]
-    return x
-
-
-def rsk_word_inverse(P: Tableau, Q: Tableau) -> tuple[int, ...]:
-    """Recover the word from its insertion/recording pair."""
-    if shape(P) != shape(Q) or not is_standard(Q):
-        raise PreconditionError("need standard Q with the shape of P")
-    rows = [list(r) for r in P]
-    n = sum(len(r) for r in P)
-    positions = {Q[r][c]: (r, c) for r in range(len(Q)) for c in range(len(Q[r]))}
-    out = []
-    for step in range(n, 0, -1):
-        r, c = positions[step]
-        out.append(_reverse_bump(rows, r, c))
-    return tuple(reversed(out))
-
-
 def rsk_matrix(M: Sequence[Sequence[int]]) -> tuple[Tableau, Tableau]:
     """Knuth's generalization: expand M into the lexicographic two-line
     array with column (i over j) repeated M[i][j] times, insert the bottom
@@ -397,41 +353,6 @@ def rsk_matrix(M: Sequence[Sequence[int]]) -> tuple[Tableau, Tableau]:
     P = tuple(tuple(r) for r in rows)
     Q = tuple(tuple(r) for r in record)
     return P, Q
-
-
-def rsk_matrix_inverse(
-    P: Tableau, Q: Tableau, nrows: int = 0, ncols: int = 0
-) -> tuple[tuple[int, ...], ...]:
-    """Recover the nonnegative matrix from a same-shape semistandard pair.
-
-    Equal recording entries were created left to right, so they are removed
-    right to left (within one value the filled cells form a horizontal
-    strip, making the rightmost column unambiguous).
-    """
-    if shape(P) != shape(Q) or not is_semistandard(P) or not is_semistandard(Q):
-        raise PreconditionError("need same-shape semistandard P and Q")
-    rows = [list(r) for r in P]
-    qrows = [list(r) for r in Q]
-    pairs = []
-    remaining = sum(len(r) for r in qrows)
-    while remaining:
-        top = max(x for row in qrows for x in row)
-        r, c = max(
-            ((rr, len(row) - 1) for rr, row in enumerate(qrows) if row and row[-1] == top),
-            key=lambda rc: rc[1],
-        )
-        qrows[r].pop()
-        if not qrows[r]:
-            qrows.pop(r)
-        pairs.append((top, _reverse_bump(rows, r, c)))
-        remaining -= 1
-    pairs.reverse()
-    nrows = max(nrows, max((i for i, _ in pairs), default=0))
-    ncols = max(ncols, max((j for _, j in pairs), default=0))
-    M = [[0] * ncols for _ in range(nrows)]
-    for i, j in pairs:
-        M[i - 1][j - 1] += 1
-    return tuple(tuple(row) for row in M)
 
 
 # ---------------------------------------------------------------------------
@@ -456,19 +377,6 @@ def ballot_sequence(T: Tableau) -> tuple[int, ...]:
     return tuple(b)
 
 
-def tableau_from_ballot(b: Sequence[int]) -> Tableau:
-    """Inverse of ballot_sequence: put m into row b[m-1]."""
-    rows: list[list[int]] = []
-    for m, r in enumerate(b, start=1):
-        while len(rows) < r:
-            rows.append([])
-        rows[r - 1].append(m)
-    T = tuple(tuple(row) for row in rows)
-    if not is_standard(T):
-        raise PreconditionError(f"{b} is not a ballot sequence")
-    return T
-
-
 def tableau_to_matching(T: Tableau) -> tuple[tuple[int, int], ...]:
     """Two-row rectangular tableaux to noncrossing perfect matchings: read
     the ballot word as parentheses (row 1 opens, row 2 closes) and match
@@ -484,16 +392,3 @@ def tableau_to_matching(T: Tableau) -> tuple[tuple[int, int], ...]:
         else:
             edges.append((stack.pop(), pos))
     return tuple(sorted(edges))
-
-
-def matching_to_tableau(edges: Iterable[tuple[int, int]]) -> Tableau:
-    """Inverse: openers (smaller endpoints) go to row 1, closers to row 2."""
-    edges = [tuple(sorted(e)) for e in edges]
-    verts = sorted(v for e in edges for v in e)
-    if verts != list(range(1, 2 * len(edges) + 1)):
-        raise PreconditionError("edges must perfectly match 1..2n")
-    b = [0] * len(verts)
-    for a, z in edges:
-        b[a - 1] = 1
-        b[z - 1] = 2
-    return tableau_from_ballot(b)

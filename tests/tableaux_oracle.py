@@ -3,13 +3,11 @@
 ``csplab.tableaux`` enumerates, promotes and labels standard tableaux as
 flat row-major tuples: enumeration level by level over shapes, promotion by
 one slide over per-shape neighbour tables, labels by a per-shape format
-template.  It builds evacuation and inverse promotion from promotion:
-evacuation promotes the tableau of entries 1..m for m = n, ..., 1, and
-inverse promotion is evacuation, promotion, evacuation.  This module keeps
-the direct forms on row tuples instead: the recursive row-wise fill, the
-slide on rows, labels joined row by row, the q-count with [n]_q! multiplied
-out, evacuation sliding among cells that freeze as they are filled, and
-inverse promotion sliding the hole from n's cell back to the origin.
+template.  It builds evacuation from promotion: it promotes the tableau
+of entries 1..m for m = n, ..., 1.  This module keeps the direct forms on
+row tuples instead: the recursive row-wise fill, the slide on rows, labels
+joined row by row, the q-count with [n]_q! multiplied out, and evacuation
+sliding among cells that freeze as they are filled.
 """
 
 from typing import Iterator
@@ -109,28 +107,3 @@ def evacuate(T: Tableau) -> Tableau:
         rows[i][j] = n - step
         frozen[i][j] = True
     return tuple(tuple(row) for row in rows)
-
-
-def promote_inverse(T: Tableau) -> Tableau:
-    """Remove n, slide the hole back to (1,1) exchanging with the larger of
-    the neighbors above and to the left, increment, and write 1 at the
-    origin."""
-    rows = [list(row) for row in T]
-    n = sum(len(r) for r in rows)
-    if n == 0:
-        return T
-    i, j = next(
-        (r, c) for r, row in enumerate(rows) for c, x in enumerate(row) if x == n
-    )
-    while (i, j) != (0, 0):
-        above = rows[i - 1][j] if i > 0 else None
-        left = rows[i][j - 1] if j > 0 else None
-        if left is None or (above is not None and above > left):
-            rows[i][j] = above
-            i -= 1
-        else:
-            rows[i][j] = left
-            j -= 1
-    out = [[x + 1 for x in row] for row in rows]
-    out[0][0] = 1
-    return tuple(tuple(row) for row in out)

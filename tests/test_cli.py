@@ -247,9 +247,14 @@ def _run_child(argv, address_space=None):
 def test_list_command(capsys):
     code, out, _ = run(capsys, "list")
     assert code == 0
-    for name in ("multiset", "subset", "syt_rect", "ncm", "ncp",
-                 "triangulation", "conj_class", "proper_triangulation"):
-        assert name in out
+    *rows, caps = out.splitlines()
+    families = sieve.list_families()
+    assert [row.split()[0] for row in rows] == sorted(sieve.FAMILIES)
+    assert len(rows) == len(families) == 10
+    # every description starts in the same column, after the longest signature
+    starts = {row.index(fam.description) for row, fam in zip(rows, families)}
+    assert starts == {23 + max(len(fam.signature) for fam in families) + 1}
+    assert caps.startswith("caps: size 200000")
 
 
 def test_env_cap(capsys, monkeypatch):
@@ -258,6 +263,13 @@ def test_env_cap(capsys, monkeypatch):
     # explicit --cap wins over the environment
     assert run(capsys, "verify", "multiset", "--n", "6", "--k", "3",
                "--cap", "100")[0] == 0
+
+
+def test_env_cap_not_an_integer(capsys, monkeypatch):
+    monkeypatch.setenv("CSP_LAB_CAP", "abc")
+    assert run(capsys, "verify", "cycle", "--n", "3") == (
+        2, "", "error: CSP_LAB_CAP must be an integer\n")
+    assert run(capsys, "verify", "cycle", "--n", "3", "--cap", "5")[0] == 0
 
 
 @pytest.mark.parametrize("argv,message", [

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
@@ -21,20 +22,13 @@ from csplab.qpoly import (
 from csplab.sieve import registry_instantiate
 
 
-def test_compose_right_to_left():
-    v = (2, 1, 3)
-    w = (3, 1, 2)
-    assert perms.compose(v, w) == tuple(v[w[i] - 1] for i in range(3))
-    assert perms.compose(v, perms.inverse(v)) == perms.identity(3)
-
-
 def test_cycles_and_order():
     g = perms.from_cycles(9, [(1, 5, 2), (3, 7), (4, 8, 9)])
     assert perms.cycles_of(g) == [(1, 5, 2), (3, 7), (4, 8, 9), (6,)]
     assert perms.cycle_type(g) == (3, 3, 2, 1)
     assert perms.perm_order(g) == 6
     assert perms.cycle_type((2, 3, 1)) == (3,)
-    assert perms.cycle_type(perms.identity(4)) == (1, 1, 1, 1)
+    assert perms.cycle_type((1, 2, 3, 4)) == (1, 1, 1, 1)
 
 
 @pytest.mark.parametrize("w", [(2, 2), (1, 1, 3), (0,), (5,), (2, 3, 1, 1)])
@@ -105,7 +99,7 @@ def test_statistics_golden():
     assert perms.stat(w, "exc") == 2
     assert perms.stat((2, 3, 1), "exc") == 2
     for which in perms.STATISTICS:
-        assert perms.stat(perms.identity(6), which) == 0
+        assert perms.stat(tuple(range(1, 7)), which) == 0
 
 
 def test_table_of_four_statistics_on_s3():
@@ -124,23 +118,23 @@ def test_table_of_four_statistics_on_s3():
         assert perms.stat(w, "exc") == exc
 
 
-def test_stat_genfun_s3():
-    f = perms.stat_genfun(perms.symmetric_group(3), "inv")
-    assert f == IntPolynomial([1, 2, 2, 1]) == q_factorial(3)
+def _stat_genfun(X, which):
+    """The sum of q^stat(w) over w in X."""
+    return IntPolynomial.from_exponents(Counter(perms.stat(w, which) for w in X))
 
 
 @pytest.mark.parametrize("n", range(7))
 def test_inv_maj_mahonian(n):
     Sn = list(perms.symmetric_group(n))
-    assert perms.stat_genfun(Sn, "inv") == q_factorial(n)
-    assert perms.stat_genfun(Sn, "maj") == q_factorial(n)
+    assert _stat_genfun(Sn, "inv") == q_factorial(n)
+    assert _stat_genfun(Sn, "maj") == q_factorial(n)
 
 
 @pytest.mark.parametrize("n", range(9))
 def test_des_exc_eulerian(n):
     Sn = list(perms.symmetric_group(n))
-    f = perms.stat_genfun(Sn, "des")
-    assert f == perms.stat_genfun(Sn, "exc")
+    f = _stat_genfun(Sn, "des")
+    assert f == _stat_genfun(Sn, "exc")
     assert f == eulerian_poly(n)
 
 
@@ -153,12 +147,12 @@ def test_minimal_coset_reps_inv_genfun(n, k):
         if all(w[i] < w[i + 1] for i in range(k - 1))
         and all(w[i] < w[i + 1] for i in range(k, n - 1))
     ]
-    assert perms.stat_genfun(reps, "inv") == gaussian_binomial(n, k)
+    assert _stat_genfun(reps, "inv") == gaussian_binomial(n, k)
 
 
 def test_conjugacy_classes():
     assert set(perms.conjugacy_class((3,))) == {(2, 3, 1), (3, 1, 2)}
-    assert perms.conjugacy_class((1, 1, 1, 1)) == (perms.identity(4),)
+    assert perms.conjugacy_class((1, 1, 1, 1)) == ((1, 2, 3, 4),)
     assert set(perms.conjugacy_class((2, 1))) == {(2, 1, 3), (1, 3, 2), (3, 2, 1)}
     with pytest.raises(CapExceeded):
         perms.conjugacy_class((9,))
@@ -236,7 +230,7 @@ def test_nearly_free_kind():
         == "nearly_free"
     )
     assert perms.nearly_free_kind(perms.parse_cycles("(1,2,4)(3,5)", 5), 5) == "neither"
-    assert perms.nearly_free_kind(perms.identity(4), 4) == "free"
+    assert perms.nearly_free_kind((1, 2, 3, 4), 4) == "free"
     assert perms.nearly_free_kind(perms.parse_cycles("(1,2)", 4), 4) == "neither"
     assert perms.nearly_free_kind((2, 3, 1, 4), 4) == "nearly_free"
 
@@ -261,4 +255,5 @@ def test_conjugate_preserves_cycle_type(w):
 def test_inverse_involution(w):
     w = tuple(w)
     assert perms.inverse(perms.inverse(w)) == w
+    assert tuple(w[x - 1] for x in perms.inverse(w)) == tuple(range(1, 7))
     assert perms.stat(perms.inverse(w), "inv") == perms.stat(w, "inv")

@@ -27,7 +27,6 @@ from csplab.errors import (
     NonCommutingActions,
     NotNearlyFree,
     PreconditionError,
-    StatisticMismatch,
     UnknownFamily,
 )
 from csplab.qpoly import BivariatePolynomial, IntPolynomial
@@ -555,50 +554,6 @@ def test_bicsp_long_cycle_multiplications():
     assert report.cell(0, 0).fixed == 24
     assert report.cell(1, 0).fixed == report.cell(0, 1).fixed == 0
     assert report.cell(1, 3).fixed == 4  # w c^-1 w^-1 = c^-1: the centralizer of c
-
-
-def test_block_partition_shift():
-    inst = sieve.registry_instantiate("cycle", {"n": 6})
-    stat = {str(i): i - 1 for i in range(1, 7)}
-    blocks = [list(range(6))]
-    for j in (1, 2, 3):
-        assert sieve.verify_block_partition(inst, stat, blocks, j)
-
-
-def test_block_partition_degenerate_identity():
-    inst = sieve.registry_instantiate("cycle", {"n": 1})
-    assert sieve.verify_block_partition(inst, {"1": 0}, [[0]], 0)
-    # j=0 with singleton zero-weight blocks passes for any constant polynomial
-    inst = sieve.registry_instantiate("conj_class", {"lam": (3,)})
-    stat = {label: 0 for label in inst.action.labels}
-    assert sieve.verify_block_partition(inst, stat, [[0], [1]], 0)
-
-
-def test_block_partition_multiset22():
-    inst = sieve.registry_instantiate("multiset", {"n": 2, "k": 2})
-    stat = {"11": 0, "22": 1, "12": 2}
-    idx = {label: i for i, label in enumerate(inst.action.labels)}
-    blocks = [[idx["12"]], [idx["11"], idx["22"]]]
-    assert sieve.verify_block_partition(inst, stat, blocks, 1)
-    with pytest.raises(StatisticMismatch):
-        sieve.verify_block_partition(inst, {"11": 0, "22": 0, "12": 2}, blocks, 1)
-    with pytest.raises(PreconditionError):
-        sieve.verify_block_partition(inst, stat, [[0, 1]], 1)
-
-
-def test_block_partition_rejects_negative_statistic():
-    inst = sieve.registry_instantiate("cycle", {"n": 2})
-    with pytest.raises(PreconditionError, match="^statistic values must be nonnegative$"):
-        sieve.verify_block_partition(inst, {"1": -1, "2": 0}, [[0, 1]], 1)
-
-
-def test_block_partition_rejects_wrong_blocks():
-    # swapping the roles of the blocks must break the certificate
-    inst = sieve.registry_instantiate("multiset", {"n": 2, "k": 2})
-    stat = {"11": 0, "22": 1, "12": 2}
-    idx = {label: i for i, label in enumerate(inst.action.labels)}
-    blocks = [[idx["11"], idx["22"]], [idx["12"]]]
-    assert not sieve.verify_block_partition(inst, stat, blocks, 1)
 
 
 @given(

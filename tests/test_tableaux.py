@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from collections import Counter
 
 import pytest
 
@@ -88,10 +89,7 @@ def test_promote_bijection(n):
     for lam in _partitions(n):
         tabs = tb.enumerate_syt(lam, cap=7)
         images = {tb.promote(T) for T in tabs}
-        assert images == set(tabs)
-        for T in tabs:
-            assert tb.promote_inverse(tb.promote(T)) == T
-            assert tb.promote(tb.promote_inverse(T)) == T
+        assert len(images) == len(tabs) and images == set(tabs)
 
 
 @pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (2, 4), (2, 5), (3, 3), (3, 4)])
@@ -182,13 +180,12 @@ def test_long_row_and_column_are_one_tableau():
 
 
 def test_slides_built_from_promotion_match_oracle():
-    """Evacuation and inverse promotion, built from promotion, equal the
-    hand-written slides on every standard tableau with at most 9 cells."""
+    """Evacuation, built from promotion, equals the hand-written slide among
+    freezing cells on every standard tableau with at most 9 cells."""
     tabs = [T for n in range(10) for lam in _partitions(n) for T in tb.enumerate_syt(lam)]
     assert len(tabs) == 3736
     for T in tabs:
         assert tb.evacuate(T) == tableaux_oracle.evacuate(T)
-        assert tb.promote_inverse(T) == tableaux_oracle.promote_inverse(T)
 
 
 def _staircase(n):
@@ -227,7 +224,6 @@ def test_rsk_word_golden():
     P, Q = tb.rsk_word((3, 1, 4, 5, 2))
     assert P == ((1, 2, 5), (3, 4))
     assert Q == ((1, 3, 4), (2, 5))
-    assert tb.rsk_word_inverse(P, Q) == (3, 1, 4, 5, 2)
     P, Q = tb.rsk_word((1, 2, 3, 4))
     assert P == Q == ((1, 2, 3, 4),)
 
@@ -235,14 +231,15 @@ def test_rsk_word_golden():
 @pytest.mark.parametrize("n", range(7))
 def test_rsk_bijection_and_square_sum(n):
     shapes = {}
+    pairs = set()
     for w in itertools.permutations(range(1, n + 1)):
         P, Q = tb.rsk_word(w)
         assert tb.shape(P) == tb.shape(Q)
         assert tb.is_standard(P) and tb.is_standard(Q)
-        if n <= 6:
-            assert tb.rsk_word_inverse(P, Q) == w
+        pairs.add((P, Q))
         shapes[tb.shape(P)] = shapes.get(tb.shape(P), 0) + 1
-    assert sum(shapes.values()) == math.factorial(n)
+    # rsk_word is injective on S_n: n! distinct pairs
+    assert len(pairs) == sum(shapes.values()) == math.factorial(n)
     assert sum(tb.count_syt(lam) ** 2 for lam in _partitions(n)) == math.factorial(n)
     for lam, cnt in shapes.items():
         assert cnt == tb.count_syt(lam) ** 2
@@ -252,7 +249,6 @@ def test_rsk_matrix_golden():
     P, Q = tb.rsk_matrix([[1, 2, 0], [1, 0, 1]])
     assert P == ((1, 1, 2, 3), (2,))
     assert Q == ((1, 1, 1, 2), (2,))
-    assert tb.rsk_matrix_inverse(P, Q) == ((1, 2, 0), (1, 0, 1))
     assert tb.rsk_matrix([[0, 0], [0, 0]]) == ((), ())
 
 
@@ -279,27 +275,29 @@ def test_rsk_matrix_roundtrip(nrows, ncols, total):
             out.pop()
         return tuple(out)
 
-    for M in _matrices(nrows, ncols, total):
+    def content(T):
+        counts = Counter(x for row in T for x in row)
+        return strip(counts[x] for x in range(1, max(counts, default=0) + 1))
+
+    matrices = list(_matrices(nrows, ncols, total))
+    pairs = set()
+    for M in matrices:
         P, Q = tb.rsk_matrix(M)
         assert tb.is_semistandard(P) and tb.is_semistandard(Q)
         assert tb.shape(P) == tb.shape(Q)
         # content of P is the column sums, content of Q the row sums
-        assert tb.content(P) == strip(sum(col) for col in zip(*M))
-        assert tb.content(Q) == strip(sum(row) for row in M)
-        assert tb.rsk_matrix_inverse(P, Q, nrows, ncols) == M
+        assert content(P) == strip(sum(col) for col in zip(*M))
+        assert content(Q) == strip(sum(row) for row in M)
+        pairs.add((P, Q))
+    assert len(pairs) == len(matrices)  # no two matrices share a pair
 
 
 def test_ballot():
     assert tb.ballot_sequence(((1, 3, 5), (2, 4, 6), (7,))) == (1, 2, 1, 2, 1, 2, 3)
     assert tb.ballot_sequence(((1, 2, 3),)) == (1, 1, 1)
     assert tb.ballot_sequence(((1, 2), (3, 4))) == (1, 1, 2, 2)
-    assert tb.tableau_from_ballot((1, 2, 1, 2, 1, 2, 3)) == (
-        (1, 3, 5),
-        (2, 4, 6),
-        (7,),
-    )
     with pytest.raises(PreconditionError):
-        tb.tableau_from_ballot((2, 1))
+        tb.ballot_sequence(((2, 3), (1,)))
 
 
 def test_tableau_to_matching_golden():
@@ -318,12 +316,9 @@ def test_tableau_to_matching_golden():
 def test_tableau_matching_bijection(n):
     tabs = tb.enumerate_syt((n, n), cap=2 * n)
     images = {tb.tableau_to_matching(T) for T in tabs}
-    assert len(images) == len(tabs)
-    for T in tabs:
-        assert tb.matching_to_tableau(tb.tableau_to_matching(T)) == T
+    assert len(images) == len(tabs) == math.comb(2 * n, n) // (n + 1)
 
 
-def test_content_and_labels():
-    assert tb.content(((1, 1, 2), (2,))) == (2, 2)
+def test_tableau_labels():
     assert tb.tableau_label(((1, 2, 5), (3, 4))) == "125/34"
     assert tb.tableau_label(((1, 2, 10), (3, 11))) == "1,2,10/3,11"
