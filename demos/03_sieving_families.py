@@ -18,8 +18,8 @@ def show(family, params):
     for r in rep.rows:
         print(f"  {r.j:>2} {r.elem_order:>4} {r.fixed:>6} {r.value!s:>5}"
               + ("" if r.match else "  <-- mismatch"))
-    sizes = [len(o.members) for o in inst.action.orbits]
-    stabs = [o.stabilizer_order for o in inst.action.orbits]
+    sizes = inst.action.orbit_lengths
+    stabs = [inst.action.order // length for length in sizes]
     print(f"  orbits {sizes} stabilizers {stabs}")
     print(f"  folded a {list(rep.a)} vs census {list(rep.census)}")
     print(f"  verdict: {rep.verdict}")

@@ -96,15 +96,18 @@ def _collect_params(ns: argparse.Namespace) -> dict:
 
 
 def _size_cap(ns: argparse.Namespace) -> int | None:
-    if getattr(ns, "cap", None) is not None:
-        return ns.cap
-    env = os.environ.get("CSP_LAB_CAP")
-    if not env:
-        return None
-    try:
-        return int(env)
-    except ValueError:
-        raise PreconditionError("CSP_LAB_CAP must be an integer") from None
+    cap = getattr(ns, "cap", None)
+    if cap is None:
+        env = os.environ.get("CSP_LAB_CAP")
+        if not env:
+            return None
+        try:
+            cap = int(env)
+        except ValueError:
+            raise PreconditionError("CSP_LAB_CAP must be an integer") from None
+    if cap < 1:
+        raise PreconditionError("the size cap (--cap or CSP_LAB_CAP) must be at least 1")
+    return cap
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -134,8 +137,8 @@ def _format_report(report: sieve.CSPReport) -> str:
             f"{r.j:>3} {r.elem_order:>4} {r.fixed:>6} {value!s:>5}  "
             + ("yes" if r.match else "NO")
         )
-    sizes = [len(o.members) for o in inst.action.orbits]
-    stabs = [o.stabilizer_order for o in inst.action.orbits]
+    sizes = inst.action.orbit_lengths
+    stabs = [inst.action.order // length for length in sizes]
     lines.append(f"orbits: {len(sizes)} (sizes {sizes}, stabilizers {stabs})")
     lines.append(f"a: {list(report.a)}  census: {list(report.census)}")
     lines.append(f"verdict: {report.verdict.upper()}")

@@ -423,49 +423,86 @@ def eulerian_poly(n: int) -> IntPolynomial:
 # plethystic substitution
 
 
-def _substitution_values(f: IntPolynomial) -> list[int]:
-    """Exponents of the monomial multiset {q^i with multiplicity coeffs[i]}."""
+def _value_count(f: IntPolynomial) -> int:
+    """f(1), the number of values in the monomial multiset of f: one q^i for
+    each unit of the coefficient of q^i."""
     if any(c < 0 for c in f.coeffs):
         raise PreconditionError("plethysm needs nonnegative coefficients")
-    values: list[int] = []
-    for i, c in enumerate(f.coeffs):
-        values.extend([i] * c)
-    return values
+    return f(1)
 
 
-def _h_or_e(k: int, values: list[int], repeat: bool) -> IntPolynomial:
-    """h_k (``repeat``) or e_k of the monomials q^v for v in values, adding
-    one value at a time: updating j = 1..k lets q^v enter an entry that
-    already holds it, updating j = k..1 lets it enter once."""
-    out = [IntPolynomial((1,))] + [ZERO] * k
-    js = range(1, k + 1) if repeat else range(k, 0, -1)
-    for v in values:
-        for j in js:
-            out[j] = out[j] + out[j - 1].shift(v)
-    return out[k]
+def _newton(k: int, f: IntPolynomial, sign: int) -> list[IntPolynomial]:
+    """[s_0, ..., s_k] for s = h (``sign`` 1) or e (``sign`` -1) of the
+    monomial multiset of f, by Newton's identities
+    m s_m = sum over r = 1..m of sign^(r-1) p_r s_(m-r), where the power sum
+    p_r is f(q^r).  Raises InexactDivision if m does not divide the sum."""
+    powers = [_at_power(f, r) for r in range(1, k + 1)]
+    out = [IntPolynomial((1,))]
+    for m in range(1, k + 1):
+        total = ZERO
+        for r in range(1, m + 1):
+            term = powers[r - 1] * out[m - r]
+            total = total + term if sign > 0 or r % 2 else total - term
+        if any(c % m for c in total.coeffs):
+            raise InexactDivision(f"Newton's identity at degree {m} is not divisible by {m}")
+        out.append(IntPolynomial(c // m for c in total.coeffs))
+    return out
 
 
 def plethysm_h(k: int, f: IntPolynomial) -> IntPolynomial:
     """Complete homogeneous symmetric polynomial h_k evaluated at the
     monomial multiset of f: one q^i for each unit of the coefficient of q^i.
+    Up to k = f(1) it comes from Newton's identities; beyond, from the
+    e_i with i <= f(1), the others being zero, and
+    h_m = sum over i >= 1 of (-1)^(i-1) e_i h_(m-i).  That recurrence runs
+    at q = 256^w, one integer per polynomial: every coefficient of every h_m
+    is at most h_k(1) = C(f(1)+k-1, k) < 256^w, so h_k is read back exactly.
 
     >>> print(plethysm_h(2, IntPolynomial([1, 2])))
     1+2q+3q^2
     """
     if k < 0:
         raise PreconditionError("plethysm_h needs k >= 0")
-    return _h_or_e(k, _substitution_values(f), repeat=True)
+    n = _value_count(f)
+    degree = check_cap("h_k degree", k * max(f.degree, 0), DEGREE_CAP)
+    if k <= n:
+        return _newton(k, f, 1)[k]
+    w = math.comb(n + k - 1, k).bit_length() // 8 + 1
+    e = [int.from_bytes(b"".join(c.to_bytes(w, "little") for c in p), "little")
+         for p in _newton(n, f, -1)]
+    recent = [1]  # h_(m-n), ..., h_(m-1) at q = 256^w
+    for m in range(1, k + 1):
+        h = sum(e[i] * recent[-i] * (-1) ** (i - 1) for i in range(1, min(m, n) + 1))
+        recent = (recent + [h])[-max(n, 1):]
+    packed = recent[-1].to_bytes(w * (degree + 1), "little")
+    return IntPolynomial(int.from_bytes(packed[i:i + w], "little")
+                         for i in range(0, len(packed), w))
 
 
 def plethysm_e(k: int, f: IntPolynomial) -> IntPolynomial:
     """Elementary symmetric polynomial e_k (square-free monomials) at the
-    same multiset of values; requires k <= f(1), the number of values."""
+    same multiset of values; requires k <= f(1), the number of values.
+    Past half of them, a k-set's sum is the total less its complement's, so
+    e_k is e_(f(1)-k) reversed.
+
+    >>> print(plethysm_e(2, IntPolynomial([1, 2])))
+    2q+q^2
+    """
     if k < 0:
         raise PreconditionError("plethysm_e needs k >= 0")
-    values = _substitution_values(f)
-    if k > len(values):
-        raise PreconditionError(f"plethysm_e needs k <= f(1) = {len(values)}")
-    return _h_or_e(k, values, repeat=False)
+    n = _value_count(f)
+    if k > n:
+        raise PreconditionError(f"plethysm_e needs k <= f(1) = {n}")
+    top, left = 0, k  # the degree of e_k: the sum of the k largest values
+    for i in range(f.degree, -1, -1):
+        take = min(left, f.coeffs[i])
+        top, left = top + take * i, left - take
+    check_cap("e_k degree", top, DEGREE_CAP)
+    if 2 * k <= n:
+        return _newton(k, f, -1)[k]
+    rest = _newton(n - k, f, -1)[n - k]
+    total = sum(i * c for i, c in enumerate(f.coeffs))
+    return IntPolynomial(reversed(rest.coeffs)).shift(total - rest.degree)
 
 
 def face_poly(k: int, n: int, d: int) -> IntPolynomial:

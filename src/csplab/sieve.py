@@ -23,6 +23,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 from . import catalan, perms, tableaux
 from .errors import (
     SHOWN_DIGITS,
+    InternalInvariantError,
     NonCommutingActions,
     NonIntegerEvaluation,
     NotNearlyFree,
@@ -57,38 +58,72 @@ DEFAULT_SIZE_CAP = 200_000
 ORDER_CAP = 10_000
 
 
-@dataclass(frozen=True)
 class CyclicAction:
     """A cyclic group acting on an indexed label list.
 
     ``generator`` permutes indices 0..size-1; ``order`` is the order of the
     acting group, which the permutation's own order must divide (theorems are
     stated for a group that may act unfaithfully, e.g. conjugation on a
-    central class).
+    central class).  The checkers read only ``histogram``, the number of
+    orbits of each length.  A counted action (``CyclicAction.counted``) is
+    given its histogram, and builds its labels, generator and orbits on first
+    access.
     """
 
-    labels: tuple[str, ...]
-    generator: tuple[int, ...]
-    order: int
-
-    def __post_init__(self) -> None:
+    def __init__(self, labels: Sequence[str], generator: Sequence[int], order: int):
+        self.__dict__.update(labels=tuple(labels), generator=tuple(generator), order=order)
         if len(set(self.labels)) != len(self.labels):
             raise PreconditionError("labels must be distinct canonical encodings")
-        if self.order < 1:
-            raise PreconditionError(f"declared order {self.order} is not positive")
+        if order < 1:
+            raise PreconditionError(f"declared order {order} is not positive")
         if len(self.generator) != len(self.labels):
             raise PreconditionError(perms.NOT_A_PERMUTATION)
-        self.orbits  # the one walk checks the generator and the orbit lengths
+        # the one walk checks the generator and the orbit lengths
+        self.__dict__["orbits"] = orbit_decompose(self)
+
+    @classmethod
+    def counted(
+        cls, histogram: Mapping[int, int], order: int, build: Callable[[], CyclicAction]
+    ) -> CyclicAction:
+        """The action whose orbit lengths are counted, not walked: ``build``
+        materializes it, once, when its labels, generator or orbits are read."""
+        action = cls.__new__(cls)
+        action.__dict__.update(histogram=dict(sorted(histogram.items())), order=order,
+                               _build=build)
+        return action
+
+    @functools.cached_property
+    def histogram(self) -> dict[int, int]:
+        """{orbit length: number of orbits}, in increasing length."""
+        return dict(sorted(collections.Counter(len(o.members) for o in self.orbits).items()))
+
+    @functools.cached_property
+    def size(self) -> int:
+        return sum(length * count for length, count in self.histogram.items())
 
     @property
-    def size(self) -> int:
-        return len(self.labels)
+    def orbit_lengths(self) -> list[int]:
+        """Every orbit's length, in increasing order: the order reports list them in."""
+        return [length for length, count in self.histogram.items() for _ in range(count)]
+
+    @functools.cached_property
+    def _built(self) -> CyclicAction:
+        built = self._build()
+        if (built.histogram, built.order) != (self.histogram, self.order):
+            raise InternalInvariantError("the built action's orbits differ from the count")
+        return built
+
+    @functools.cached_property
+    def labels(self) -> tuple[str, ...]:
+        return self._built.labels
+
+    @functools.cached_property
+    def generator(self) -> tuple[int, ...]:
+        return self._built.generator
 
     @functools.cached_property
     def orbits(self) -> tuple[Orbit, ...]:
-        """The generator's orbits, decomposed once per action; fixed points,
-        the orbit census and the reports all read them from here."""
-        return orbit_decompose(self)
+        return self._built.orbits
 
 
 @dataclass(frozen=True)
@@ -165,7 +200,7 @@ def orbit_decompose(action: CyclicAction) -> tuple[Orbit, ...]:
 def fixed_count(action: CyclicAction, j: int) -> int:
     """Number of points fixed by generator^j: generator^j fixes exactly the
     points whose orbit length divides j."""
-    return sum(len(o.members) for o in action.orbits if j % len(o.members) == 0)
+    return sum(length * count for length, count in action.histogram.items() if j % length == 0)
 
 
 # ---------------------------------------------------------------------------
@@ -208,10 +243,10 @@ def verify_csp_orbits(inst: CSPInstance) -> tuple[tuple[int, ...], tuple[int, ..
 
     Returns (a, census).
     """
-    action = inst.action
-    a = fold_mod_qn(inst.polynomial, action.order)
-    stabs = collections.Counter(o.stabilizer_order for o in action.orbits).items()
-    census = tuple(sum(c for s, c in stabs if i % s == 0) for i in range(action.order))
+    order = inst.action.order
+    a = fold_mod_qn(inst.polynomial, order)
+    stabs = [(order // length, count) for length, count in inst.action.histogram.items()]
+    census = tuple(sum(c for s, c in stabs if i % s == 0) for i in range(order))
     return a, census
 
 
@@ -256,8 +291,8 @@ class CSPReport:
                 for r in self.rows
             ],
             "orbits": [
-                {"size": len(o.members), "stab": o.stabilizer_order}
-                for o in self.instance.action.orbits
+                {"size": length, "stab": self.instance.action.order // length}
+                for length in self.instance.action.orbit_lengths
             ],
             "a": list(self.a),
             "verdict": self.verdict,
@@ -426,6 +461,56 @@ def _k_sets(
     )
 
 
+def _fixed_k_sets(cycles: Mapping[int, int], k: int, repeat: bool) -> int:
+    """The k-multisets (``repeat``) or k-subsets that a permutation with
+    ``cycles`` {length: count} fixes: those constant on each of its cycles,
+    or the unions of its cycles.  This is the coefficient of x^k in the
+    product over its cycle lengths l of 1/(1 - x^l), or of 1 + x^l (Polya),
+    expanded factor by factor, longest cycles first; the last factor's
+    binomial is read off for each term."""
+    def term(count: int, i: int) -> int:  # [x^(l*i)] of a factor's power
+        return math.comb(count + i - 1, i) if repeat else math.comb(count, i)
+
+    *first, (last, last_count) = sorted(cycles.items(), reverse=True)
+    series = {0: 1}  # exponent <= k -> coefficient
+    for length, count in first:
+        grown: collections.Counter = collections.Counter()
+        for t, c in series.items():
+            for i in range((k - t) // length + 1):
+                grown[t + length * i] += c * term(count, i)
+        series = grown
+    return sum(c * term(last_count, (k - t) // last)
+               for t, c in series.items() if (k - t) % last == 0)
+
+
+def _counted_k_sets(
+    ground: CyclicAction, k: int, repeat: bool, sep: str, size: int
+) -> CyclicAction:
+    """The action on the k-multisets (``repeat``) or k-subsets of the points
+    of ``ground``, its orbit-length histogram read off that of ``ground``;
+    ``_k_sets`` builds its members only when they are read.  For each e
+    dividing the order, g^e splits an orbit of length l into gcd(l, e)
+    cycles of length l / gcd(l, e); the k-sets in orbits of length e are
+    those g^e fixes less those in orbits of a length dividing e (Moebius
+    inversion).  A subset is counted as its complement when that is smaller,
+    an equivariant bijection.  ``size`` is |X| in closed form."""
+    count = min(k, ground.size - k) if not repeat else k
+    order, points = ground.order, {}  # e -> k-sets in orbits of length e
+    for e in [e for e in range(1, order + 1) if order % e == 0]:
+        cycles: collections.Counter = collections.Counter()
+        for length, orbits in ground.histogram.items():
+            g = math.gcd(length, e)
+            cycles[length // g] += orbits * g
+        fixed = _fixed_k_sets(cycles, count, repeat) if count >= 0 and cycles else int(count == 0)
+        points[e] = fixed - sum(p for d, p in points.items() if e % d == 0)
+    if any(p < 0 or p % e for e, p in points.items()) or sum(points.values()) != size:
+        raise InternalInvariantError(f"the counted orbits do not hold the {size} k-sets")
+    return CyclicAction.counted(
+        {e: p // e for e, p in points.items() if p}, order,
+        lambda: _k_sets(ground.labels, ground.generator, k, repeat, sep, order),
+    )
+
+
 def _build_k_sets(params: Mapping, cap: int, repeat: bool) -> CSPInstance:
     """k-multisets (``repeat``) or k-subsets of [n] under a permutation of [n]."""
     name = "multiset" if repeat else "subset"
@@ -433,15 +518,13 @@ def _build_k_sets(params: Mapping, cap: int, repeat: bool) -> CSPInstance:
     if n < 1 or k < 0:
         raise PreconditionError(f"{name} needs n >= 1 and k >= 0")
     top = n + k - 1 if repeat else n
-    _check_size(_comb(top, k, cap), cap)
+    size = _check_size(_comb(top, k, cap), cap)
     check_cap("ground set size n", n, cap)  # a size of 0 or 1 bounds neither n
     check_cap("k", k, cap)  # nor k; any other size bounds both
     g, gen_label = _generator_on_ground(params, n)
     order = _check_order(perms.perm_order(g))
-    action = _k_sets(
-        [str(x) for x in range(1, n + 1)], [x - 1 for x in g], k, repeat,
-        "" if n <= 9 else ",", order,
-    )
+    ground = CyclicAction(tuple(map(str, range(1, n + 1))), [x - 1 for x in g], order)
+    action = _counted_k_sets(ground, k, repeat, "" if n <= 9 else ",", size)
     p = [("n", n), ("k", k)] + ([("gen", gen_label)] if gen_label else [])
     return CSPInstance(action, gaussian_binomial(top, k), name, tuple(p))
 
@@ -584,13 +667,10 @@ def _build_plethysm(params: Mapping, cap: int) -> CSPInstance:
     N = base.action.size
     if kind == "e" and base.action.order % 2 == 0:
         raise PreconditionError("the e_k construction needs a group of odd order")
-    _check_size(_comb(N + k - 1, k, cap) if kind == "h" else _comb(N, k, cap), cap)
+    size = _check_size(_comb(N + k - 1, k, cap) if kind == "h" else _comb(N, k, cap), cap)
     check_cap("k", k, cap)  # a size of 0 or 1 bounds no k
     f = (plethysm_h if kind == "h" else plethysm_e)(k, base.polynomial)
-    action = _k_sets(
-        base.action.labels, base.action.generator, k, kind == "h", ",",
-        base.action.order,
-    )
+    action = _counted_k_sets(base.action, k, kind == "h", ",", size)
     p = (("base", base_id), ("k", k), ("kind", kind)) + base.params
     return CSPInstance(action, f, "plethysm_derived", p)
 

@@ -7,16 +7,33 @@ sliding-window sum, divide by each [b]_q left as a product with 1 - q and a
 division by 1 - q^b.  This module keeps the older constructions, which share
 none of that code:
 
-- the Gaussian binomial as h_k of [n-k+1]_q, through the ``plethysm_h`` loop;
+- the Gaussian binomial as h_k of [n-k+1]_q, through the ``h_or_e`` loop;
 - q-factorials, q-Catalan and q-Fuss-Catalan numbers and the face-polynomial
   ring term as ``IntPolynomial`` products followed by ``exact_divide``;
 - the proper-triangulation polynomial with [2]_q^j as a repeated product.
+
+It also keeps the loop that ``plethysm_h`` and ``plethysm_e`` replaced with
+Newton's identities: ``h_or_e`` adds the monomials of f one at a time.
 """
 from __future__ import annotations
 
-from csplab.qpoly import IntPolynomial, exact_divide, plethysm_h, q_int
+from csplab.qpoly import IntPolynomial, exact_divide, q_int
 
 ONE = IntPolynomial((1,))
+
+
+def h_or_e(k: int, f: IntPolynomial, repeat: bool) -> IntPolynomial:
+    """h_k (``repeat``) or e_k of the monomials q^v, one for each unit of
+    the coefficient of q^v in f, adding one value at a time: updating
+    j = 1..k lets q^v enter an entry that already holds it, updating
+    j = k..1 lets it enter once."""
+    out = [ONE] + [IntPolynomial()] * k
+    js = range(1, k + 1) if repeat else range(k, 0, -1)
+    for v, c in enumerate(f.coeffs):
+        for _ in range(c):
+            for j in js:
+                out[j] = out[j] + out[j - 1].shift(v)
+    return out[k]
 
 
 def product(factors) -> IntPolynomial:
@@ -32,7 +49,7 @@ def gaussian_binomial(n: int, k: int) -> IntPolynomial:
     if k < 0 or k > n:
         return IntPolynomial()
     k = min(k, n - k)
-    return plethysm_h(k, q_int(n - k + 1))
+    return h_or_e(k, q_int(n - k + 1), repeat=True)
 
 
 def q_factorial(n: int) -> IntPolynomial:

@@ -272,6 +272,43 @@ def test_env_cap_not_an_integer(capsys, monkeypatch):
     assert run(capsys, "verify", "cycle", "--n", "3", "--cap", "5")[0] == 0
 
 
+@pytest.mark.parametrize("cap,env", [("0", None), ("-1", None), (None, "-5"), (None, "0"),
+                                     ("-" + "9" * 40, None), ("-1", "7")])
+def test_cap_below_one_is_refused_without_echoing_it(capsys, monkeypatch, cap, env):
+    """A cap below 1 would fail every instance with a message that reads
+    like a real limit; it is refused as a usage error instead."""
+    if env is not None:
+        monkeypatch.setenv("CSP_LAB_CAP", env)
+    argv = ("verify", "cycle", "--n", "3") + (("--cap", cap) if cap is not None else ())
+    assert run(capsys, *argv) == (
+        2, "", "error: the size cap (--cap or CSP_LAB_CAP) must be at least 1\n")
+    assert run(capsys, "orbits", *argv[1:])[0] == 2
+
+
+def test_cap_of_one_admits_a_single_object(capsys):
+    assert run(capsys, "verify", "cycle", "--n", "1", "--cap", "1")[0] == 0
+    assert run(capsys, "verify", "cycle", "--n", "2", "--cap", "1")[0] == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "multiset", "--n", "2", "--k", "9000"),
+    ("verify", "multiset", "--n", "2", "--k", "30000"),
+    ("verify", "multiset", "--n", "2", "--k", "199999"),
+    ("verify", "subset", "--n", "3000", "--k", "2999"),
+    ("verify", "plethysm_derived", "--base", "cycle", "--n", "9000", "--k", "1"),
+    ("verify", "plethysm_derived", "--base", "conj_class", "--lam", "3,3,1", "--kind", "e",
+     "--k", "279"),
+], ids=lambda argv: "-".join(argv[1:]))
+def test_k_set_instances_pass_in_bounded_memory(argv):
+    # |X| k-sets of k members each are never stored by verify: their orbits
+    # are counted.  Before, --k 9000 took 6.2 s and 714 MB, --k 30000 exited
+    # 3 with MemoryError, and each plethysm polynomial alone took 4 s (e_279 of
+    # 280 values is e_1 reversed)
+    done = _run_child(argv, address_space=1 << 30)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.endswith("verdict: PASS\n")
+
+
 @pytest.mark.parametrize("argv,message", [
     (("verify", "subset", "--n", "30", "--k", "15"),
      "instance size 155117520 exceeds the cap 200000"),

@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 import evaluation_oracle
 import printer_oracle
 import qpoly_oracle
+from csplab import qpoly
 from evaluation_oracle import root_of_unity_binomial
 from csplab.errors import (
     CapExceeded,
@@ -310,6 +311,35 @@ def test_plethysm_e_principal_specialization(n):
     for k in range(n + 1):
         expected = gaussian_binomial(n, k).shift(k * (k - 1) // 2)
         assert plethysm_e(k, q_int(n)) == expected
+
+
+@given(st.lists(st.integers(0, 4), max_size=7), st.integers(0, 12))
+def test_newton_plethysm_matches_the_loop(coeffs, k):
+    """Newton's identities (and, past k = f(1), the e-to-h recurrence at
+    q = 256^w) give the polynomial the one-monomial-at-a-time loop gives."""
+    f = P(coeffs)
+    assert plethysm_h(k, f) == qpoly_oracle.h_or_e(k, f, repeat=True)
+    if k <= f(1):
+        assert plethysm_e(k, f) == qpoly_oracle.h_or_e(k, f, repeat=False)
+
+
+def test_newton_refuses_an_inexact_division(monkeypatch):
+    """A power sum that is not f(q^r) leaves 2 h_2 odd, which is caught."""
+    at_power = qpoly._at_power
+    monkeypatch.setattr(qpoly, "_at_power", lambda f, r: at_power(f, r) + (r == 2))
+    with pytest.raises(InexactDivision, match="degree 2 is not divisible by 2"):
+        plethysm_h(2, q_int(3))
+
+
+def test_plethysm_degree_is_capped_before_any_work():
+    with pytest.raises(CapExceeded, match="^h_k degree 300000 exceeds the cap"):
+        plethysm_h(2, q_int(150_001))
+    with pytest.raises(CapExceeded, match="^e_k degree 299999 exceeds the cap"):
+        plethysm_e(2, q_int(150_001))
+    # past half of the values e_k is e_(n-k) reversed, so e_(n-1) of a
+    # large f with small values is cheap
+    f = P([3000, 1])
+    assert plethysm_e(3000, f) == P([1, 3000])
 
 
 def _gale_facets(n, d):

@@ -24,6 +24,7 @@ from csplab import cli, perms, sieve
 from csplab.errors import (
     CapExceeded,
     CspLabError,
+    InternalInvariantError,
     NonCommutingActions,
     NotNearlyFree,
     PreconditionError,
@@ -798,3 +799,119 @@ def test_bounded_binomial():
             else:
                 assert 10**30 <= got <= exact, (n, k)
     assert sieve._comb(200, 100, 10**70) == math.comb(200, 100)
+
+
+# ---------------------------------------------------------------------------
+# counted k-set actions against the materialized ones
+#
+# Mutation note: a wrong sign in the Moebius inversion of ``_counted_k_sets``
+# (adding the k-sets of the shorter orbits instead of subtracting them)
+# fails test_counted_k_sets_match_the_materialized_oracle, and a subset
+# count run at k rather than at min(k, n - k) fails
+# test_subset_is_counted_at_its_smaller_side.  The count at k gives the
+# same numbers, since the product of the 1 + x^l is palindromic, so only
+# the side it runs at can show the complement.
+
+PLETHYSM_BASES = {
+    "cycle": st.fixed_dictionaries({"n": st.integers(1, 7)}),
+    "ncp": st.fixed_dictionaries({"n": st.integers(1, 4)}),
+    "ncm": st.fixed_dictionaries({"n": st.integers(1, 3)}),
+    "triangulation": st.fixed_dictionaries({"n": st.integers(1, 3)}),
+    "syt_rect": st.fixed_dictionaries({"m": st.integers(1, 2), "n": st.integers(1, 3)}),
+    "conj_class": st.fixed_dictionaries(
+        {"lam": st.sampled_from([(1,), (2,), (3,), (2, 1), (1, 1, 1), (3, 1), (2, 2)])}),
+    "proper_triangulation": st.fixed_dictionaries({"n": st.sampled_from([2, 4])}),
+}
+
+
+@st.composite
+def _nearly_free_generator(draw, n):
+    """Cycle notation of a free or nearly free permutation of [n]."""
+    moved = draw(st.sampled_from([n, n - 1] if n > 1 else [n]))
+    length = draw(st.sampled_from([d for d in range(1, moved + 1) if moved % d == 0]))
+    points = draw(st.permutations(range(1, n + 1)))
+    return "".join("(" + ",".join(map(str, points[i:i + length])) + ")"
+                   for i in range(0, moved, length))
+
+
+@st.composite
+def _k_set_instances(draw):
+    family = draw(st.sampled_from(["subset", "multiset", "plethysm_derived"]))
+    if family == "plethysm_derived":
+        base = draw(st.sampled_from(sorted(PLETHYSM_BASES)))
+        params = {"base": base, "k": draw(st.integers(0, 3)),
+                  "kind": draw(st.sampled_from("he")), **draw(PLETHYSM_BASES[base])}
+    else:
+        n = draw(st.integers(1, 9))
+        params = {"n": n, "k": draw(st.integers(0, 7))}
+        if draw(st.booleans()):
+            params["gen"] = draw(_nearly_free_generator(n))
+    return family, params
+
+
+@settings(max_examples=300, deadline=None)
+@given(_k_set_instances())
+def test_counted_k_sets_match_the_materialized_oracle(instance):
+    """The counted histogram, every fixed count and the verdict equal those of
+    the action materialized the slow way, and f + q fails both checkers."""
+    family, params = instance
+    try:
+        inst = sieve.registry_instantiate(family, params, size_cap=2000)
+    except (CapExceeded, NotNearlyFree, PreconditionError):
+        assume(False)
+    counted = inst.action
+    oracle = oracle_action(family, params)
+    assert counted.histogram == oracle.histogram
+    assert "_built" not in vars(counted)  # nothing above built a k-set
+    assert counted.size == oracle.size and counted.order == oracle.order
+    assert [sieve.fixed_count(counted, j) for j in range(counted.order)] == (
+        [sieve.fixed_count(oracle, j) for j in range(oracle.order)])
+    report = sieve.build_report(inst)
+    assert report.verdict == sieve.build_report(
+        sieve.CSPInstance(oracle, inst.polynomial)).verdict == "pass"
+    bad = sieve.build_report(dataclasses.replace(
+        inst, polynomial=sieve.corrupt_polynomial(inst.polynomial, 1)))
+    assert not bad.roots_pass and not bad.orbits_pass
+    # the lazy build is the same action as the oracle's, checked against the count
+    assert (counted.labels, counted.generator) == (oracle.labels, oracle.generator)
+
+
+@pytest.mark.parametrize("n,k", [(6, 5), (6, 1), (9, 7), (9, 2), (3000, 2999)])
+def test_subset_is_counted_at_its_smaller_side(monkeypatch, n, k):
+    """Complementing is an equivariant bijection, so a subset count runs at
+    min(k, n - k)."""
+    seen = []
+    fixed = sieve._fixed_k_sets
+    monkeypatch.setattr(sieve, "_fixed_k_sets",
+                        lambda cycles, k, repeat: seen.append(k) or fixed(cycles, k, repeat))
+    inst = sieve.registry_instantiate("subset", {"n": n, "k": k})
+    assert set(seen) == {min(k, n - k)}
+    assert sieve.build_report(inst).verdict == "pass"
+
+
+def test_verify_builds_no_k_set(monkeypatch, capsys):
+    """verify reads the counted histogram; only orbits builds the k-sets."""
+    def refuse(*args):
+        raise AssertionError("a k-set was built")
+
+    monkeypatch.setattr(sieve, "_k_sets", refuse)
+    for argv in (["verify", "subset", "--n", "7", "--k", "3", "--json"],
+                 ["verify", "multiset", "--n", "4", "--k", "2", "--gen", "(1,2)(3,4)"],
+                 ["verify", "plethysm_derived", "--base", "ncp", "--n", "4", "--k", "2"]):
+        assert cli.main(argv) == 0
+    assert cli.main(["orbits", "subset", "--n", "4", "--k", "2"]) == 3
+    assert "a k-set was built" in capsys.readouterr().err
+
+
+def test_counted_histogram_must_hold_every_k_set():
+    """A count that does not add up to the closed-form |X| is an internal
+    error, and so is a build whose orbits differ from the count."""
+    ground = sieve.registry_instantiate("cycle", {"n": 6}).action
+    assert sieve._counted_k_sets(ground, 2, False, ",", 15).histogram == {3: 1, 6: 2}
+    with pytest.raises(InternalInvariantError, match="do not hold the 16 k-sets"):
+        sieve._counted_k_sets(ground, 2, False, ",", 16)
+    wrong = sieve.CyclicAction.counted(
+        {2: 1}, 2, lambda: sieve.CyclicAction(("a", "b"), (0, 1), 2))
+    assert wrong.size == 2 and wrong.orbit_lengths == [2]
+    with pytest.raises(InternalInvariantError, match="differ from the count"):
+        wrong.labels
