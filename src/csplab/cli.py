@@ -60,22 +60,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_family_options(p: argparse.ArgumentParser) -> None:
         p.add_argument("family", choices=sorted(sieve.FAMILIES))
-        p.add_argument("--n", type=int)
-        p.add_argument("--k", type=int)
-        p.add_argument("--m", type=int)
-        p.add_argument("--lam", type=str, help="partition, e.g. 3,1")
-        p.add_argument("--gen", type=str, help="generator cycles, e.g. (1,2)(3,4)")
-        p.add_argument("--base", type=str, help="base family for plethysm_derived")
-        p.add_argument("--kind", choices=("h", "e"))
+        for flag, text in sieve.FLAGS.items():
+            p.add_argument(f"--{flag}", help=text)
         p.add_argument("--json", action="store_true")
-        p.add_argument("--out", type=str)
-        p.add_argument("--cap", type=int, help="size cap override")
+        p.add_argument("--out")
+        p.add_argument("--cap", help="size cap override")
 
     pv = sub.add_parser("verify", help="run the sieving checkers on a family instance")
     add_family_options(pv)
     pv.add_argument("--checker", choices=("roots", "orbits", "both"), default="both")
     pv.add_argument(
-        "--corrupt-coeff", type=int, metavar="I",
+        "--corrupt-coeff", metavar="I",
         help="test hook: bump the coefficient of q^I before checking",
     )
 
@@ -84,30 +79,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     pp = sub.add_parser("poly", help="print a named polynomial")
     pp.add_argument("name", choices=sorted(POLY_BUILDERS))
-    pp.add_argument("args", type=int, nargs="*")
+    pp.add_argument("args", nargs="*")
     return parser
 
 
 def _collect_params(ns: argparse.Namespace) -> dict:
-    """The family parameters given on the command line; the registry checks them."""
+    """The family parameters given on the command line; the registry reads them."""
     given = vars(ns)
-    keys = ("n", "k", "m", "lam", "gen", "base", "kind")
-    return {key: given[key] for key in keys if given[key] is not None}
+    return {key: given[key] for key in sieve.FLAGS if given[key] is not None}
 
 
 def _size_cap(ns: argparse.Namespace) -> int | None:
-    cap = getattr(ns, "cap", None)
-    if cap is None:
-        env = os.environ.get("CSP_LAB_CAP")
-        if not env:
-            return None
-        try:
-            cap = int(env)
-        except ValueError:
-            raise PreconditionError("CSP_LAB_CAP must be an integer") from None
-    if cap < 1:
-        raise PreconditionError("the size cap (--cap or CSP_LAB_CAP) must be at least 1")
-    return cap
+    """--cap, or else CSP_LAB_CAP, as an integer; the registry bounds it."""
+    if ns.cap is not None:
+        return sieve.read_int("--cap", ns.cap, least=None)
+    env = os.environ.get("CSP_LAB_CAP")
+    return sieve.read_int("CSP_LAB_CAP", env, least=None) if env else None
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -148,8 +135,8 @@ def _format_report(report: sieve.CSPReport) -> str:
 def cmd_verify(ns: argparse.Namespace) -> int:
     inst = sieve.registry_instantiate(ns.family, _collect_params(ns), _size_cap(ns))
     if ns.corrupt_coeff is not None:
-        bad = sieve.corrupt_polynomial(inst.polynomial, ns.corrupt_coeff)
-        inst = dataclasses.replace(inst, polynomial=bad)
+        i = sieve.read_int("--corrupt-coeff", ns.corrupt_coeff, least=0)
+        inst = dataclasses.replace(inst, polynomial=sieve.corrupt_polynomial(inst.polynomial, i))
     report = sieve.build_report(inst, ns.checker)
     if ns.json:
         _emit(json.dumps(report.to_dict(), indent=2), ns.out)
@@ -188,9 +175,10 @@ def cmd_orbits(ns: argparse.Namespace) -> int:
 
 def cmd_poly(ns: argparse.Namespace) -> int:
     arity, builder = POLY_BUILDERS[ns.name]
-    if arity >= 0 and len(ns.args) != arity:
+    args = [sieve.read_int(f"each poly {ns.name} argument", a, least=None) for a in ns.args]
+    if arity >= 0 and len(args) != arity:
         raise PreconditionError(f"poly {ns.name} takes {arity} integer argument(s)")
-    f = builder(*ns.args)
+    f = builder(*args)
     print(f"{f}")
     print(f"coeffs: {list(f.coeffs)}  value at q=1: {f(1)}")
     return 0

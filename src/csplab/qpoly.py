@@ -152,6 +152,9 @@ DEGREE_CAP = 200_000
 # factors times the length of the product it multiplies out.  Under it the
 # product is below 10^1212 at q=1, inside Python's int-to-str limit.
 WORK_CAP = 12_000_000
+# PACKED_WORK_CAP bounds plethysm_h past k = f(1): multiplier coefficients
+# times packed product bytes, about 0.5 ns each on an Intel Xeon, or 1 s.
+PACKED_WORK_CAP = 2_000_000_000
 
 
 def _power(var: str, i: int) -> str:
@@ -468,6 +471,11 @@ def plethysm_h(k: int, f: IntPolynomial) -> IntPolynomial:
     if k <= n:
         return _newton(k, f, 1)[k]
     w = math.comb(n + k - 1, k).bit_length() // 8 + 1
+    # for m = 1..k it multiplies e_1..e_n, of sum(i deg + 1) coefficients,
+    # by h_(m-1)..h_(m-n), of at most w (m deg + 1) bytes each
+    d = max(f.degree, 0)
+    work = (d * n * (n + 1) // 2 + n) * w * (d * k * (k + 1) // 2 + k)
+    check_cap("h_k recurrence work", work, PACKED_WORK_CAP)
     e = [int.from_bytes(b"".join(c.to_bytes(w, "little") for c in p), "little")
          for p in _newton(n, f, -1)]
     recent = [1]  # h_(m-n), ..., h_(m-1) at q = 256^w

@@ -50,8 +50,8 @@ __all__ = [
     "BicspCell", "BicspReport", "action_from_objects", "orbit_decompose",
     "fixed_count", "verify_csp_roots", "verify_csp_orbits", "build_report",
     "verify_bicsp", "berget_eu_reiner_toy",
-    "registry_instantiate", "list_families", "corrupt_polynomial",
-    "DEFAULT_SIZE_CAP", "ORDER_CAP",
+    "registry_instantiate", "list_families", "corrupt_polynomial", "read_int",
+    "FLAGS", "DEFAULT_SIZE_CAP", "ORDER_CAP",
 ]
 
 DEFAULT_SIZE_CAP = 200_000
@@ -404,6 +404,29 @@ def berget_eu_reiner_toy() -> tuple[tuple[str, ...], tuple[int, ...], BivariateP
 # ---------------------------------------------------------------------------
 # the family registry
 
+# every flag the signatures list, in the CLI's order, with its --help text
+FLAGS = {"n": None, "k": None, "m": None, "lam": "partition, e.g. 3,1",
+         "gen": "generator cycles, e.g. (1,2)(3,4)",
+         "base": "base family for plethysm_derived", "kind": None}
+_LEAST = {"n": 1, "k": 0, "m": 1}  # the integer flags and their lower bounds
+_DECIMAL = re.compile(r"[-+]?[0-9]+")
+
+
+def read_int(name: str, value: object, *, least: int | None) -> int:
+    """The one reader of an integer from outside the package: an int, not a
+    bool, or its decimal digits, at least ``least`` (None: the caller bounds
+    it).  Anything else raises a PreconditionError naming ``name``, not the value."""
+    if isinstance(value, str) and _DECIMAL.fullmatch(value):
+        try:
+            value = int(value)
+        except ValueError:  # past sys.get_int_max_str_digits()
+            raise PreconditionError(f"{name} has more digits than Python converts") from None
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise PreconditionError(f"{name} must be an integer")
+    if least is not None and value < least:
+        raise PreconditionError(f"{name} must be at least {least}")
+    return value
+
 
 def _check_size(count: int, cap: int) -> int:
     return check_cap("instance size", count, cap)
@@ -514,9 +537,7 @@ def _counted_k_sets(
 def _build_k_sets(params: Mapping, cap: int, repeat: bool) -> CSPInstance:
     """k-multisets (``repeat``) or k-subsets of [n] under a permutation of [n]."""
     name = "multiset" if repeat else "subset"
-    n, k = int(params["n"]), int(params["k"])
-    if n < 1 or k < 0:
-        raise PreconditionError(f"{name} needs n >= 1 and k >= 0")
+    n, k = params["n"], params["k"]
     top = n + k - 1 if repeat else n
     size = _check_size(_comb(top, k, cap), cap)
     check_cap("ground set size n", n, cap)  # a size of 0 or 1 bounds neither n
@@ -530,9 +551,7 @@ def _build_k_sets(params: Mapping, cap: int, repeat: bool) -> CSPInstance:
 
 
 def _build_syt_rect(params: Mapping, cap: int) -> CSPInstance:
-    m, n = int(params["m"]), int(params["n"])
-    if m < 1 or n < 1:
-        raise PreconditionError("syt_rect needs m, n >= 1")
+    m, n = params["m"], params["n"]
     order = _check_order(m * n)
     lam = (n,) * m
     _check_size(tableaux.count_syt(lam), cap)
@@ -542,60 +561,47 @@ def _build_syt_rect(params: Mapping, cap: int) -> CSPInstance:
     )
 
 
+def _rotations(X: Sequence, order: int, step: Callable, label: Callable, *extra) -> CyclicAction:
+    """The rotation of the objects X of an order-gon, x to ``step(x, order,
+    *extra)``, with step and label as their module holds them at the call."""
+    return action_from_objects(
+        X, map(step, X, *map(itertools.repeat, (order, *extra))), map(label, X), order
+    )
+
+
 def _build_ncm(params: Mapping, cap: int) -> CSPInstance:
-    n = int(params["n"])
-    if n < 1:
-        raise PreconditionError("ncm needs n >= 1")
+    n = params["n"]
     order = _check_order(2 * n)
     _check_size(catalan.catalan_number(n), cap)
     # promotion transports to the clockwise rotation i -> i-1 (mod 2n)
     X = catalan.enumerate_nc_matchings(n, cap=n)
-    action = action_from_objects(
-        X,
-        map(catalan.rotate_blocks, X, itertools.repeat(2 * n), itertools.repeat(-1)),
-        map(catalan.matching_label, X),
-        order,
-    )
+    action = _rotations(X, order, catalan.rotate_blocks, catalan.matching_label, -1)
     return CSPInstance(action, tableaux.q_count_syt((n, n)), "ncm", (("n", n),))
 
 
 def _build_ncp(params: Mapping, cap: int) -> CSPInstance:
-    n = int(params["n"])
-    if n < 1:
-        raise PreconditionError("ncp needs n >= 1")
+    n = params["n"]
     order = _check_order(n)
     _check_size(catalan.catalan_number(n), cap)
     X = catalan.enumerate_nc_partitions(n, cap=n)
-    action = action_from_objects(
-        X,
-        map(catalan.rotate_blocks, X, itertools.repeat(n)),
-        map(catalan.partition_label, X),
-        order,
-    )
+    action = _rotations(X, order, catalan.rotate_blocks, catalan.partition_label)
     return CSPInstance(action, q_catalan(n), "ncp", (("n", n),))
 
 
 def _build_triangulation(params: Mapping, cap: int) -> CSPInstance:
-    n = int(params["n"])
-    if n < 1:
-        raise PreconditionError("triangulation needs n >= 1")
+    n = params["n"]
     order = _check_order(n + 2)
     _check_size(catalan.catalan_number(n), cap)
     X = catalan.enumerate_triangulations(n + 2, cap=n + 2)
-    action = action_from_objects(
-        X,
-        map(catalan.rotate_triangulation, X, itertools.repeat(n + 2)),
-        map(catalan.triangulation_label, X),
-        order,
-    )
+    action = _rotations(X, order, catalan.rotate_triangulation, catalan.triangulation_label)
     return CSPInstance(action, q_catalan(n), "triangulation", (("n", n),))
 
 
 def _build_conj_class(params: Mapping, cap: int) -> CSPInstance:
     lam = params["lam"]
-    if isinstance(lam, str):
-        lam = tuple(int(x) for x in lam.split(",") if x)
-    lam = tableaux._check_partition(lam)
+    if isinstance(lam, str):  # the empty string is the empty partition
+        lam = lam.split(",") if lam else ()
+    lam = tableaux._check_partition(read_int("each --lam part", x, least=None) for x in lam)
     n = sum(lam)
     order = _check_order(max(n, 1))  # the long cycle of S_0 is the identity
     z = math.prod(
@@ -613,8 +619,8 @@ def _build_conj_class(params: Mapping, cap: int) -> CSPInstance:
 
 
 def _build_proper_triangulation(params: Mapping, cap: int) -> CSPInstance:
-    N = int(params["n"])
-    if N < 2 or N % 2:
+    N = params["n"]
+    if N % 2:
         raise PreconditionError("proper_triangulation needs even n >= 2")
     half = N // 2
     order = _check_order(N + 2)
@@ -629,19 +635,12 @@ def _build_proper_triangulation(params: Mapping, cap: int) -> CSPInstance:
     else:
         f = q_proper_triangulations(half)
     X = catalan.enumerate_proper_triangulations(N + 2, cap=N + 2)
-    action = action_from_objects(
-        X,
-        map(catalan.rotate_triangulation, X, itertools.repeat(N + 2)),
-        map(catalan.triangulation_label, X),
-        order,
-    )
+    action = _rotations(X, order, catalan.rotate_triangulation, catalan.triangulation_label)
     return CSPInstance(action, f, "proper_triangulation", (("n", N),))
 
 
 def _build_cycle(params: Mapping, cap: int) -> CSPInstance:
-    n = int(params["n"])
-    if n < 1:
-        raise PreconditionError("cycle needs n >= 1")
+    n = params["n"]
     order = _check_order(n)
     _check_size(n, cap)
     action = action_from_objects(
@@ -655,12 +654,10 @@ def _build_cycle(params: Mapping, cap: int) -> CSPInstance:
 
 def _build_plethysm(params: Mapping, cap: int) -> CSPInstance:
     base_id = params["base"]
-    k = int(params["k"])
+    k = params["k"]
     kind = params.get("kind", "h")
     if kind not in ("h", "e"):
         raise PreconditionError("plethysm kind must be 'h' or 'e'")
-    if k < 0:
-        raise PreconditionError("plethysm_derived needs k >= 0")
     _, base_flags = _parameters(base_id)
     base_params = {key: val for key, val in params.items() if key in base_flags}
     base = registry_instantiate(base_id, base_params, cap)
@@ -763,7 +760,10 @@ def registry_instantiate(
 ) -> CSPInstance:
     """Build the (X, generator, f) triple for a registered family, once its
     parameters match the family's table (and its base family's, which may not
-    share a flag with it): none unlisted, none of the required ones missing."""
+    share a flag with it): none unlisted, none of the required ones missing;
+    the size cap and the integer parameters are read before any builder runs."""
+    cap = DEFAULT_SIZE_CAP if size_cap is None else read_int(
+        "the size cap (--cap or CSP_LAB_CAP)", size_cap, least=1)
     fam, table = _parameters(family_id)
     accepted, signature = set(table), fam.signature
     if "base" in table and "base" in params:
@@ -782,4 +782,6 @@ def registry_instantiate(
     if missing:
         raise PreconditionError(f"family {family_id} needs parameter {missing[0]!r}; "
                                 f"signature: {fam.signature}")
-    return fam.builder(params, DEFAULT_SIZE_CAP if size_cap is None else size_cap)
+    params = {key: read_int(f"--{key}", value, least=_LEAST[key]) if key in _LEAST else value
+              for key, value in params.items()}
+    return fam.builder(params, cap)

@@ -2,12 +2,9 @@
 
 import dataclasses
 import json
-import os
-import resource
-import subprocess
-import sys
 
 import pytest
+from child import run_child
 
 from csplab import cli, sieve
 from csplab.errors import CspLabError
@@ -186,9 +183,14 @@ HUGE = "1" + "0" * 4299  # the most digits Python converts to an int by default
     # the prime 2^61 - 1, far above 2 DEGREE_CAP^2: refused before trial
     # division, which would run for hours
     (("poly", "cyclotomic", str(2**61 - 1)), 2),
+    # h_k past k = f(1) is priced before its recurrence runs (past 60 s before;
+    # the second admitted by the raised size cap)
+    (("verify", "plethysm_derived", "--base", "cycle", "--n", "2", "--k", "199999"), 2),
+    (("verify", "plethysm_derived", "--base", "cycle", "--n", "3", "--k", "100000",
+      "--cap", "10000000000"), 2),
 ])
 def test_large_inputs_end_at_once(argv, code):
-    done = _run_child(argv, address_space=1 << 30)
+    done = run_child(argv, address_space=1 << 30)
     assert done.returncode == code, done.stderr
     if code == 2:
         _assert_one_short_cap_message(done)
@@ -198,7 +200,7 @@ def test_large_inputs_end_at_once(argv, code):
 def test_one_row_and_one_column_rectangles_pass(m, n):
     # one tableau, order m*n at most ORDER_CAP: no recursion 10000 deep, and
     # [mn]_q! is never multiplied out, since every hooklength cancels
-    done = _run_child(("verify", "syt_rect", "--m", str(m), "--n", str(n)))
+    done = run_child(("verify", "syt_rect", "--m", str(m), "--n", str(n)))
     assert done.returncode == 0, done.stderr
     assert done.stdout.endswith("verdict: PASS\n")
 
@@ -217,31 +219,61 @@ def test_poly_caps_refuse_dear_calls_at_once(argv):
     # these ran for minutes, ran out of memory, or failed on the int-to-str
     # limit after seconds of work; the closed-form caps refuse them first,
     # and before any list as long as the argument is built
-    done = _run_child(argv, address_space=1 << 30)
+    done = run_child(argv, address_space=1 << 30)
     assert done.returncode == 2, done.stderr
     _assert_one_short_cap_message(done)
+
+
+BEYOND = "1" + "0" * 4999  # more digits than Python converts to an int by default
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "cycle", "--n", BEYOND),
+    ("verify", "subset", "--n", "3", "--k", BEYOND),
+    ("verify", "syt_rect", "--m", BEYOND, "--n", "2"),
+    ("verify", "cycle", "--n", "3", "--cap", BEYOND),
+    ("verify", "cycle", "--n", "3", "--corrupt-coeff", BEYOND),
+    ("verify", "conj_class", "--lam", "3," + BEYOND),
+    ("poly", "qint", BEYOND),
+], ids=["n", "k", "m", "cap", "corrupt-coeff", "lam-part", "poly-qint"])
+def test_values_too_long_to_convert_are_refused_without_echo(argv):
+    # argparse echoed the whole value: 5,440 characters for --n
+    done = run_child(argv, address_space=1 << 30)
+    assert done.returncode == 2, done.stderr[:200]
+    assert done.stdout == ""
+    assert done.stderr.count("\n") == 1 and len(done.stderr) < 100, done.stderr[:200]
+    assert "has more digits than Python converts" in done.stderr
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("verify", "cycle", "--n", "4.7"), "--n must be an integer"),
+    (("verify", "cycle", "--n", "1_0"), "--n must be an integer"),
+    (("verify", "cycle", "--n", " 7 "), "--n must be an integer"),
+    (("verify", "cycle", "--n", "0"), "--n must be at least 1"),
+    (("verify", "subset", "--n", "3", "--k", "-1"), "--k must be at least 0"),
+    (("verify", "syt_rect", "--m", "0", "--n", "2"), "--m must be at least 1"),
+    (("orbits", "ncm", "--n", "x"), "--n must be an integer"),
+    (("verify", "conj_class", "--lam", "3,,1"), "each --lam part must be an integer"),
+    (("verify", "conj_class", "--lam", "2,1,"), "each --lam part must be an integer"),
+    (("verify", "cycle", "--n", "3", "--cap", "1e3"), "--cap must be an integer"),
+    (("verify", "cycle", "--n", "3", "--corrupt-coeff", "-1"),
+     "--corrupt-coeff must be at least 0"),
+    (("verify", "cycle", "--n", "3", "--corrupt-coeff", "one"),
+     "--corrupt-coeff must be an integer"),
+    (("verify", "plethysm_derived", "--base", "cycle", "--n", "3", "--k", "2", "--kind", "x"),
+     "plethysm kind must be 'h' or 'e'"),
+    (("poly", "qbinom", "4", "2.0"), "each poly qbinom argument must be an integer"),
+])
+def test_each_value_is_read_once_and_named(capsys, argv, message):
+    # argparse read 1_0 and " 7 " as 10 and 7, and refused the others with
+    # its usage text; the builders read 3,,1 as (3, 1)
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
 def _assert_one_short_cap_message(done):
     assert done.stdout == ""
     assert done.stderr.count("\n") == 1 and "exceeds the cap" in done.stderr
     assert len(done.stderr) < 100, done.stderr
-
-
-def _run_child(argv, address_space=None):
-    # in a child process, so that a run that never ends fails the test
-    # through the timeout instead of stalling the suite; address_space
-    # limits the child's memory, not this process's
-    def limit():
-        resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
-
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    return subprocess.run(
-        [sys.executable, "-m", "csplab.cli", *argv],
-        env=env, capture_output=True, text=True, timeout=10,
-        preexec_fn=limit if address_space else None,
-    )
 
 
 def test_list_command(capsys):
@@ -304,7 +336,7 @@ def test_k_set_instances_pass_in_bounded_memory(argv):
     # are counted.  Before, --k 9000 took 6.2 s and 714 MB, --k 30000 exited
     # 3 with MemoryError, and each plethysm polynomial alone took 4 s (e_279 of
     # 280 values is e_1 reversed)
-    done = _run_child(argv, address_space=1 << 30)
+    done = run_child(argv, address_space=1 << 30)
     assert done.returncode == 0, done.stderr
     assert done.stdout.endswith("verdict: PASS\n")
 
@@ -426,8 +458,9 @@ def test_plethysm_base_sharing_a_flag_is_usage_error(capsys, base, shared):
 
 @pytest.mark.parametrize("command", ["verify", "orbits"])
 def test_collected_options_are_the_signature_flags(command):
-    """build_parser declares the family options by hand and _collect_params
-    names them again; both must be the flags that the signatures list."""
+    """build_parser declares the family options from sieve.FLAGS, and
+    _collect_params reads the same table; both must be the flags that the
+    signatures list."""
     flags = set().union(*(sieve._parameters(name)[1] for name in sieve.FAMILIES))
     ns = cli.build_parser().parse_args([command, "cycle"])
     others = {"command", "family", "json", "out", "cap", "checker", "corrupt_coeff"}

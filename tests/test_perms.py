@@ -1,12 +1,10 @@
 """Permutation statistics, classes, and the free/nearly-free classification."""
 
 import math
-import os
-import subprocess
-import sys
 from collections import Counter
 
 import pytest
+from child import run_child
 from hypothesis import given, strategies as st
 
 from csplab import perms, tableaux
@@ -33,7 +31,7 @@ def test_cycles_and_order():
 
 @pytest.mark.parametrize("w", [(2, 2), (1, 1, 3), (0,), (5,), (2, 3, 1, 1)])
 def test_non_permutations_are_rejected_not_walked_forever(w):
-    done = _run_child(
+    done = run_child(code=(
         "from csplab import perms\n"
         "from csplab.errors import PreconditionError\n"
         "for fn in (perms.cycles_of, perms.perm_order, perms.cycle_type):\n"
@@ -43,7 +41,7 @@ def test_non_permutations_are_rejected_not_walked_forever(w):
         "        assert 'is not a permutation of' in str(exc), exc\n"
         "    else:\n"
         "        raise SystemExit(f'{fn.__name__} accepted the input')\n"
-    )
+    ))
     assert done.returncode == 0, done.stderr
 
 
@@ -60,7 +58,7 @@ def test_index_cycles():
     (0, 2), (1,),  # an entry past the end
 ])
 def test_index_cycles_rejects_0_based_non_permutations(gen):
-    done = _run_child(
+    done = run_child(code=(
         "from csplab import perms\n"
         "from csplab.errors import PreconditionError\n"
         "try:\n"
@@ -69,18 +67,8 @@ def test_index_cycles_rejects_0_based_non_permutations(gen):
         "    assert str(exc) == perms.NOT_A_PERMUTATION, exc\n"
         "else:\n"
         "    raise SystemExit('index_cycles accepted the input')\n"
-    )
+    ))
     assert done.returncode == 0, done.stderr
-
-
-def _run_child(code):
-    # in a child process, so that a walk that never ends fails the test
-    # through the timeout instead of stalling the suite
-    src = os.path.dirname(os.path.dirname(perms.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    return subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=10
-    )
 
 
 def test_parse_cycles():

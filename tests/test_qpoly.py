@@ -342,6 +342,17 @@ def test_plethysm_degree_is_capped_before_any_work():
     assert plethysm_e(3000, f) == P([1, 3000])
 
 
+def test_h_recurrence_is_priced_before_it_runs():
+    # 10 (k^2/2 + 3k/2) for 1+q at w = 2 bytes: quadratic in k, refused at
+    # k = 20,000 (0.9 s before) and at once for k = 10^40
+    with pytest.raises(CapExceeded, match="^h_k recurrence work 2000300000 exceeds the cap"):
+        plethysm_h(20_000, P([1, 1]))
+    with pytest.raises(CapExceeded, match="^h_k recurrence work of 30 or more digits"):
+        plethysm_h(10**40, P([1]))
+    # a constant f keeps every h_m one word wide: linear in k, admitted
+    assert plethysm_h(50_000, P([2])) == P([50_001])
+
+
 def _gale_facets(n, d):
     """Independent oracle: Gale's evenness condition for the facets of a
     cyclic polytope with n vertices in dimension d."""

@@ -634,7 +634,14 @@ def test_checker_equivalence_across_families(family, params):
     assert bad_rep.roots_pass == bad_rep.orbits_pass == False
 
 
-_junk_int = st.integers(min_value=-2, max_value=7)
+_junk_int = st.one_of(
+    st.integers(min_value=-2, max_value=7),
+    st.integers(min_value=-2, max_value=7).map(str),
+    st.integers(min_value=10**39, max_value=10**40 - 1).map(str),
+    st.floats(),
+    st.booleans(),
+    st.sampled_from(["4.7", "1_0", " 7 ", "-3", "", "x"]),
+)
 
 # junk values for every flag a family signature lists
 _JUNK = {
@@ -675,12 +682,13 @@ def _family_and_junk_params(draw):
 @settings(deadline=None, max_examples=300)
 @given(_family_and_junk_params())
 def test_registry_ends_in_verdict_or_usage_error(family_and_params):
-    """Junk values of the flags a family takes end in a verdict or in one of
-    the errors the CLI maps to exit 2 (usage), never in another exception."""
+    """Junk values of the flags a family takes end in a verdict or in a
+    package error, never in another exception: int("abc") got out as a
+    bare ValueError."""
     family, params = family_and_params
     try:
         inst = sieve.registry_instantiate(family, params, size_cap=60)
-    except (CspLabError, ValueError):
+    except CspLabError:
         return
     assert sieve.build_report(inst).verdict in ("pass", "fail")
 
@@ -727,6 +735,44 @@ def test_unlisted_parameters_are_refused_with_the_cli_message(family, names):
         with contextlib.redirect_stderr(err):
             assert cli.main(argv) == 2
         assert err.getvalue() == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("value", [4.7, True, "4.7", "1_0", "abc", " 4 ", "4-", "\u0664", None])
+def test_integer_parameters_are_read_not_coerced(value):
+    # the registry built ncp --n 4 from 4.7, --n 1 from True, --n 10 from "1_0"
+    with pytest.raises(PreconditionError, match="^--n must be an integer$"):
+        sieve.registry_instantiate("ncp", {"n": value})
+
+
+def test_decimal_digits_read_as_the_integer():
+    for text in ("4", "+4"):
+        inst, number = (sieve.registry_instantiate("ncp", {"n": n}) for n in (text, 4))
+        assert inst.header() == number.header() and inst.polynomial == number.polynomial
+    inst = sieve.registry_instantiate("subset", {"n": "5", "k": "0"}, "7")
+    assert inst.params == (("n", 5), ("k", 0))
+    with pytest.raises(PreconditionError, match="^--k must be at least 0$"):
+        sieve.registry_instantiate("subset", {"n": 5, "k": -1})
+
+
+@pytest.mark.parametrize("lam,parts", [("", ()), ("3,1", (3, 1)), ((2, 2), (2, 2))])
+def test_partition_is_read_part_by_part(lam, parts):
+    inst = sieve.registry_instantiate("conj_class", {"lam": lam})
+    assert inst.params == (("lam", parts),)
+
+
+@pytest.mark.parametrize("lam", ["3,,1", ",", "2,1,", (2, True), (2.0,), ("2", " 1")])
+def test_partition_parts_are_integers(lam):
+    # "3,,1" was read as (3, 1)
+    with pytest.raises(PreconditionError, match="^each --lam part must be an integer$"):
+        sieve.registry_instantiate("conj_class", {"lam": lam})
+
+
+@pytest.mark.parametrize("cap", [0, -5, True, 2.5, "0", "abc"])
+def test_library_size_cap_is_read_and_bounded(cap):
+    # a cap of 0, -5, True or 2.5 failed every instance: "exceeds the cap 0"
+    with pytest.raises(PreconditionError, match=r"^the size cap \(--cap or CSP_LAB_CAP\) must be"):
+        sieve.registry_instantiate("cycle", {"n": 3}, cap)
+    assert sieve.registry_instantiate("cycle", {"n": 3}, 3).action.size == 3
 
 
 def test_unknown_parameter_is_refused_not_dropped():
