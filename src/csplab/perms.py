@@ -9,7 +9,7 @@ import collections
 import itertools
 import math
 import re
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .errors import PreconditionError, check_cap
 from .qpoly import BivariatePolynomial
@@ -18,14 +18,14 @@ from .tableaux import _check_partition
 __all__ = [
     "Permutation", "inverse", "perm_order",
     "from_cycles", "index_cycles", "cycles_of", "parse_cycles", "perm_label",
-    "symmetric_group", "stat", "cycle_type",
+    "stat",
     "conjugacy_class", "conjugate", "maj_exc_genfun", "nearly_free_kind",
     "CLASS_CAP",
 ]
 
 Permutation = tuple[int, ...]
 
-CLASS_CAP = 8  # full S_n is filtered for class enumeration; 8! is trivial
+CLASS_CAP = 8  # a class of S_8 has at most 8!/7 = 5,760 members
 
 STATISTICS = ("inv", "maj", "des", "exc")
 
@@ -95,12 +95,17 @@ def from_cycles(n: int, cycles: Iterable[Iterable[int]]) -> Permutation:
 
 
 def parse_cycles(text: str, n: int) -> Permutation:
-    """Parse cycle notation like "(1,2)(3,4)" into a permutation of [n]."""
+    """Parse cycle notation like "(1,2)(3,4)" into a permutation of [n].
+    Entries are ASCII digits; one whose value has more digits than n (a
+    nonzero digit and as many more) is outside [n] before it is converted.
+    No message repeats the text."""
     text = text.strip()
-    if not re.fullmatch(r"(\(\s*\d+(\s*,\s*\d+)*\s*\))+", text):
-        raise PreconditionError(f"cannot parse cycle notation: {text!r}")
+    if not re.fullmatch(r"(\(\s*[0-9]+(\s*,\s*[0-9]+)*\s*\))+", text):
+        raise PreconditionError("cannot parse the cycle notation; write each cycle as (a,b,...)")
+    if re.search(f"[1-9][0-9]{{{len(str(n))}}}", text):
+        raise PreconditionError(f"cycle entry outside [{n}]")
     cycles = [
-        [int(x) for x in group.split(",")]
+        [int(x.strip().lstrip("0") or 0) for x in group.split(",")]
         for group in re.findall(r"\(([^()]*)\)", text)
     ]
     return from_cycles(n, cycles)
@@ -111,10 +116,6 @@ def perm_label(w: Permutation) -> str:
     if len(w) <= 9:
         return "".join(str(x) for x in w)
     return ",".join(str(x) for x in w)
-
-
-def symmetric_group(n: int) -> Iterator[Permutation]:
-    return itertools.permutations(range(1, n + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -146,17 +147,33 @@ def stat(w: Permutation, which: str) -> int:
 # cycle type and conjugacy
 
 
-def cycle_type(w: Permutation) -> tuple[int, ...]:
-    """Cycle lengths in weakly decreasing order."""
-    return tuple(sorted(map(len, cycles_of(w)), reverse=True))
-
-
 def conjugacy_class(lam: tuple[int, ...], cap: int = CLASS_CAP) -> tuple[Permutation, ...]:
-    """All permutations with the given cycle type, by filtering S_n."""
+    """All permutations with cycle type lam.  The cycle through the least
+    point not yet placed takes each distinct length left in lam, and each
+    arrangement of that many other unplaced points after it, so every
+    permutation of the class is made once."""
     lam = _check_partition(lam)
     n = sum(lam)
     check_cap("conjugacy class ground set size", n, cap)
-    return tuple(w for w in symmetric_group(n) if cycle_type(w) == lam)
+    w = list(range(n + 1))  # w[i] = w(i); index 0 is unused
+    out = []
+
+    def place(free: tuple[int, ...], lengths: list[int]) -> None:
+        if not free:
+            out.append(tuple(w[1:]))
+            return
+        first, rest = free[0], free[1:]
+        for length in dict.fromkeys(lengths):
+            left = lengths.copy()
+            left.remove(length)
+            for others in itertools.permutations(rest, length - 1):
+                cycle = (first, *others)
+                for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+                    w[a] = b
+                place(tuple(x for x in rest if x not in others), left)
+
+    place(tuple(range(1, n + 1)), list(lam))
+    return tuple(out)
 
 
 def conjugate(c: Permutation, w: Permutation) -> Permutation:

@@ -56,6 +56,7 @@ __all__ = [
 
 DEFAULT_SIZE_CAP = 200_000
 ORDER_CAP = 10_000
+LABELS_NOT_DISTINCT = "labels must be distinct canonical encodings"
 
 
 class CyclicAction:
@@ -73,9 +74,8 @@ class CyclicAction:
     def __init__(self, labels: Sequence[str], generator: Sequence[int], order: int):
         self.__dict__.update(labels=tuple(labels), generator=tuple(generator), order=order)
         if len(set(self.labels)) != len(self.labels):
-            raise PreconditionError("labels must be distinct canonical encodings")
-        if order < 1:
-            raise PreconditionError(f"declared order {order} is not positive")
+            raise PreconditionError(LABELS_NOT_DISTINCT)
+        _check_declared_order(order)
         if len(self.generator) != len(self.labels):
             raise PreconditionError(perms.NOT_A_PERMUTATION)
         # the one walk checks the generator and the orbit lengths
@@ -85,8 +85,9 @@ class CyclicAction:
     def counted(
         cls, histogram: Mapping[int, int], order: int, build: Callable[[], CyclicAction]
     ) -> CyclicAction:
-        """The action whose orbit lengths are counted, not walked: ``build``
-        materializes it, once, when its labels, generator or orbits are read."""
+        """The action whose orbit-length histogram is given, counted or read
+        off a walk in enumeration order: ``build`` materializes it sorted by
+        label, once, when its labels, generator or orbits are read."""
         action = cls.__new__(cls)
         action.__dict__.update(histogram=dict(sorted(histogram.items())), order=order,
                                _build=build)
@@ -155,46 +156,72 @@ def action_from_objects(
     labels: Iterable[str],
     order: int,
 ) -> CyclicAction:
-    """Materialize an action: sort the objects by label, then store the
-    generator as an index permutation.  ``images`` and ``labels`` are aligned
-    with ``objects``: the i-th image is the generator applied to the i-th
-    object, and the i-th label is its canonical encoding.  The index is keyed
-    by the object, so every image must be the canonical object, equal to and
+    """Materialize an action: index the objects in enumeration order, walk
+    the generator's cycles once for the orbit-length histogram, and leave
+    the action sorted by label to be built when its labels, generator or
+    orbits are read.  ``images`` and ``labels`` are aligned with
+    ``objects``: the i-th image is the generator applied to the i-th object,
+    and the i-th label is its canonical encoding.  The index is keyed by the
+    object, so every image must be the canonical object, equal to and
     hashing like the enumerated one.  Nothing is called per object here, so
     iterables built in C (``map``, ``itertools``) run with no Python frame
-    per object.  Repeated objects and non-injective labels show up as
-    repeated labels."""
+    per object.  Non-injective labels are refused here; a repeated object
+    leaves an index no image reaches, so the generator is not a permutation."""
     objects, labels = tuple(objects), tuple(labels)
     n = len(objects)
     if len(labels) != n:
         raise PreconditionError(f"{len(labels)} labels for {n} objects")
-    perm = sorted(range(n), key=labels.__getitem__)
-    sorted_labels = tuple(map(labels.__getitem__, perm))
-    index = dict(zip(map(objects.__getitem__, perm), range(n)))
-    del objects, labels
+    index = dict(zip(objects, range(n)))
+    del objects
     try:
-        image_index = list(map(index.__getitem__, images))
+        gen = list(map(index.__getitem__, images))
     except KeyError as exc:
         raise PreconditionError(f"generator leaves the set: {exc}") from exc
-    if len(image_index) != n:
-        raise PreconditionError(f"{len(image_index)} images for {n} objects")
-    gen = tuple(map(image_index.__getitem__, perm))
-    del index, image_index, perm  # freed before CyclicAction walks the orbits
-    return CyclicAction(sorted_labels, gen, order)
+    if len(gen) != n:
+        raise PreconditionError(f"{len(gen)} images for {n} objects")
+    del index
+    if len(set(labels)) != n:
+        raise PreconditionError(LABELS_NOT_DISTINCT)
+    _check_declared_order(order)
+    histogram = collections.Counter(map(len, perms.index_cycles(gen)))
+    for length in histogram:
+        _stabilizer_order(length, order)
+    state = [labels, gen]
+
+    def build() -> CyclicAction:
+        labels, gen = state
+        state.clear()
+        # gen holds each index once, so sorting it rather than a range
+        # reuses its int objects
+        perm = sorted(gen, key=labels.__getitem__)
+        rank = sorted(gen, key=perm.__getitem__)  # the inverse of perm
+        sorted_labels = tuple(map(labels.__getitem__, perm))
+        sorted_gen = tuple(map(rank.__getitem__, map(gen.__getitem__, perm)))
+        del labels, gen, perm, rank  # freed before CyclicAction walks the orbits
+        return CyclicAction(sorted_labels, sorted_gen, order)
+
+    return CyclicAction.counted(histogram, order, build)
 
 
 def orbit_decompose(action: CyclicAction) -> tuple[Orbit, ...]:
     """Generator orbits in order of least member, with stabilizer-orders
     order/|orbit| in the declared group.  ``perms.index_cycles`` walks them
     and rejects a generator that is not a permutation of the indices."""
-    orbits = []
-    for members in perms.index_cycles(action.generator):
-        stab, rem = divmod(action.order, len(members))
-        if rem:
-            raise PreconditionError(f"orbit length {len(members)} does not divide "
-                                    f"the declared order {action.order}")
-        orbits.append(Orbit(members, stab))
-    return tuple(orbits)
+    return tuple(Orbit(members, _stabilizer_order(len(members), action.order))
+                 for members in perms.index_cycles(action.generator))
+
+
+def _check_declared_order(order: int) -> None:
+    if order < 1:
+        raise PreconditionError(f"declared order {order} is not positive")
+
+
+def _stabilizer_order(length: int, order: int) -> int:
+    """order / length, the stabilizer order of an orbit of that length."""
+    stab, rem = divmod(order, length)
+    if rem:
+        raise PreconditionError(f"orbit length {length} does not divide the declared order {order}")
+    return stab
 
 
 def fixed_count(action: CyclicAction, j: int) -> int:
@@ -461,7 +488,7 @@ def _generator_on_ground(params: Mapping, n: int) -> tuple[perms.Permutation, st
     kind = perms.nearly_free_kind(g, n)
     if kind == "neither":
         raise NotNearlyFree(
-            f"generator {gen} acts neither freely nor nearly freely on [{n}]"
+            f"the generator acts neither freely nor nearly freely on [{n}]"
         )
     return g, gen if isinstance(gen, str) else perms.perm_label(g)
 
@@ -561,12 +588,16 @@ def _build_syt_rect(params: Mapping, cap: int) -> CSPInstance:
     )
 
 
-def _rotations(X: Sequence, order: int, step: Callable, label: Callable, *extra) -> CyclicAction:
-    """The rotation of the objects X of an order-gon, x to ``step(x, order,
-    *extra)``, with step and label as their module holds them at the call."""
-    return action_from_objects(
-        X, map(step, X, *map(itertools.repeat, (order, *extra))), map(label, X), order
-    )
+def _rotations(X: Sequence, order: int, shift: int, label: Callable) -> CyclicAction:
+    """The rotation i -> i + shift (mod order) of the objects X, each a
+    sorted tuple of sorted parts on 1..order, labelled by ``label`` as its
+    module holds it at the call.  One table maps each distinct part to its
+    rotated, re-sorted image; an object's image is its parts' images sorted,
+    made by ``map`` and ``sorted`` with no Python frame per object."""
+    parts = set(itertools.chain.from_iterable(X))
+    table = {p: tuple(sorted((x + shift - 1) % order + 1 for x in p)) for p in parts}
+    images = map(tuple, map(sorted, map(map, itertools.repeat(table.__getitem__), X)))
+    return action_from_objects(X, images, map(label, X), order)
 
 
 def _build_ncm(params: Mapping, cap: int) -> CSPInstance:
@@ -575,7 +606,7 @@ def _build_ncm(params: Mapping, cap: int) -> CSPInstance:
     _check_size(catalan.catalan_number(n), cap)
     # promotion transports to the clockwise rotation i -> i-1 (mod 2n)
     X = catalan.enumerate_nc_matchings(n, cap=n)
-    action = _rotations(X, order, catalan.rotate_blocks, catalan.matching_label, -1)
+    action = _rotations(X, order, -1, catalan.matching_label)
     return CSPInstance(action, tableaux.q_count_syt((n, n)), "ncm", (("n", n),))
 
 
@@ -584,7 +615,7 @@ def _build_ncp(params: Mapping, cap: int) -> CSPInstance:
     order = _check_order(n)
     _check_size(catalan.catalan_number(n), cap)
     X = catalan.enumerate_nc_partitions(n, cap=n)
-    action = _rotations(X, order, catalan.rotate_blocks, catalan.partition_label)
+    action = _rotations(X, order, 1, catalan.partition_label)
     return CSPInstance(action, q_catalan(n), "ncp", (("n", n),))
 
 
@@ -593,7 +624,7 @@ def _build_triangulation(params: Mapping, cap: int) -> CSPInstance:
     order = _check_order(n + 2)
     _check_size(catalan.catalan_number(n), cap)
     X = catalan.enumerate_triangulations(n + 2, cap=n + 2)
-    action = _rotations(X, order, catalan.rotate_triangulation, catalan.triangulation_label)
+    action = _rotations(X, order, 1, catalan.triangulation_label)
     return CSPInstance(action, q_catalan(n), "triangulation", (("n", n),))
 
 
@@ -635,7 +666,7 @@ def _build_proper_triangulation(params: Mapping, cap: int) -> CSPInstance:
     else:
         f = q_proper_triangulations(half)
     X = catalan.enumerate_proper_triangulations(N + 2, cap=N + 2)
-    action = _rotations(X, order, catalan.rotate_triangulation, catalan.triangulation_label)
+    action = _rotations(X, order, 1, catalan.triangulation_label)
     return CSPInstance(action, f, "proper_triangulation", (("n", N),))
 
 

@@ -41,7 +41,8 @@ SYT_CELL_CAP = 12  # default bound on cells for single-shape enumeration
 def _check_partition(lam: Sequence[int]) -> tuple[int, ...]:
     lam = tuple(lam)
     if any(p <= 0 for p in lam) or any(a < b for a, b in zip(lam, lam[1:])):
-        raise PreconditionError(f"{lam} is not a partition")
+        raise PreconditionError("the sequence is not a partition: parts must be positive "
+                                "and weakly decreasing")
     return lam
 
 

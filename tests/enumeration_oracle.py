@@ -1,11 +1,13 @@
-"""The first noncrossing generators and rotations, kept as test oracles.
+"""The first noncrossing generators and rotations, and the first
+conjugacy-class enumeration, kept as test oracles.
 
 ``csplab.catalan`` builds each contiguous range of points once and reuses
 it, and its rotations move only the block or diagonals that wrap around.
 This module does the same work the plain way: three separate recursions
 that rebuild every gap from its elements, rotations that relabel every
 point and sort the result again, and the set-partition filter that the
-noncrossing condition is defined by.
+noncrossing condition is defined by.  ``csplab.perms.conjugacy_class``
+generates a class cycle by cycle; here it is S_n filtered by cycle type.
 """
 from __future__ import annotations
 
@@ -13,6 +15,7 @@ import itertools
 from typing import Iterable, Iterator, Sequence
 
 from csplab.catalan import Diagonals, Matching, SetPartition
+from csplab.perms import Permutation, cycles_of
 
 
 def canonical_blocks(blocks: Iterable[Iterable[int]]) -> SetPartition:
@@ -132,3 +135,17 @@ def rotate_blocks(blocks: SetPartition, g: Sequence[int]) -> SetPartition:
 def rotate_triangulation(diags: Diagonals, n: int) -> Diagonals:
     """Rotate vertex i to i + 1 (mod n), sorting every pair and the result."""
     return tuple(sorted(tuple(sorted((a % n + 1, b % n + 1))) for a, b in diags))
+
+
+def symmetric_group(n: int) -> Iterator[Permutation]:
+    return itertools.permutations(range(1, n + 1))
+
+
+def cycle_type(w: Permutation) -> tuple[int, ...]:
+    """Cycle lengths in weakly decreasing order."""
+    return tuple(sorted(map(len, cycles_of(w)), reverse=True))
+
+
+def conjugacy_class(lam: tuple[int, ...]) -> tuple[Permutation, ...]:
+    """All permutations with cycle type lam, by filtering S_n."""
+    return tuple(w for w in symmetric_group(sum(lam)) if cycle_type(w) == tuple(lam))

@@ -15,6 +15,7 @@ written from the family's definition rather than from its builder.
 
 import itertools
 
+import enumeration_oracle
 import tableaux_oracle
 from csplab import catalan, perms, sieve
 from csplab.errors import PreconditionError
@@ -63,7 +64,7 @@ def _plethysm(p):
 def _conj_class(p):
     n = sum(p["lam"])
     c = tuple(range(2, n + 1)) + (1,)
-    return (perms.conjugacy_class(p["lam"]), lambda w: perms.conjugate(c, w),
+    return (enumeration_oracle.conjugacy_class(p["lam"]), lambda w: perms.conjugate(c, w),
             perms.perm_label, max(n, 1))
 
 

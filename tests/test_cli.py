@@ -245,6 +245,31 @@ def test_values_too_long_to_convert_are_refused_without_echo(argv):
     assert "has more digits than Python converts" in done.stderr
 
 
+NOT_CYCLES = "cannot parse the cycle notation; write each cycle as (a,b,...)"
+NOT_A_PARTITION = "the sequence is not a partition: parts must be positive and weakly decreasing"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("verify", "subset", "--n", "3", "--k", "1", "--gen", "(1,２)"), NOT_CYCLES),
+    (("verify", "subset", "--n", "3", "--k", "1", "--gen", "(1,2"), NOT_CYCLES),
+    (("verify", "subset", "--n", "3", "--k", "1", "--gen", f"({BEYOND},1)"),
+     "cycle entry outside [3]"),
+    (("verify", "subset", "--n", "4", "--k", "1", "--gen", f"({'0' * 5000}1,2)"),
+     "the generator acts neither freely nor nearly freely on [4]"),
+    (("verify", "conj_class", "--lam", "1," + "9" * 3000), NOT_A_PARTITION),
+    (("poly", "qhook", "1", "9" * 3000), NOT_A_PARTITION),
+], ids=["gen-full-width-digit", "gen-unclosed", "gen-entry-beyond", "gen-neither-free-padded",
+        "lam-not-a-partition", "qhook-not-a-partition"])
+def test_generator_and_partition_are_read_without_echo(argv, message):
+    # the full-width digit passed and echoed gen=(1,２); the unclosed cycle
+    # and the long partitions were echoed whole; both entries of 5,001
+    # digits, the zero-padded one too, ended in Python's bare int-to-str
+    # error, and a generator neither free nor nearly free is not echoed
+    done = run_child(argv, address_space=1 << 30)
+    assert done.returncode == 2, done.stderr[:200]
+    assert (done.stdout, done.stderr) == ("", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("argv,message", [
     (("verify", "cycle", "--n", "4.7"), "--n must be an integer"),
     (("verify", "cycle", "--n", "1_0"), "--n must be an integer"),

@@ -5,6 +5,8 @@ from collections import Counter
 
 import pytest
 from child import run_child
+from enumeration_oracle import conjugacy_class as filtered_class
+from enumeration_oracle import cycle_type, symmetric_group
 from hypothesis import given, strategies as st
 
 from csplab import perms, tableaux
@@ -17,16 +19,15 @@ from csplab.qpoly import (
     q_factorial,
     subst_t_q_inverse,
 )
-from csplab.sieve import registry_instantiate
 
 
 def test_cycles_and_order():
     g = perms.from_cycles(9, [(1, 5, 2), (3, 7), (4, 8, 9)])
     assert perms.cycles_of(g) == [(1, 5, 2), (3, 7), (4, 8, 9), (6,)]
-    assert perms.cycle_type(g) == (3, 3, 2, 1)
+    assert cycle_type(g) == (3, 3, 2, 1)
     assert perms.perm_order(g) == 6
-    assert perms.cycle_type((2, 3, 1)) == (3,)
-    assert perms.cycle_type((1, 2, 3, 4)) == (1, 1, 1, 1)
+    assert cycle_type((2, 3, 1)) == (3,)
+    assert cycle_type((1, 2, 3, 4)) == (1, 1, 1, 1)
 
 
 @pytest.mark.parametrize("w", [(2, 2), (1, 1, 3), (0,), (5,), (2, 3, 1, 1)])
@@ -34,7 +35,7 @@ def test_non_permutations_are_rejected_not_walked_forever(w):
     done = run_child(code=(
         "from csplab import perms\n"
         "from csplab.errors import PreconditionError\n"
-        "for fn in (perms.cycles_of, perms.perm_order, perms.cycle_type):\n"
+        "for fn in (perms.cycles_of, perms.perm_order):\n"
         "    try:\n"
         f"        fn({w!r})\n"
         "    except PreconditionError as exc:\n"
@@ -77,6 +78,12 @@ def test_parse_cycles():
         perms.parse_cycles("1 2 3", 3)
     with pytest.raises(PreconditionError):
         perms.parse_cycles("(1,2)(2,3)", 3)
+    # leading zeros are not digits of the value; a longer entry is outside [n]
+    assert perms.parse_cycles("(0001,03)", 3) == (3, 2, 1)
+    with pytest.raises(PreconditionError, match=r"^cycle entry outside \[9\]$"):
+        perms.parse_cycles("(1,10)", 9)
+    with pytest.raises(PreconditionError, match="cannot parse"):
+        perms.parse_cycles("(1,\u0662)", 3)  # an Arabic-Indic 2
 
 
 def test_statistics_golden():
@@ -113,14 +120,14 @@ def _stat_genfun(X, which):
 
 @pytest.mark.parametrize("n", range(7))
 def test_inv_maj_mahonian(n):
-    Sn = list(perms.symmetric_group(n))
+    Sn = list(symmetric_group(n))
     assert _stat_genfun(Sn, "inv") == q_factorial(n)
     assert _stat_genfun(Sn, "maj") == q_factorial(n)
 
 
 @pytest.mark.parametrize("n", range(9))
 def test_des_exc_eulerian(n):
-    Sn = list(perms.symmetric_group(n))
+    Sn = list(symmetric_group(n))
     f = _stat_genfun(Sn, "des")
     assert f == _stat_genfun(Sn, "exc")
     assert f == eulerian_poly(n)
@@ -131,7 +138,7 @@ def test_minimal_coset_reps_inv_genfun(n, k):
     # permutations increasing on the first k and on the last n-k positions
     reps = [
         w
-        for w in perms.symmetric_group(n)
+        for w in symmetric_group(n)
         if all(w[i] < w[i + 1] for i in range(k - 1))
         and all(w[i] < w[i + 1] for i in range(k, n - 1))
     ]
@@ -197,18 +204,14 @@ def test_one_partition_check(lam):
         tableaux.count_syt(lam)
 
 
-def test_conj_class_enumerates_sn_once(monkeypatch):
-    calls = []
-    real = perms.symmetric_group
-
-    def counting(n):
-        calls.append(n)
-        return real(n)
-
-    monkeypatch.setattr(perms, "symmetric_group", counting)
-    inst = registry_instantiate("conj_class", {"lam": (3, 3, 2)})
-    assert calls == [8]
-    assert inst.action.size == 1120
+@pytest.mark.parametrize("n", range(9))
+def test_conjugacy_class_is_the_filtered_class(n):
+    """Generating each class cycle by cycle gives every permutation of S_n
+    with that cycle type, once."""
+    for lam in _partitions(n):
+        cls = perms.conjugacy_class(lam)
+        expected = filtered_class(lam)
+        assert len(cls) == len(expected) and set(cls) == set(expected), lam
 
 
 def test_nearly_free_kind():
@@ -225,7 +228,7 @@ def test_nearly_free_kind():
 
 @pytest.mark.parametrize("n", range(1, 8))
 def test_nearly_free_divisibility(n):
-    for w in perms.symmetric_group(n):
+    for w in symmetric_group(n):
         kind = perms.nearly_free_kind(w, n)
         if kind != "neither":
             o = perms.perm_order(w)
@@ -236,7 +239,7 @@ def test_nearly_free_divisibility(n):
 def test_conjugate_preserves_cycle_type(w):
     w = tuple(w)
     c = tuple(range(2, 8)) + (1,)
-    assert perms.cycle_type(perms.conjugate(c, w)) == perms.cycle_type(w)
+    assert cycle_type(perms.conjugate(c, w)) == cycle_type(w)
 
 
 @given(st.permutations(list(range(1, 7))))

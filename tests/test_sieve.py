@@ -137,6 +137,46 @@ def test_label_keyed_oracle_table_covers_every_family():
     assert sorted(ORACLE_FAMILIES) == sorted(sieve.FAMILIES)
 
 
+@pytest.mark.parametrize("family,n", [
+    (family, n) for family in ("ncp", "ncm", "triangulation", "proper_triangulation")
+    for n in range(1, 9) if family != "proper_triangulation" or n % 2 == 0
+])
+def test_rotation_table_gives_the_step_functions_images(monkeypatch, family, n):
+    """The one table over distinct parts maps every object to exactly its
+    image under the family's step function, ``catalan.rotate_blocks`` or
+    ``catalan.rotate_triangulation``."""
+    seen = []
+    real = sieve.action_from_objects
+
+    def capture(objects, images, labels, order):
+        seen.append((objects, list(images)))
+        return real(objects, seen[-1][1], labels, order)
+
+    monkeypatch.setattr(sieve, "action_from_objects", capture)
+    sieve.registry_instantiate(family, {"n": n})
+    [(objects, images)] = seen
+    step = ORACLE_FAMILIES[family]({"n": n})[1]
+    assert images == list(map(step, objects))
+
+
+@pytest.mark.parametrize("family,params", [
+    ("ncp", {"n": 7}), ("syt_rect", {"m": 3, "n": 3}), ("conj_class", {"lam": (3, 2, 1)}),
+])
+def test_verify_builds_no_label_sorted_action(family, params):
+    """The checkers and both report forms read the histogram only; the
+    action sorted by label is built once, on the first read of its labels."""
+    inst = sieve.registry_instantiate(family, params)
+    report = sieve.build_report(inst)
+    report.to_dict()
+    action = inst.action
+    assert "_built" not in vars(action)
+    builds = []
+    build = action._build
+    action._build = lambda: builds.append(1) or build()
+    assert len(action.labels) == action.size
+    assert (action.generator, action.orbits) and builds == [1]
+
+
 @given(
     st.integers(min_value=1, max_value=12).flatmap(
         lambda m: st.permutations(list(range(m)))
