@@ -5,6 +5,8 @@ these rather than bare ValueErrors so the command line front end can map
 them onto exit codes.
 """
 
+from typing import Callable
+
 
 class CspLabError(Exception):
     """Base class for all package errors."""
@@ -27,7 +29,26 @@ class NonIntegerEvaluation(CspLabError, ArithmeticError):
 
     Signals that the residue modulo the cyclotomic polynomial is
     non-constant, i.e. the candidate polynomial cannot count fixed points.
+    The message may be given as a function of no arguments, called when
+    str(), repr() or pickling first reads it, so a caller that only catches
+    the error never computes the residue; until then ``args`` is empty.
     """
+
+    def __init__(self, message: str | Callable[[], str]) -> None:
+        self._message = message
+        super().__init__(*(() if callable(message) else (message,)))
+
+    def __str__(self) -> str:
+        if not self.args:
+            self.args, self._message = (self._message(),), None
+        return super().__str__()
+
+    def __repr__(self) -> str:
+        str(self)
+        return super().__repr__()
+
+    def __reduce__(self):
+        return type(self), (str(self),)
 
 
 class NegativeExponent(CspLabError, ArithmeticError):

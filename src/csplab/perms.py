@@ -9,17 +9,17 @@ import collections
 import itertools
 import math
 import re
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import PreconditionError, check_cap
 from .qpoly import BivariatePolynomial
 from .tableaux import _check_partition
 
 __all__ = [
-    "Permutation", "inverse", "perm_order",
-    "from_cycles", "index_cycles", "cycles_of", "parse_cycles", "perm_label",
+    "Permutation", "inverse",
+    "from_cycles", "index_cycles", "cycles_of", "read_cycles", "perm_label",
     "stat",
-    "conjugacy_class", "conjugate", "maj_exc_genfun", "nearly_free_kind",
+    "conjugacy_class", "conjugate", "maj_exc_genfun", "cycle_type_kind",
     "CLASS_CAP",
 ]
 
@@ -73,13 +73,18 @@ def cycles_of(w: Permutation) -> list[tuple[int, ...]]:
     return index_cycles((0, *w))[1:]
 
 
-def perm_order(w: Permutation) -> int:
-    return math.lcm(*map(len, cycles_of(w)))
-
-
 def from_cycles(n: int, cycles: Iterable[Iterable[int]]) -> Permutation:
     """Permutation of [n] from disjoint cycles; unlisted points are fixed."""
     out = list(range(1, n + 1))
+    for cyc in _disjoint_cycles(n, cycles):
+        for a, b in zip(cyc, cyc[1:] + cyc[:1]):
+            out[a - 1] = b
+    return tuple(out)
+
+
+def _disjoint_cycles(n: int, cycles: Iterable[Iterable[int]]) -> list[list[int]]:
+    """The cycles as lists, once each entry is in [n] and none repeats."""
+    out: list[list[int]] = []
     seen: set[int] = set()
     for cyc in cycles:
         cyc = list(cyc)
@@ -89,26 +94,24 @@ def from_cycles(n: int, cycles: Iterable[Iterable[int]]) -> Permutation:
             if a in seen:
                 raise PreconditionError(f"cycles are not disjoint at {a}")
             seen.add(a)
-        for a, b in zip(cyc, cyc[1:] + cyc[:1]):
-            out[a - 1] = b
-    return tuple(out)
+        out.append(cyc)
+    return out
 
 
-def parse_cycles(text: str, n: int) -> Permutation:
-    """Parse cycle notation like "(1,2)(3,4)" into a permutation of [n].
-    Entries are ASCII digits; one whose value has more digits than n (a
-    nonzero digit and as many more) is outside [n] before it is converted.
-    No message repeats the text."""
+def read_cycles(text: str, n: int) -> list[list[int]]:
+    """Parse cycle notation like "(1,2)(3,4)" into disjoint cycles on [n],
+    building nothing of size n.  Entries are ASCII digits; one whose value
+    has more digits than n (a nonzero digit and as many more) is outside
+    [n] before it is converted.  No message repeats the text."""
     text = text.strip()
     if not re.fullmatch(r"(\(\s*[0-9]+(\s*,\s*[0-9]+)*\s*\))+", text):
         raise PreconditionError("cannot parse the cycle notation; write each cycle as (a,b,...)")
     if re.search(f"[1-9][0-9]{{{len(str(n))}}}", text):
         raise PreconditionError(f"cycle entry outside [{n}]")
-    cycles = [
+    return _disjoint_cycles(n, (
         [int(x.strip().lstrip("0") or 0) for x in group.split(",")]
         for group in re.findall(r"\(([^()]*)\)", text)
-    ]
-    return from_cycles(n, cycles)
+    ))
 
 
 def perm_label(w: Permutation) -> str:
@@ -188,16 +191,10 @@ def maj_exc_genfun(X: Iterable[Permutation]) -> BivariatePolynomial:
         collections.Counter((stat(w, "maj"), stat(w, "exc")) for w in X))
 
 
-def nearly_free_kind(g: Permutation, N: int) -> str:
-    """Classify g's action on [N]: "free" if every cycle has length equal to
-    the order of g, "nearly_free" if additionally exactly one fixed point is
-    allowed, "neither" otherwise."""
-    if len(g) != N:
-        raise PreconditionError(f"generator must permute [{N}]")
-    lengths = sorted(map(len, cycles_of(g)), reverse=True)
-    n = math.lcm(*lengths)
-    if all(l == n for l in lengths):
-        return "free"
-    if lengths.count(1) == 1 and all(l == n for l in lengths[:-1]):
-        return "nearly_free"
-    return "neither"
+def cycle_type_kind(lengths: Mapping[int, int]) -> str:
+    """Classify a permutation by its {cycle length: count}: "free" if every
+    cycle has length equal to its order, "nearly_free" if additionally
+    exactly one fixed point is allowed, "neither" otherwise."""
+    order = math.lcm(*lengths)
+    shorter = {length: count for length, count in lengths.items() if length != order}
+    return "free" if not shorter else "nearly_free" if shorter == {1: 1} else "neither"

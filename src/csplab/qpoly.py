@@ -1,8 +1,9 @@
 """Exact integer polynomial arithmetic in q and the classical q-analogues.
 
 Everything here is exact: coefficients are Python integers, so q-factorials
-and Gaussian binomials never overflow, and evaluation at a root of unity is
-reduction modulo a cyclotomic polynomial rather than floating-point.
+and Gaussian binomials never overflow, and evaluation at a root of unity
+reads integer coordinates in a Z-basis of the cyclotomic integers rather
+than a floating-point value.
 
 A polynomial is a dense tuple of coefficients, constant term first, with no
 trailing zeros; the zero polynomial is the empty tuple.
@@ -21,7 +22,7 @@ import operator
 import sys
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Collection, Iterable, Iterator, Mapping
+from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     InexactDivision,
@@ -318,6 +319,24 @@ def _at_power(f: IntPolynomial, k: int) -> IntPolynomial:
     return IntPolynomial(out)
 
 
+def _admit(d: int) -> list[int]:
+    """The distinct primes of d >= 1, in increasing order, once d and
+    phi(d), the degree of Phi_d, pass the caps."""
+    check_cap("Phi_d index d", d, 2 * DEGREE_CAP**2)  # phi(d) >= sqrt(d / 2)
+    primes, rest, p = [], d, 2
+    while rest > 1:
+        if p * p > rest:
+            p = rest  # what is left is prime
+        if rest % p == 0:
+            primes.append(p)
+            while rest % p == 0:
+                rest //= p
+        p += 1
+    r = math.prod(primes)
+    check_cap("Phi_d degree", d // r * math.prod(p - 1 for p in primes), DEGREE_CAP)
+    return primes
+
+
 @functools.lru_cache(maxsize=None)
 def cyclotomic(d: int) -> IntPolynomial:
     """The d-th cyclotomic polynomial.  For d > 1 it is the product of
@@ -332,50 +351,101 @@ def cyclotomic(d: int) -> IntPolynomial:
         raise PreconditionError("cyclotomic needs d >= 1")
     if d == 1:
         return IntPolynomial((-1, 1))
-    check_cap("Phi_d index d", d, 2 * DEGREE_CAP**2)  # phi(d) >= sqrt(d / 2)
+    primes = _admit(d)
     num, den = [1], []  # the e | r with mu(r/e) = 1, and with mu(r/e) = -1
-    r, phi, rest, p = 1, 1, d, 2
-    while rest > 1:
-        if p * p > rest:
-            p = rest  # what is left is prime
-        if rest % p == 0:
-            r, phi = r * p, phi * (p - 1)
-            num, den = den + [e * p for e in num], num + [e * p for e in den]
-            while rest % p == 0:
-                rest //= p
-        p += 1
-    check_cap("Phi_d degree", phi * (d // r), DEGREE_CAP)
-    return _at_power(q_ratio(num, den), d // r)
+    for p in primes:
+        num, den = den + [e * p for e in num], num + [e * p for e in den]
+    return _at_power(q_ratio(num, den), d // math.prod(primes))
 
 
 def eval_at_root(f: IntPolynomial, d: int) -> int:
-    """Evaluate f exactly at a primitive d-th root of unity.
+    """Evaluate f exactly at a primitive d-th root of unity w.
 
-    f is folded modulo q^d - 1, which Phi_d divides, and the fold is then
-    reduced modulo Phi_d.  The result is the same for every primitive d-th
-    root because f has integer coefficients.  Raises NonIntegerEvaluation
-    when the value is not a rational integer, which is how a failed sieving
-    candidate shows up.
+    With r the product of the primes p_1 < ... < p_k of d and s = d/r,
+    u_i = w^(s r / p_i) is a primitive p_i-th root, and each m mod r is
+    a_1 r/p_1 + ... + a_k r/p_k for one tuple (a_i mod p_i), so w^(t+sm)
+    is w^t u_1^a_1 ... u_k^a_k.  The coefficients of f folded modulo
+    q^d - 1 are gathered into a (p_1, ..., p_k, s) array by that rule, and
+    u^(p-1) = -(1 + u + ... + u^(p-2)) subtracts the last slice of each
+    prime axis from the others.  What is left are the coordinates
+    of f(w) in the Z-basis w^t u_1^a_1 ... u_k^a_k (t < s, a_i < p_i - 1)
+    of Z[w]: f(w) is a rational integer iff only the coordinate of 1 is
+    nonzero, and is then that coordinate, the same for every primitive d-th
+    root.  Otherwise raises NonIntegerEvaluation, which is how a failed
+    sieving candidate shows up; its message, the residue of the fold modulo
+    Phi_d, is computed only when it is read.
 
     >>> eval_at_root(q_int(6), 3)
     0
     """
     if d < 1:
         raise PreconditionError("root order must be >= 1")
-    _, residue = _divmod(IntPolynomial(fold_mod_qn(f, d)), cyclotomic(d))
-    if residue.degree > 0:
-        raise NonIntegerEvaluation(f"residue {residue} mod Phi_{d} is not constant")
-    return residue[0]
+    primes = _admit(d)
+    s = d // math.prod(primes)
+    x = folded = fold_mod_qn(f, d)
+    if len(primes) > 1:  # for one prime the table is 0, ..., p - 1: the fold is in order
+        table = _crt_order(tuple(primes))
+        if s == 1:
+            x = list(map(folded.__getitem__, table))
+        else:  # the block of the s coefficients of q^(sm), ..., q^(sm+s-1) for each m
+            starts = [m * s for m in table]
+            stops = map(operator.add, starts, itertools.repeat(s))
+            x = list(itertools.chain.from_iterable(
+                map(folded.__getitem__, map(slice, starts, stops))))
+    for p in primes:
+        x = _reduce_first_axis(x, p)
+    if any(x[1:]):
+        def message() -> str:
+            residue = _divmod(IntPolynomial(folded), cyclotomic(d))[1]
+            return f"residue {residue} mod Phi_{d} is not constant"
+
+        raise NonIntegerEvaluation(message)
+    return x[0]
+
+
+@functools.lru_cache(maxsize=None)
+def _crt_order(primes: tuple[int, ...]) -> tuple[int, ...]:
+    """The residues m = a_1 r/p_1 + ... + a_k r/p_k modulo the product r of
+    ``primes``, each once, listed by (a_1, ..., a_k) in mixed radix, the
+    last prime fastest."""
+    r = math.prod(primes)
+    table = [0]
+    for p in primes:
+        table = [(m + a * (r // p)) % r for m in table for a in range(p)]
+    return tuple(table)
+
+
+def _reduce_first_axis(x: Sequence[int], p: int) -> list[int]:
+    """x read as a (p, w) array: its first p - 1 rows less its last one,
+    returned as a (w, p - 1) array, so the next axis comes first.  Python
+    loops over the shorter of the two axes."""
+    w = len(x) // p
+    last = x[w * (p - 1):]
+    out = [0] * (w * (p - 1))
+    if p - 1 <= w:
+        for a in range(p - 1):
+            out[a::p - 1] = map(operator.sub, x[w * a:w * (a + 1)], last)
+    else:
+        for j in range(w):
+            out[j * (p - 1):(j + 1) * (p - 1)] = map(
+                operator.sub, x[j:w * (p - 1):w], itertools.repeat(last[j]))
+    return out
 
 
 def fold_mod_qn(f: IntPolynomial, n: int) -> tuple[int, ...]:
     """Coefficients (a_0, ..., a_{n-1}) of f modulo 1 - q^n,
-    i.e. a_i = sum of the coefficients of q^j over j = i (mod n)."""
+    i.e. a_i = sum of the coefficients of q^j over j = i (mod n): a strided
+    sum per residue once each residue has 8 terms or more (measured faster
+    there), otherwise a sum of the chunks of n coefficients."""
     if n < 1:
         raise PreconditionError("fold modulus must be >= 1")
-    out = [0] * n
-    for j, c in enumerate(f.coeffs):
-        out[j % n] += c
+    cs = f.coeffs
+    if 8 * n <= len(cs):
+        return tuple(sum(cs[i::n]) for i in range(n))
+    out = list(cs[:n]) + [0] * (n - len(cs))
+    for start in range(n, len(cs), n):
+        chunk = cs[start:start + n]
+        out[:len(chunk)] = map(operator.add, out, chunk)
     return tuple(out)
 
 

@@ -16,6 +16,7 @@ import collections
 import functools
 import itertools
 import math
+import operator
 import re
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
@@ -72,13 +73,19 @@ class CyclicAction:
     """
 
     def __init__(self, labels: Sequence[str], generator: Sequence[int], order: int):
-        self.__dict__.update(labels=tuple(labels), generator=tuple(generator), order=order)
-        if len(set(self.labels)) != len(self.labels):
+        labels, generator = tuple(labels), tuple(generator)
+        if len(set(labels)) != len(labels):
             raise PreconditionError(LABELS_NOT_DISTINCT)
         _check_declared_order(order)
-        if len(self.generator) != len(self.labels):
+        if len(generator) != len(labels):
             raise PreconditionError(perms.NOT_A_PERMUTATION)
-        # the one walk checks the generator and the orbit lengths
+        self._walk(labels, generator, order)
+
+    def _walk(self, labels: tuple[str, ...], generator: tuple[int, ...], order: int) -> None:
+        """Hold labels, generator and order, and list the orbits: the one
+        walk checks the generator and the orbit lengths.  Called directly, it
+        trusts the caller to have checked the rest."""
+        self.__dict__.update(labels=labels, generator=generator, order=order)
         self.__dict__["orbits"] = orbit_decompose(self)
 
     @classmethod
@@ -197,8 +204,11 @@ def action_from_objects(
         rank = sorted(gen, key=perm.__getitem__)  # the inverse of perm
         sorted_labels = tuple(map(labels.__getitem__, perm))
         sorted_gen = tuple(map(rank.__getitem__, map(gen.__getitem__, perm)))
-        del labels, gen, perm, rank  # freed before CyclicAction walks the orbits
-        return CyclicAction(sorted_labels, sorted_gen, order)
+        del labels, gen, perm, rank  # freed before the orbits are walked
+        # the labels and the order were checked above, on the same data
+        action = CyclicAction.__new__(CyclicAction)
+        action._walk(sorted_labels, sorted_gen, order)
+        return action
 
     return CyclicAction.counted(histogram, order, build)
 
@@ -245,36 +255,42 @@ class RootRow:
 
 def verify_csp_roots(inst: CSPInstance) -> tuple[RootRow, ...]:
     """Fixed-point counts of every group element against exact evaluations
-    of the polynomial at roots of unity of matching orders."""
+    of the polynomial at roots of unity of matching orders.  g^j has order
+    d = order / gcd(order, j), fixes the points whose orbit length divides
+    order / d, and is checked at a primitive d-th root: once per divisor d."""
     action, f = inst.action, inst.polynomial
-    rows = []
-    cache: dict[int, tuple[int, int | None]] = {}  # d -> (fixed, value)
-    for j in range(action.order):
-        d = action.order // math.gcd(action.order, j)
-        if d not in cache:
-            try:
-                value = eval_at_root(f, d)
-            except NonIntegerEvaluation:
-                value = None
-            cache[d] = (fixed_count(action, j), value)
-        fixed, value = cache[d]
-        rows.append(RootRow(j, d, fixed, value, value == fixed))
-    return tuple(rows)
+    order = action.order
+    js = range(order)
+    ds = list(map(operator.floordiv, itertools.repeat(order),
+                  map(math.gcd, js, itertools.repeat(order))))
+    fixed, value = {}, {}
+    for d in dict.fromkeys(ds):
+        fixed[d] = fixed_count(action, order // d)
+        try:
+            value[d] = eval_at_root(f, d)
+        except NonIntegerEvaluation:
+            value[d] = None
+    match = {d: value[d] == fixed[d] for d in fixed}
+    return tuple(map(RootRow, js, ds, map(fixed.__getitem__, ds), map(value.__getitem__, ds),
+                     map(match.__getitem__, ds)))
 
 
 def verify_csp_orbits(inst: CSPInstance) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Fold the polynomial modulo 1 - q^order into (a_0, ..., a_{order-1}),
     and count for each i the orbits whose stabilizer-order divides i (every
-    stabilizer-order divides 0, so a_0 counts all orbits).  The check passes
-    when the two agree.
+    stabilizer-order divides 0, so a_0 counts all orbits): the orbits of
+    stabilizer-order s add their count to every s-th entry.  The check
+    passes when the two agree.
 
     Returns (a, census).
     """
     order = inst.action.order
     a = fold_mod_qn(inst.polynomial, order)
-    stabs = [(order // length, count) for length, count in inst.action.histogram.items()]
-    census = tuple(sum(c for s, c in stabs if i % s == 0) for i in range(order))
-    return a, census
+    census = [0] * order
+    for length, count in inst.action.histogram.items():
+        stab = order // length
+        census[::stab] = map(operator.add, census[::stab], itertools.repeat(count))
+    return a, tuple(census)
 
 
 @dataclass
@@ -476,21 +492,34 @@ def _comb(n: int, k: int, cap: int) -> int:
     return count
 
 
-def _generator_on_ground(params: Mapping, n: int) -> tuple[perms.Permutation, str | None]:
-    """Resolve the acting permutation of [n]: the full cycle by default, or
-    a supplied nearly-free generator."""
+def _ground(params: Mapping, n: int) -> tuple[CyclicAction, str | None]:
+    """The action on [n] of the full cycle by default, or of a supplied
+    nearly-free generator, and the generator's label.  It is counted from
+    the generator's cycle type (the points a --gen does not list are fixed)
+    and built only when its labels, generator or orbits are read."""
     gen = params.get("gen")
     if gen is None:
-        _check_order(n)  # the order of the full cycle, before it is built
-        g = perms.from_cycles(n, [tuple(range(1, n + 1))] if n else [])
-        return g, None
-    g = perms.parse_cycles(gen, n) if isinstance(gen, str) else tuple(gen)
-    kind = perms.nearly_free_kind(g, n)
-    if kind == "neither":
+        _check_order(n)  # the order of the full cycle, before len() measures it
+        cycles, label = [range(1, n + 1)], None
+    elif isinstance(gen, str):
+        cycles, label = perms.read_cycles(gen, n), gen
+    else:  # a permutation of [n] in one-line notation
+        g = tuple(gen)
+        if len(g) != n:
+            raise PreconditionError(f"generator must permute [{n}]")
+        cycles, label = perms.cycles_of(g), perms.perm_label(g)
+    lengths = collections.Counter(map(len, cycles))
+    unlisted = n - sum(length * count for length, count in lengths.items())
+    if unlisted:
+        lengths[1] += unlisted
+    if perms.cycle_type_kind(lengths) == "neither":
         raise NotNearlyFree(
             f"the generator acts neither freely nor nearly freely on [{n}]"
         )
-    return g, gen if isinstance(gen, str) else perms.perm_label(g)
+    order = _check_order(math.lcm(*lengths))
+    return CyclicAction.counted(lengths, order, lambda: CyclicAction(
+        tuple(map(str, range(1, n + 1))), [x - 1 for x in perms.from_cycles(n, cycles)], order,
+    )), label
 
 
 def _k_sets(
@@ -569,9 +598,7 @@ def _build_k_sets(params: Mapping, cap: int, repeat: bool) -> CSPInstance:
     size = _check_size(_comb(top, k, cap), cap)
     check_cap("ground set size n", n, cap)  # a size of 0 or 1 bounds neither n
     check_cap("k", k, cap)  # nor k; any other size bounds both
-    g, gen_label = _generator_on_ground(params, n)
-    order = _check_order(perms.perm_order(g))
-    ground = CyclicAction(tuple(map(str, range(1, n + 1))), [x - 1 for x in g], order)
+    ground, gen_label = _ground(params, n)
     action = _counted_k_sets(ground, k, repeat, "" if n <= 9 else ",", size)
     p = [("n", n), ("k", k)] + ([("gen", gen_label)] if gen_label else [])
     return CSPInstance(action, gaussian_binomial(top, k), name, tuple(p))

@@ -8,14 +8,18 @@ that rebuild every gap from its elements, rotations that relabel every
 point and sort the result again, and the set-partition filter that the
 noncrossing condition is defined by.  ``csplab.perms.conjugacy_class``
 generates a class cycle by cycle; here it is S_n filtered by cycle type.
+``parse_cycles`` and ``perm_order`` give a ``--gen`` text as the
+permutation of [n] and its order, which ``csplab.sieve`` reads off the
+cycle type instead.
 """
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Iterable, Iterator, Sequence
 
 from csplab.catalan import Diagonals, Matching, SetPartition
-from csplab.perms import Permutation, cycles_of
+from csplab.perms import Permutation, cycles_of, from_cycles, read_cycles
 
 
 def canonical_blocks(blocks: Iterable[Iterable[int]]) -> SetPartition:
@@ -139,6 +143,14 @@ def rotate_triangulation(diags: Diagonals, n: int) -> Diagonals:
 
 def symmetric_group(n: int) -> Iterator[Permutation]:
     return itertools.permutations(range(1, n + 1))
+
+
+def parse_cycles(text: str, n: int) -> Permutation:
+    return from_cycles(n, read_cycles(text, n))
+
+
+def perm_order(w: Permutation) -> int:
+    return math.lcm(*map(len, cycles_of(w)))
 
 
 def cycle_type(w: Permutation) -> tuple[int, ...]:

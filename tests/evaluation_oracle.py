@@ -9,6 +9,12 @@ division steps grow with d times the sum of phi(e) over its divisors.
 ``cyclotomic_by_prime_steps`` is the construction that ``qpoly.cyclotomic``
 replaced with one ``q_ratio``: exact division by Phi_m once per prime of d.
 
+``eval_by_division`` is the evaluation that ``qpoly.eval_at_root`` replaced
+with coordinates in a Z-basis of Z[w]: f folded modulo q^d - 1 by a loop
+over its coefficients (``fold_by_loop``, which ``qpoly.fold_mod_qn``
+replaced with slices), then divided by Phi_d.  Its message is the one
+``eval_at_root`` builds when the message is read.
+
 ``root_of_unity_binomial`` is the closed form of a Gaussian binomial at a
 root of unity, which the multiset fixed-point counts are checked against.
 """
@@ -17,6 +23,7 @@ from __future__ import annotations
 import functools
 import math
 
+from csplab import qpoly
 from csplab.errors import NonIntegerEvaluation, PreconditionError
 from csplab.qpoly import IntPolynomial, exact_divide
 
@@ -70,6 +77,22 @@ def _remainder_monic(f: IntPolynomial, g: IntPolynomial) -> IntPolynomial:
 
 def eval_at_root(f: IntPolynomial, d: int) -> int:
     residue = _remainder_monic(f, cyclotomic(d))
+    if residue.degree > 0:
+        raise NonIntegerEvaluation(f"residue {residue} mod Phi_{d} is not constant")
+    return residue[0]
+
+
+def fold_by_loop(f: IntPolynomial, n: int) -> tuple[int, ...]:
+    out = [0] * n
+    for j, c in enumerate(f.coeffs):
+        out[j % n] += c
+    return tuple(out)
+
+
+def eval_by_division(f: IntPolynomial, d: int) -> int:
+    if d < 1:
+        raise PreconditionError("root order must be >= 1")
+    _, residue = qpoly._divmod(IntPolynomial(fold_by_loop(f, d)), qpoly.cyclotomic(d))
     if residue.degree > 0:
         raise NonIntegerEvaluation(f"residue {residue} mod Phi_{d} is not constant")
     return residue[0]

@@ -5,6 +5,9 @@ This module counts them the slow way instead: compose the generator with
 itself j times and count the points the result fixes.  Burnside's lemma
 then ties the power-iteration counts to the orbit decomposition.
 ``faithful_order`` finds a 0-based permutation's order by its own walk.
+``census_by_divisibility`` is the orbit census that ``verify_csp_orbits``
+replaced with one stepped-slice add per orbit length: for each i, a sum
+over the orbit lengths of those whose stabilizer-order divides i.
 
 For two commuting generators g and h (``sieve.verify_bicsp``) the same is
 done in two dimensions: compose g^j h^k for every (j, k) and count, and
@@ -32,6 +35,12 @@ def faithful_order(p: tuple[int, ...]) -> int:
             length += 1
         lengths.append(length)
     return math.lcm(*lengths) if lengths else 1
+
+
+def census_by_divisibility(action: sieve.CyclicAction) -> tuple[int, ...]:
+    order = action.order
+    stabs = [(order // length, count) for length, count in action.histogram.items()]
+    return tuple(sum(c for s, c in stabs if i % s == 0) for i in range(order))
 
 
 def power_fixed_counts(action: sieve.CyclicAction) -> list[int]:

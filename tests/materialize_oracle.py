@@ -49,10 +49,11 @@ def k_sets(labels, gen, k, repeat, sep, order):
 
 def _ground_k_sets(p, repeat):
     n = p["n"]
-    g = perms.parse_cycles(p["gen"], n) if "gen" in p else tuple(range(2, n + 1)) + (1,)
+    g = (enumeration_oracle.parse_cycles(p["gen"], n) if "gen" in p
+         else tuple(range(2, n + 1)) + (1,))
     labels = [str(x) for x in range(1, n + 1)]
     return k_sets(labels, [x - 1 for x in g], p["k"], repeat, "" if n <= 9 else ",",
-                  perms.perm_order(g))
+                  enumeration_oracle.perm_order(g))
 
 
 def _plethysm(p):

@@ -160,6 +160,9 @@ HUGE = "1" + "0" * 4299  # the most digits Python converts to an int by default
     # before the generator is parsed or anything is built (exit 3 before, on
     # MemoryError or OverflowError)
     (("verify", "subset", "--n", "1" + "0" * 12, "--k", "0", "--gen", "(1,2)"), 2),
+    # the full cycle's order, before len() measures a range past sys.maxsize
+    (("verify", "subset", "--n", "1" + "0" * 19, "--k", "0", "--cap", "1" + "0" * 19), 2),
+    (("verify", "multiset", "--n", "1" + "0" * 19, "--k", "0", "--cap", "1" + "0" * 19), 2),
     (("verify", "subset", "--n", "5", "--k", "1" + "0" * 40), 2),
     (("verify", "multiset", "--n", "1", "--k", "1" + "0" * 40), 2),
     (("verify", "multiset", "--n", "1", "--k", "100000000"), 2),
@@ -194,6 +197,28 @@ def test_large_inputs_end_at_once(argv, code):
     assert done.returncode == code, done.stderr
     if code == 2:
         _assert_one_short_cap_message(done)
+
+
+@pytest.mark.parametrize("extra,code", [((), 0), (("--corrupt-coeff", "1"), 1)],
+                         ids=["pass", "corrupt"])
+def test_order_near_the_cap_ends_in_a_verdict(extra, code):
+    # every divisor of 9240 is evaluated; the corrupted f has non-integer ones
+    done = run_child(("verify", "cycle", "--n", "9240", *extra), address_space=1 << 30)
+    assert done.returncode == code, done.stderr
+    assert done.stdout.endswith("verdict: PASS\n" if code == 0 else "verdict: FAIL\n")
+
+
+@pytest.mark.parametrize("gen,code,last", [
+    ("(1,2)", 2, "error: the generator acts neither freely nor nearly freely on [10000000000]\n"),
+    ("(1)", 0, "verdict: PASS\n"),
+])
+def test_generator_on_a_huge_ground_set_builds_nothing_of_size_n(gen, code, last):
+    # the kind and the order are read off the listed cycles, the other
+    # points fixed; both exited 3 with MemoryError under 1 GiB before
+    done = run_child(("verify", "subset", "--n", "10000000000", "--k", "0",
+                      "--cap", "100000000000", "--gen", gen), address_space=1 << 30)
+    assert done.returncode == code, done.stderr
+    assert (done.stderr if code else done.stdout).endswith(last)
 
 
 @pytest.mark.parametrize("m,n", [(1, 1200), (1, 10000), (10000, 1)])

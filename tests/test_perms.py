@@ -6,7 +6,7 @@ from collections import Counter
 import pytest
 from child import run_child
 from enumeration_oracle import conjugacy_class as filtered_class
-from enumeration_oracle import cycle_type, symmetric_group
+from enumeration_oracle import cycle_type, parse_cycles, perm_order, symmetric_group
 from hypothesis import given, strategies as st
 
 from csplab import perms, tableaux
@@ -25,7 +25,7 @@ def test_cycles_and_order():
     g = perms.from_cycles(9, [(1, 5, 2), (3, 7), (4, 8, 9)])
     assert perms.cycles_of(g) == [(1, 5, 2), (3, 7), (4, 8, 9), (6,)]
     assert cycle_type(g) == (3, 3, 2, 1)
-    assert perms.perm_order(g) == 6
+    assert perm_order(g) == 6
     assert cycle_type((2, 3, 1)) == (3,)
     assert cycle_type((1, 2, 3, 4)) == (1, 1, 1, 1)
 
@@ -35,7 +35,7 @@ def test_non_permutations_are_rejected_not_walked_forever(w):
     done = run_child(code=(
         "from csplab import perms\n"
         "from csplab.errors import PreconditionError\n"
-        "for fn in (perms.cycles_of, perms.perm_order):\n"
+        "for fn in (perms.cycles_of,):\n"
         "    try:\n"
         f"        fn({w!r})\n"
         "    except PreconditionError as exc:\n"
@@ -73,17 +73,18 @@ def test_index_cycles_rejects_0_based_non_permutations(gen):
 
 
 def test_parse_cycles():
-    assert perms.parse_cycles("(1,2)(3,4)", 5) == (2, 1, 4, 3, 5)
+    assert perms.read_cycles("(1,2)(3,4)", 5) == [[1, 2], [3, 4]]
+    assert parse_cycles("(1,2)(3,4)", 5) == (2, 1, 4, 3, 5)
     with pytest.raises(PreconditionError):
-        perms.parse_cycles("1 2 3", 3)
+        perms.read_cycles("1 2 3", 3)
     with pytest.raises(PreconditionError):
-        perms.parse_cycles("(1,2)(2,3)", 3)
+        perms.read_cycles("(1,2)(2,3)", 3)
     # leading zeros are not digits of the value; a longer entry is outside [n]
-    assert perms.parse_cycles("(0001,03)", 3) == (3, 2, 1)
+    assert parse_cycles("(0001,03)", 3) == (3, 2, 1)
     with pytest.raises(PreconditionError, match=r"^cycle entry outside \[9\]$"):
-        perms.parse_cycles("(1,10)", 9)
+        perms.read_cycles("(1,10)", 9)
     with pytest.raises(PreconditionError, match="cannot parse"):
-        perms.parse_cycles("(1,\u0662)", 3)  # an Arabic-Indic 2
+        perms.read_cycles("(1,\u0662)", 3)  # an Arabic-Indic 2
 
 
 def test_statistics_golden():
@@ -214,24 +215,29 @@ def test_conjugacy_class_is_the_filtered_class(n):
         assert len(cls) == len(expected) and set(cls) == set(expected), lam
 
 
+def _kind(w):
+    return perms.cycle_type_kind(Counter(cycle_type(w)))
+
+
 def test_nearly_free_kind():
-    assert perms.nearly_free_kind(perms.parse_cycles("(1,2)(3,4)(5,6)", 6), 6) == "free"
-    assert (
-        perms.nearly_free_kind(perms.parse_cycles("(1,2)(3,4)(5,6)", 7), 7)
-        == "nearly_free"
-    )
-    assert perms.nearly_free_kind(perms.parse_cycles("(1,2,4)(3,5)", 5), 5) == "neither"
-    assert perms.nearly_free_kind((1, 2, 3, 4), 4) == "free"
-    assert perms.nearly_free_kind(perms.parse_cycles("(1,2)", 4), 4) == "neither"
-    assert perms.nearly_free_kind((2, 3, 1, 4), 4) == "nearly_free"
+    assert _kind(parse_cycles("(1,2)(3,4)(5,6)", 6)) == "free"
+    assert _kind(parse_cycles("(1,2)(3,4)(5,6)", 7)) == "nearly_free"
+    assert _kind(parse_cycles("(1,2,4)(3,5)", 5)) == "neither"
+    assert _kind((1, 2, 3, 4)) == "free"
+    assert _kind(parse_cycles("(1,2)", 4)) == "neither"
+    assert _kind((2, 3, 1, 4)) == "nearly_free"
+    # read off the cycle type alone, at any n
+    assert perms.cycle_type_kind({1: 10**10}) == "free"
+    assert perms.cycle_type_kind({2: 1, 1: 10**10 - 2}) == "neither"
+    assert perms.cycle_type_kind({6: 10**9, 1: 1}) == "nearly_free"
 
 
 @pytest.mark.parametrize("n", range(1, 8))
 def test_nearly_free_divisibility(n):
     for w in symmetric_group(n):
-        kind = perms.nearly_free_kind(w, n)
+        kind = _kind(w)
         if kind != "neither":
-            o = perms.perm_order(w)
+            o = perm_order(w)
             assert n % o == 0 or (n - 1) % o == 0
 
 

@@ -2,9 +2,12 @@
 
 import functools
 import math
+import pickle
+import random
 
 import pytest
-from hypothesis import given, strategies as st
+from child import run_child
+from hypothesis import given, settings, strategies as st
 
 import evaluation_oracle
 import printer_oracle
@@ -189,6 +192,89 @@ def test_eval_at_root_matches_oracle(coeffs, d, constant):
         # c + Phi_d * g is the integer c at every primitive d-th root
         f = evaluation_oracle.cyclotomic(d) * f + constant
     _same_evaluation(f, d)
+
+
+def _same_as_division(f, d):
+    """eval_at_root and the fold-and-divide oracle give the same value, or
+    raise the same exception with the same message."""
+    try:
+        expected = evaluation_oracle.eval_by_division(f, d)
+    except Exception as exc:  # the oracle's exception is the expectation
+        with pytest.raises(type(exc)) as got:
+            eval_at_root(f, d)
+        assert str(got.value) == str(exc)
+    else:
+        assert eval_at_root(f, d) == expected
+
+
+def _divisors(n):
+    return [d for d in range(1, n + 1) if n % d == 0]
+
+
+PRIME_POWERS = [p**e for p, top in ((2, 13), (3, 8), (5, 5), (7, 4), (11, 3), (97, 1), (9973, 1))
+                for e in range(1, top + 1)]
+
+
+@pytest.mark.parametrize("d", sorted({*_divisors(5040), *_divisors(9240), *PRIME_POWERS}))
+@settings(max_examples=4, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**32),
+    st.integers(min_value=0, max_value=3),
+    st.one_of(st.none(), st.integers(min_value=-9, max_value=9)),
+)
+def test_eval_at_root_matches_division(d, seed, laps, constant):
+    # up to three laps of q^d - 1, so the fold adds; with a constant, f is
+    # that integer plus multiples of Phi_d and of q^d - 1
+    rng = random.Random(seed)
+    f = P(rng.randint(-3, 3) for _ in range(rng.randint(0, laps * d + 1)))
+    if constant is not None:
+        g = P(rng.randint(-3, 3) for _ in range(rng.randint(0, 9)))
+        f = cyclotomic(d) * g + constant + f.shift(d) - f
+    _same_as_division(f, d)
+
+
+@given(st.lists(st.integers(min_value=-9, max_value=9), max_size=200),
+       st.integers(min_value=1, max_value=40))
+def test_fold_mod_qn_matches_loop(coeffs, n):
+    # strided sums when 8n <= len f, chunks otherwise
+    f = P(coeffs)
+    assert fold_mod_qn(f, n) == evaluation_oracle.fold_by_loop(f, n)
+
+
+def test_non_integer_message_is_built_when_read(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("Phi_d was built or divided by")
+
+    monkeypatch.setattr(qpoly, "_divmod", refuse)
+    monkeypatch.setattr(qpoly, "cyclotomic", refuse)
+    f = q_int(840) + P([0, 0, 0, 0, 0, 1])
+    with pytest.raises(NonIntegerEvaluation) as got:
+        eval_at_root(f, 840)
+    assert got.value.args == ()  # until the message is read
+    monkeypatch.undo()
+    with pytest.raises(NonIntegerEvaluation) as oracle:
+        evaluation_oracle.eval_by_division(f, 840)
+    # repr reads the message; then args, str and a pickled copy hold it too
+    assert repr(got.value) == repr(oracle.value)
+    assert got.value.args == oracle.value.args
+    assert str(got.value) == str(oracle.value) and str(got.value).startswith("residue ")
+    assert repr(pickle.loads(pickle.dumps(got.value))) == repr(oracle.value)
+
+
+@pytest.mark.parametrize("d,message", [
+    (10**12, "Phi_d index d 1000000000000 exceeds the cap 80000000000"),
+    (2 * 10**6, "Phi_d degree 800000 exceeds the cap 200000"),
+])
+def test_eval_at_root_admits_d_as_cyclotomic_does(d, message):
+    # both caps run before the fold allocates d entries: d = 10^12 ended in
+    # MemoryError under 1 GiB
+    for build in (cyclotomic, functools.partial(eval_at_root, q_int(3))):
+        with pytest.raises(CapExceeded) as got:
+            build(d)
+        assert str(got.value) == message
+    done = run_child(code=f"from csplab.qpoly import eval_at_root, q_int\n"
+                          f"eval_at_root(q_int(3), {d})", address_space=1 << 30)
+    assert done.returncode == 1 and done.stderr.endswith(f"CapExceeded: {message}\n")
 
 
 @pytest.mark.parametrize("n", range(1, 13))

@@ -7,10 +7,12 @@ import itertools
 import math
 
 import pytest
+from enumeration_oracle import parse_cycles
 from evaluation_oracle import root_of_unity_binomial
 from fixed_point_oracle import (
     bicyclic_burnside_ok,
     burnside_ok,
+    census_by_divisibility,
     compose_idx,
     faithful_order,
     power_fixed_counts,
@@ -20,7 +22,7 @@ from materialize_oracle import FAMILIES as ORACLE_FAMILIES
 from materialize_oracle import k_sets, label_keyed_action, oracle_action
 from hypothesis import assume, given, settings, strategies as st
 
-from csplab import cli, perms, sieve
+from csplab import cli, perms, qpoly, sieve
 from csplab.errors import (
     CapExceeded,
     CspLabError,
@@ -222,7 +224,7 @@ def test_fixed_count():
 
 def test_fixed_multisets_of_mixed_generator():
     # disjoint unions of the cycles of (1,2,4)(3,5) are the only fixed points
-    g = perms.parse_cycles("(1,2,4)(3,5)", 5)
+    g = parse_cycles("(1,2,4)(3,5)", 5)
     fixed_labels = []
     for k in range(1, 6):
         for ms in itertools.combinations_with_replacement(range(1, 6), k):
@@ -631,6 +633,74 @@ def test_census_polynomial_always_sieves(gen, mult):
     inst = sieve.CSPInstance(action, IntPolynomial(census))
     rep = sieve.build_report(inst)
     assert rep.verdict == "pass"
+
+
+@given(st.integers(min_value=1, max_value=720).flatmap(lambda order: st.tuples(
+    st.just(order),
+    st.dictionaries(st.sampled_from([e for e in range(1, order + 1) if order % e == 0]),
+                    st.integers(min_value=1, max_value=10**12), min_size=1),
+)))
+def test_slice_census_matches_divisibility_oracle(order_and_histogram):
+    order, histogram = order_and_histogram
+    action = sieve.CyclicAction.counted(histogram, order, lambda: None)
+    _, census = sieve.verify_csp_orbits(sieve.CSPInstance(action, IntPolynomial()))
+    assert census == census_by_divisibility(action)
+
+
+def test_roots_checker_divides_by_no_cyclotomic(monkeypatch):
+    """verify_csp_roots discards the NonIntegerEvaluation message, so it
+    never computes the residue modulo Phi_d that the message holds."""
+    def refuse(*args):
+        raise AssertionError("Phi_d was built or divided by")
+
+    monkeypatch.setattr(qpoly, "_divmod", refuse)
+    monkeypatch.setattr(qpoly, "cyclotomic", refuse)
+    inst = sieve.registry_instantiate("cycle", {"n": 840})
+    inst = dataclasses.replace(inst, polynomial=sieve.corrupt_polynomial(inst.polynomial, 5))
+    rep = sieve.build_report(inst)
+    assert rep.verdict == "fail" and not rep.roots_pass and not rep.orbits_pass
+    assert any(r.value is None for r in rep.rows)
+
+
+def test_sorted_build_repeats_no_check(monkeypatch):
+    """action_from_objects checked the labels and the order; building the
+    action sorted by label only walks its orbits, once."""
+    action = sieve.registry_instantiate("ncp", {"n": 6}).action
+    walks = []
+    walk = sieve.orbit_decompose
+
+    def counted_walk(built):
+        walks.append(built)
+        return walk(built)
+
+    def refuse(*args):
+        raise AssertionError("the order was checked again")
+
+    monkeypatch.setattr(sieve, "orbit_decompose", counted_walk)
+    monkeypatch.setattr(sieve, "_check_declared_order", refuse)
+    assert len(action.labels) == len(action.generator) == action.size == 132
+    assert sum(map(len, (o.members for o in action.orbits))) == 132
+    assert len(walks) == 1
+
+
+@pytest.mark.parametrize("family,gen", [("subset", "(1,2,3)(4,5,6)"), ("multiset", "(1,2)"),
+                                        ("subset", None)])
+def test_ground_action_is_counted_from_the_cycle_type(monkeypatch, family, gen):
+    """verify reads the ground set's histogram off the listed cycles; the
+    permutation of [n] is built only when orbits lists the k-sets."""
+    params = {"n": 7 if family == "subset" else 3, "k": 2, **({"gen": gen} if gen else {})}
+    expected = sieve.build_report(sieve.registry_instantiate(family, params)).to_dict()
+    orbits = sieve.registry_instantiate(family, params).action.orbits
+    from_cycles = perms.from_cycles
+
+    def refuse(*args):
+        raise AssertionError("the ground permutation was built")
+
+    monkeypatch.setattr(perms, "from_cycles", refuse)
+    inst = sieve.registry_instantiate(family, params)
+    assert sieve.build_report(inst).to_dict() == expected
+    monkeypatch.setattr(perms, "from_cycles", from_cycles)
+    assert inst.action.orbits == orbits
 
 
 def test_report_serialization_schema():
