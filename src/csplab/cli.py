@@ -14,7 +14,9 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
+import operator
 import os
 import sys
 from typing import Sequence
@@ -83,6 +85,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` reads with, built on its first call rather than at
+    import: a caller of ``main`` inside one process builds it once.  A parse
+    leaves no state in the parser; help text reads COLUMNS when it is printed."""
+    return build_parser()
+
+
 def _collect_params(ns: argparse.Namespace) -> dict:
     """The family parameters given on the command line; the registry reads them."""
     given = vars(ns)
@@ -115,15 +125,23 @@ def _title(inst: sieve.CSPInstance) -> str:
     return f"family {head['family']}  params {params}\nsize {head['size']}  order {head['order']}"
 
 
+_J, _ORDER = operator.attrgetter("j"), operator.attrgetter("elem_order")
+
+
+def _row_tail(r: sieve.RootRow) -> str:
+    """A text row less its j."""
+    value = "-" if r.value is None else r.value
+    return f" {r.elem_order:>4} {r.fixed:>6} {value!s:>5}  " + ("yes" if r.match else "NO")
+
+
 def _format_report(report: sieve.CSPReport) -> str:
-    inst = report.instance
+    """The text report.  The rows of every g^j of one order d hold the same
+    fixed count and evaluation, which depend on g^j only through d, so each
+    d's row tail is formatted once and each row joins its j to that tail."""
+    inst, rows = report.instance, report.rows
+    tails = {d: _row_tail(r) for d, r in dict(zip(map(_ORDER, rows), rows)).items()}
     lines = [_title(inst) + f"  f = {inst.polynomial}", "  j  ord  fixed  eval  match"]
-    for r in report.rows:
-        value = "-" if r.value is None else r.value
-        lines.append(
-            f"{r.j:>3} {r.elem_order:>4} {r.fixed:>6} {value!s:>5}  "
-            + ("yes" if r.match else "NO")
-        )
+    lines += map("{:>3}{}".format, map(_J, rows), map(tails.__getitem__, map(_ORDER, rows)))
     sizes = inst.action.orbit_lengths
     stabs = [inst.action.order // length for length in sizes]
     lines.append(f"orbits: {len(sizes)} (sizes {sizes}, stabilizers {stabs})")
@@ -195,7 +213,7 @@ def cmd_list() -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    ns = build_parser().parse_args(argv)
+    ns = _parser().parse_args(argv)
     try:
         if ns.command == "list":
             return cmd_list()

@@ -19,7 +19,7 @@ import math
 import operator
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from . import catalan, perms, tableaux
 from .errors import (
@@ -174,6 +174,21 @@ def action_from_objects(
     iterables built in C (``map``, ``itertools``) run with no Python frame
     per object.  Non-injective labels are refused here; a repeated object
     leaves an index no image reaches, so the generator is not a permutation."""
+    labels, gen = _indexed(objects, images, labels, order)
+    histogram = collections.Counter(map(len, perms.index_cycles(gen)))
+    for length in histogram:
+        _stabilizer_order(length, order)
+    return CyclicAction.counted(histogram, order,
+                                functools.partial(_sorted_by_label, [labels, gen], order))
+
+
+def _indexed(
+    objects: Iterable, images: Iterable, labels: Iterable[str], order: int
+) -> tuple[tuple[str, ...], list[int]]:
+    """The labels and the generator as an index list, in enumeration order,
+    for ``action_from_objects`` (which says what the three iterables hold):
+    checks everything but that the generator is a permutation, which the
+    walk of its cycles checks."""
     objects, labels = tuple(objects), tuple(labels)
     n = len(objects)
     if len(labels) != n:
@@ -190,27 +205,26 @@ def action_from_objects(
     if len(set(labels)) != n:
         raise PreconditionError(LABELS_NOT_DISTINCT)
     _check_declared_order(order)
-    histogram = collections.Counter(map(len, perms.index_cycles(gen)))
-    for length in histogram:
-        _stabilizer_order(length, order)
-    state = [labels, gen]
+    return labels, gen
 
-    def build() -> CyclicAction:
-        labels, gen = state
-        state.clear()
-        # gen holds each index once, so sorting it rather than a range
-        # reuses its int objects
-        perm = sorted(gen, key=labels.__getitem__)
-        rank = sorted(gen, key=perm.__getitem__)  # the inverse of perm
-        sorted_labels = tuple(map(labels.__getitem__, perm))
-        sorted_gen = tuple(map(rank.__getitem__, map(gen.__getitem__, perm)))
-        del labels, gen, perm, rank  # freed before the orbits are walked
-        # the labels and the order were checked above, on the same data
-        action = CyclicAction.__new__(CyclicAction)
-        action._walk(sorted_labels, sorted_gen, order)
-        return action
 
-    return CyclicAction.counted(histogram, order, build)
+def _sorted_by_label(state: list, order: int) -> CyclicAction:
+    """The action ``_indexed`` read, sorted by label, its orbits walked once.
+    It takes the labels and the generator out of ``state`` so that they are
+    freed before the orbits are walked."""
+    labels, gen = state
+    state.clear()
+    # gen holds each index once, so sorting it rather than a range reuses
+    # its int objects
+    perm = sorted(gen, key=labels.__getitem__)
+    rank = sorted(gen, key=perm.__getitem__)  # the inverse of perm
+    sorted_labels = tuple(map(labels.__getitem__, perm))
+    sorted_gen = tuple(map(rank.__getitem__, map(gen.__getitem__, perm)))
+    del labels, gen, perm, rank
+    # the labels and the order were checked when they were indexed
+    action = CyclicAction.__new__(CyclicAction)
+    action._walk(sorted_labels, sorted_gen, order)
+    return action
 
 
 def orbit_decompose(action: CyclicAction) -> tuple[Orbit, ...]:
@@ -244,8 +258,7 @@ def fixed_count(action: CyclicAction, j: int) -> int:
 # the two checkers
 
 
-@dataclass(frozen=True)
-class RootRow:
+class RootRow(NamedTuple):
     j: int
     elem_order: int
     fixed: int
@@ -257,7 +270,9 @@ def verify_csp_roots(inst: CSPInstance) -> tuple[RootRow, ...]:
     """Fixed-point counts of every group element against exact evaluations
     of the polynomial at roots of unity of matching orders.  g^j has order
     d = order / gcd(order, j), fixes the points whose orbit length divides
-    order / d, and is checked at a primitive d-th root: once per divisor d."""
+    order / d, and is checked at a primitive d-th root: once per divisor d.
+    Each j's row is its d's values with j in front, made by ``map`` over a
+    ``zip``, with no loop in Python."""
     action, f = inst.action, inst.polynomial
     order = action.order
     js = range(order)
@@ -271,8 +286,8 @@ def verify_csp_roots(inst: CSPInstance) -> tuple[RootRow, ...]:
         except NonIntegerEvaluation:
             value[d] = None
     match = {d: value[d] == fixed[d] for d in fixed}
-    return tuple(map(RootRow, js, ds, map(fixed.__getitem__, ds), map(value.__getitem__, ds),
-                     map(match.__getitem__, ds)))
+    return tuple(map(RootRow._make, zip(js, ds, map(fixed.__getitem__, ds),
+                                        map(value.__getitem__, ds), map(match.__getitem__, ds))))
 
 
 def verify_csp_orbits(inst: CSPInstance) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -303,9 +318,9 @@ class CSPReport:
     census: tuple[int, ...]
     checker: str = "both"
 
-    @property
+    @functools.cached_property
     def roots_pass(self) -> bool:
-        return all(r.match for r in self.rows)
+        return all(map(operator.attrgetter("match"), self.rows))
 
     @property
     def orbits_pass(self) -> bool:
@@ -528,16 +543,18 @@ def _k_sets(
 ) -> CyclicAction:
     """The action on the k-subsets of an indexed ground set, or on its
     k-multisets when ``repeat`` is set, induced by the index permutation
-    ``gen``; a (multi)set is labelled by its members' labels, the empty one
-    by "-".  The three iterables enumerate the same combinations of
-    positions, in the same order, all in C."""
+    ``gen``, built sorted by label; a (multi)set is labelled by its members'
+    labels, the empty one by "-".  The three iterables enumerate the same
+    combinations of positions, in the same order, all in C.  The caller
+    counted the orbits, so no walk in enumeration order reads them: the
+    cycles are walked once, sorted."""
     pick = itertools.combinations_with_replacement if repeat else itertools.combinations
-    return action_from_objects(
+    return _sorted_by_label(list(_indexed(
         pick(range(len(labels)), k),
         map(tuple, map(sorted, pick(gen, k))),
         map(sep.join, pick(labels, k)) if k else ("-",),
         order,
-    )
+    )), order)
 
 
 def _fixed_k_sets(cycles: Mapping[int, int], k: int, repeat: bool) -> int:

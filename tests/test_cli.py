@@ -1,10 +1,14 @@
 """Command line behavior: exit codes, JSON schema, determinism."""
 
 import dataclasses
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
+import printer_oracle
 import pytest
 from child import run_child
+from hypothesis import given, settings, strategies as st
 
 from csplab import cli, sieve
 from csplab.errors import CspLabError
@@ -199,13 +203,24 @@ def test_large_inputs_end_at_once(argv, code):
         _assert_one_short_cap_message(done)
 
 
-@pytest.mark.parametrize("extra,code", [((), 0), (("--corrupt-coeff", "1"), 1)],
-                         ids=["pass", "corrupt"])
-def test_order_near_the_cap_ends_in_a_verdict(extra, code):
+# the stated time budget of the largest order, 9240 = 2^3*3*5*7*11, which
+# has the most divisors and rows under ORDER_CAP; a cold child took 0.17 s
+# (text) and 0.26 s (JSON), medians of 40, and 1.4 s at most, on a loaded
+# 2-core host
+ORDER_CAP_BUDGET_S = 5
+
+
+@pytest.mark.parametrize("extra,code,last", [
+    ((), 0, "verdict: PASS\n"),
+    (("--corrupt-coeff", "1"), 1, "verdict: FAIL\n"),
+    (("--json",), 0, '"verdict": "pass"\n}\n'),
+], ids=["pass", "corrupt", "json"])
+def test_order_near_the_cap_ends_in_a_verdict(extra, code, last):
     # every divisor of 9240 is evaluated; the corrupted f has non-integer ones
-    done = run_child(("verify", "cycle", "--n", "9240", *extra), address_space=1 << 30)
+    done = run_child(("verify", "cycle", "--n", "9240", *extra), address_space=1 << 30,
+                     timeout=ORDER_CAP_BUDGET_S)
     assert done.returncode == code, done.stderr
-    assert done.stdout.endswith("verdict: PASS\n" if code == 0 else "verdict: FAIL\n")
+    assert done.stdout.endswith(last)
 
 
 @pytest.mark.parametrize("gen,code,last", [
@@ -583,3 +598,116 @@ def test_poly_cyclotomic_near_order_cap(capsys):
     text, coeffs = out.splitlines()
     assert text.startswith("1+q^4-q^12") and text.endswith("+q^1920")
     assert coeffs.endswith("value at q=1: 1")
+
+
+def call(argv):
+    """(exit code, stdout, stderr) of one main call, argparse's exits included."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+# (COLUMNS, argv): each flag given, then left to its default; usage errors,
+# each followed by a valid call; help and usage under two widths
+PARSER_REUSE = [
+    ("80", ["list"]),
+    ("80", ["verify", "ncm", "--n", "3", "--checker", "roots"]),
+    ("80", ["verify", "ncm", "--n", "3"]),
+    ("80", ["verify", "multiset", "--n", "3", "--k", "2", "--json", "--cap", "9"]),
+    ("80", ["verify", "multiset", "--n", "3", "--k", "2"]),
+    ("80", ["verify", "cycle", "--n", "6", "--corrupt-coeff", "1", "--checker", "orbits"]),
+    ("80", ["verify", "cycle", "--n", "6"]),
+    ("80", ["orbits", "subset", "--n", "4", "--k", "2", "--gen", "(1,2,3,4)", "--json"]),
+    ("80", ["orbits", "subset", "--n", "4", "--k", "2"]),
+    ("80", ["poly", "qbinom", "4", "2"]),
+    ("80", ["poly", "qint", "3"]),
+    ("80", ["verify", "unknown_family", "--n", "3"]),
+    ("80", ["verify", "cycle", "--n", "3"]),
+    ("80", ["verify", "cycle", "--n", "3", "--checker", "none"]),
+    ("80", ["verify", "cycle", "--n", "3"]),
+    ("80", []),
+    ("80", ["list"]),
+    ("80", ["orbits", "cycle", "--n", "3", "--bogus", "1"]),
+    ("80", ["orbits", "cycle", "--n", "3"]),
+    ("80", ["poly", "nothing"]),
+    ("80", ["poly", "qfact", "4"]),
+    ("80", ["verify", "multiset", "--n", "3"]),
+    ("80", ["verify", "multiset", "--n", "3", "--k", "1"]),
+    ("80", ["--help"]),
+    ("40", ["--help"]),
+    ("80", ["verify", "--help"]),
+    ("40", ["verify", "--help"]),
+    ("40", ["verify"]),
+    ("40", ["verify", "cycle", "--n", "3"]),
+    ("80", ["verify"]),
+]
+
+
+def test_one_parser_serves_every_call_in_a_process(monkeypatch):
+    """main builds its parser once; each call's output and exit code are
+    those of a parser built for that call alone."""
+    build = cli.build_parser
+    fresh = []
+    monkeypatch.setattr(cli, "_parser", build)
+    for columns, argv in PARSER_REUSE:
+        monkeypatch.setenv("COLUMNS", columns)
+        fresh.append(call(argv))
+    monkeypatch.undo()
+
+    builds = []
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+    cli._parser.cache_clear()
+    try:
+        for (columns, argv), expected in zip(PARSER_REUSE, fresh):
+            monkeypatch.setenv("COLUMNS", columns)
+            assert call(argv) == expected, argv
+    finally:
+        cli._parser.cache_clear()
+    assert len(builds) == 1
+    assert {code for code, _, _ in fresh} == {0, 1, 2}
+
+
+@st.composite
+def verify_argv(draw):
+    """A verify call and its instance: cycle of order up to a few hundred,
+    or k-sets under a drawn free or nearly free --gen; an honest or
+    corrupted f; any --checker; text or JSON."""
+    family = draw(st.sampled_from(["cycle", "subset", "multiset"]))
+    if family == "cycle":
+        params = {"n": draw(st.integers(1, 400))}
+    else:
+        n = draw(st.integers(1, 12))
+        length = draw(st.sampled_from(
+            [m for m in range(1, n + 1) if n % m == 0 or (n - 1) % m == 0]))
+        points = draw(st.permutations(range(1, n + 1)))
+        cycles = [points[i:i + length] for i in range(0, n - n % length, length)]
+        gen = "".join("(" + ",".join(map(str, c)) + ")" for c in cycles)
+        params = {"n": n, "k": draw(st.integers(0, 4)), "gen": gen}
+    corrupt = draw(st.none() | st.integers(0, 500))
+    checker = draw(st.sampled_from([None, "roots", "orbits", "both"]))
+    as_json = draw(st.booleans())
+    argv = ["verify", family, *(x for key, v in params.items() for x in (f"--{key}", str(v)))]
+    argv += ["--checker", checker] if checker else []
+    argv += ["--corrupt-coeff", str(corrupt)] if corrupt is not None else []
+    argv += ["--json"] if as_json else []
+    inst = sieve.registry_instantiate(family, params)
+    if corrupt is not None:
+        inst = dataclasses.replace(inst, polynomial=sieve.corrupt_polynomial(inst.polynomial,
+                                                                             corrupt))
+    return argv, inst, checker or "both", as_json
+
+
+@settings(max_examples=150, deadline=None)
+@given(verify_argv())
+def test_verify_output_is_the_per_row_printers(drawn):
+    """Formatting each distinct row tail once prints, byte for byte, what
+    formatting one frozen row per group element printed."""
+    argv, inst, checker, as_json = drawn
+    code, out, err = call(argv)
+    render = printer_oracle.verify_json if as_json else printer_oracle.verify_text
+    assert (out, err) == (render(inst, checker) + "\n", "")
+    assert code == (0 if printer_oracle.verdict(inst, checker) == "pass" else 1)

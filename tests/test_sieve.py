@@ -683,6 +683,31 @@ def test_sorted_build_repeats_no_check(monkeypatch):
     assert len(walks) == 1
 
 
+def test_k_set_listing_walks_each_action_once(monkeypatch):
+    """Listing k-sets walks the ground set's cycles once and the k-sets'
+    once, sorted: their histogram was counted, so no walk in enumeration
+    order reads it again."""
+    walks = []
+    index_cycles = perms.index_cycles
+
+    def counted_walk(gen):
+        walks.append(len(gen))
+        return index_cycles(gen)
+
+    monkeypatch.setattr(perms, "index_cycles", counted_walk)
+    action = sieve.registry_instantiate("subset", {"n": 120, "k": 2}).action
+    assert sum(map(len, (o.members for o in action.orbits))) == 7140
+    assert walks == [120, 7140]
+
+
+@pytest.mark.parametrize("family", ["subset", "multiset"])
+def test_built_k_sets_are_checked_against_the_count(family):
+    action = sieve.registry_instantiate(family, {"n": 6, "k": 2}).action
+    action.__dict__["histogram"] = {**action.histogram, 1: 1}
+    with pytest.raises(InternalInvariantError, match="differ from the count"):
+        action.orbits
+
+
 @pytest.mark.parametrize("family,gen", [("subset", "(1,2,3)(4,5,6)"), ("multiset", "(1,2)"),
                                         ("subset", None)])
 def test_ground_action_is_counted_from_the_cycle_type(monkeypatch, family, gen):
