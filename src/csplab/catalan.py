@@ -14,6 +14,7 @@ import bisect
 import functools
 import itertools
 import math
+import operator
 from typing import Iterator, Sequence
 
 from .errors import PreconditionError, check_cap
@@ -221,19 +222,42 @@ def proper_count(N: int) -> int:
 # ---------------------------------------------------------------------------
 # canonical labels
 
+TEXTS_CAP = 8192
+
+
+class _Texts(dict):
+    """The text of each part (a block or an edge) joined by ``sep``, made
+    the first time a label needs it, so a label joins its parts' texts with
+    no Python frame per part.  The table is emptied before it would hold
+    more than ``TEXTS_CAP`` parts; the families under ``NC_CAP`` have at
+    most 4,095 distinct blocks and 276 distinct edges."""
+
+    def __init__(self, sep: str):
+        super().__init__()
+        self.sep = sep
+
+    def __missing__(self, part: tuple[int, ...]) -> str:
+        if len(self) >= TEXTS_CAP:
+            self.clear()
+        text = self[part] = self.sep.join(map(str, part))
+        return text
+
+
+_DIGITS, _COMMAS, _DASHES = _Texts(""), _Texts(","), _Texts("-")
+_LAST = operator.itemgetter(-1)
+
 
 def partition_label(blocks: SetPartition) -> str:
     """Blocks joined by '|', digit strings while elements fit one digit."""
-    sep = "" if max([b[-1] for b in blocks], default=0) <= 9 else ","
-    return "|".join([sep.join(map(str, b)) for b in blocks])
+    texts = _DIGITS if max(map(_LAST, blocks), default=0) <= 9 else _COMMAS
+    return "|".join(map(texts.__getitem__, blocks))
 
 
 def matching_label(edges: Matching) -> str:
     """Edges joined by commas: "18,23,47,56" style for one-digit vertices,
     "1-14" style otherwise."""
-    if all(b <= 9 for _, b in edges):
-        return ",".join(f"{a}{b}" for a, b in edges)
-    return ",".join(f"{a}-{b}" for a, b in edges)
+    texts = _DIGITS if max(map(_LAST, edges), default=0) <= 9 else _DASHES
+    return ",".join(map(texts.__getitem__, edges))
 
 
 def triangulation_label(diags: Diagonals) -> str:

@@ -174,7 +174,7 @@ def cmd_orbits(ns: argparse.Namespace) -> int:
                 {
                     "size": len(o.members),
                     "stab": o.stabilizer_order,
-                    "members": [labels[i] for i in o.members],
+                    "members": list(map(labels.__getitem__, o.members)),
                 }
                 for o in orbits
             ],
@@ -184,7 +184,7 @@ def cmd_orbits(ns: argparse.Namespace) -> int:
         return 0
     lines = [_title(inst)]
     for o in orbits:
-        members = " ".join(labels[i] for i in o.members)
+        members = " ".join(map(labels.__getitem__, o.members))
         lines.append(f"orbit size {len(o.members):>4}  stab {o.stabilizer_order:>4}  {members}")
     lines.append(f"a: {list(a)}")
     _emit("\n".join(lines), ns.out)

@@ -117,8 +117,8 @@ def read_cycles(text: str, n: int) -> list[list[int]]:
 def perm_label(w: Permutation) -> str:
     """Canonical one-line encoding: digits for n <= 9, else comma-joined."""
     if len(w) <= 9:
-        return "".join(str(x) for x in w)
-    return ",".join(str(x) for x in w)
+        return "".join(map(str, w))
+    return ",".join(map(str, w))
 
 
 # ---------------------------------------------------------------------------

@@ -52,11 +52,14 @@ __all__ = [
     "fixed_count", "verify_csp_roots", "verify_csp_orbits", "build_report",
     "verify_bicsp", "berget_eu_reiner_toy",
     "registry_instantiate", "list_families", "corrupt_polynomial", "read_int",
-    "FLAGS", "DEFAULT_SIZE_CAP", "ORDER_CAP",
+    "FLAGS", "DEFAULT_SIZE_CAP", "ORDER_CAP", "ORBIT_LIST_CAP",
 ]
 
 DEFAULT_SIZE_CAP = 200_000
 ORDER_CAP = 10_000
+# A report lists each orbit's size and stabilizer; measured under a 1 GiB
+# address space, the JSON of 1.3e6 orbits fits and that of 1.5e6 does not.
+ORBIT_LIST_CAP = 1_200_000
 LABELS_NOT_DISTINCT = "labels must be distinct canonical encodings"
 
 
@@ -111,7 +114,10 @@ class CyclicAction:
 
     @property
     def orbit_lengths(self) -> list[int]:
-        """Every orbit's length, in increasing order: the order reports list them in."""
+        """Every orbit's length, in increasing order: the order reports list them in.
+        Their number is read off the histogram and held to ``ORBIT_LIST_CAP``
+        before any is listed."""
+        check_cap("listed orbit count", sum(self.histogram.values()), ORBIT_LIST_CAP)
         return [length for length, count in self.histogram.items() for _ in range(count)]
 
     @functools.cached_property

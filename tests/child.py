@@ -1,7 +1,7 @@
 """Run csp-lab, or a few lines of Python, in a child process.
 
 A run that never ends then fails its test through the timeout, 10 s unless
-a test states a tighter time budget, instead of stalling the suite, and a
+a test states its own time budget, instead of stalling the suite, and a
 memory limit applies to the child only.
 """
 

@@ -10,12 +10,15 @@ exactly when the family's step returns the enumerated objects themselves.
 
 ``FAMILIES`` gives, for each registered family, the enumerator, step,
 encoding and order that ``oracle_action`` feeds to the label-keyed path,
-written from the family's definition rather than from its builder.
+written from the family's definition rather than from its builder.  The
+Catalan families and ``conj_class`` are encoded by the part-by-part labels
+of ``labels_oracle``.
 """
 
 import itertools
 
 import enumeration_oracle
+import labels_oracle
 import tableaux_oracle
 from csplab import catalan, perms, sieve
 from csplab.errors import PreconditionError
@@ -66,7 +69,7 @@ def _conj_class(p):
     n = sum(p["lam"])
     c = tuple(range(2, n + 1)) + (1,)
     return (enumeration_oracle.conjugacy_class(p["lam"]), lambda w: perms.conjugate(c, w),
-            perms.perm_label, max(n, 1))
+            labels_oracle.perm_label, max(n, 1))
 
 
 def _proper_triangulation(p):
@@ -74,7 +77,7 @@ def _proper_triangulation(p):
     objects = [d for d in catalan.enumerate_triangulations(n, cap=n)
                if catalan.is_proper_triangulation(d, n)]
     return (objects, lambda d: catalan.rotate_triangulation(d, n),
-            catalan.triangulation_label, n)
+            labels_oracle.triangulation_label, n)
 
 
 # family -> params -> (objects, step, encode, order)
@@ -88,17 +91,17 @@ FAMILIES = {
     "ncm": lambda p: (
         catalan.enumerate_nc_matchings(p["n"], cap=p["n"]),
         lambda e: catalan.rotate_blocks(e, 2 * p["n"], -1),
-        catalan.matching_label, 2 * p["n"],
+        labels_oracle.matching_label, 2 * p["n"],
     ),
     "ncp": lambda p: (
         catalan.enumerate_nc_partitions(p["n"], cap=p["n"]),
         lambda b: catalan.rotate_blocks(b, p["n"]),
-        catalan.partition_label, p["n"],
+        labels_oracle.partition_label, p["n"],
     ),
     "triangulation": lambda p: (
         catalan.enumerate_triangulations(p["n"] + 2, cap=p["n"] + 2),
         lambda d: catalan.rotate_triangulation(d, p["n"] + 2),
-        catalan.triangulation_label, p["n"] + 2,
+        labels_oracle.triangulation_label, p["n"] + 2,
     ),
     "conj_class": _conj_class,
     "proper_triangulation": _proper_triangulation,

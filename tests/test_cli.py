@@ -195,12 +195,33 @@ HUGE = "1" + "0" * 4299  # the most digits Python converts to an int by default
     (("verify", "plethysm_derived", "--base", "cycle", "--n", "2", "--k", "199999"), 2),
     (("verify", "plethysm_derived", "--base", "cycle", "--n", "3", "--k", "100000",
       "--cap", "10000000000"), 2),
+    # a raised cap admits more orbits than a report can list: the count is
+    # read off the histogram before the list of sizes is made (exit 3 before,
+    # on MemoryError, after about 4 s)
+    (("verify", "subset", "--n", "200", "--k", "100", "--cap", "1" + "0" * 60), 2),
+    (("verify", "multiset", "--n", "840", "--k", "20", "--cap", "1" + "0" * 45), 2),
+    (("verify", "subset", "--n", "2690", "--k", "3", "--cap", "10000000000"), 2),
 ])
 def test_large_inputs_end_at_once(argv, code):
     done = run_child(argv, address_space=1 << 30)
     assert done.returncode == code, done.stderr
     if code == 2:
         _assert_one_short_cap_message(done)
+
+
+@pytest.mark.parametrize("argv,last", [
+    # 1,057,141 orbits
+    (("verify", "subset", "--n", "2520", "--k", "3", "--cap", "10000000000"), "verdict: PASS\n"),
+    # 1,195,727 orbits, the most under ORBIT_LIST_CAP of the k = 3 subsets, as JSON
+    (("verify", "subset", "--n", "2680", "--k", "3", "--cap", "10000000000", "--json"),
+     '"verdict": "pass"\n}\n'),
+], ids=["text", "json"])
+def test_reports_under_the_orbit_list_cap_are_listed(argv, last):
+    # the JSON took 4.1-4.9 s in a cold child (json.dumps with an indent
+    # encodes in Python); the budget leaves room for a loaded host
+    done = run_child(argv, address_space=1 << 30, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.endswith(last)
 
 
 # the stated time budget of the largest order, 9240 = 2^3*3*5*7*11, which

@@ -1096,3 +1096,14 @@ def test_counted_histogram_must_hold_every_k_set():
     assert wrong.size == 2 and wrong.orbit_lengths == [2]
     with pytest.raises(InternalInvariantError, match="differ from the count"):
         wrong.labels
+
+
+def test_orbit_list_is_bounded_before_it_is_made():
+    """The number of orbits a report lists is read off the histogram: at the
+    cap the sizes are listed, past it (here by 10^50 orbits) nothing is."""
+    cap = sieve.ORBIT_LIST_CAP
+    at_cap = sieve.CyclicAction.counted({1: cap - 2, 2: 2}, 2, lambda: None)
+    assert at_cap.orbit_lengths[-3:] == [1, 2, 2] and len(at_cap.orbit_lengths) == cap
+    for histogram in ({1: cap - 1, 2: 2}, {1: 10**50}):
+        with pytest.raises(CapExceeded, match="listed orbit count .* exceeds the cap"):
+            sieve.CyclicAction.counted(histogram, 2, lambda: None).orbit_lengths
