@@ -15,9 +15,9 @@ def show(family, params):
     print(f"\n{family} {params}: |X| = {head['size']}, group order {head['order']}")
     print(f"  f = {inst.polynomial}")
     print("   j  ord  fixed  eval")
-    for r in rep.rows:
-        print(f"  {r.j:>2} {r.elem_order:>4} {r.fixed:>6} {r.value!s:>5}"
-              + ("" if r.match else "  <-- mismatch"))
+    for r in rep.to_dict()["rows"]:
+        print(f"  {r['j']:>2} {r['elem_order']:>4} {r['fixed']:>6} {r['eval']!s:>5}"
+              + ("" if r["match"] else "  <-- mismatch"))
     sizes = inst.action.orbit_lengths
     stabs = [inst.action.order // length for length in sizes]
     print(f"  orbits {sizes} stabilizers {stabs}")
@@ -39,7 +39,7 @@ inst = show("plethysm_derived", {"base": "cycle", "k": 2, "kind": "h", "n": 3})
 print("\nA verifier must also be able to fail.  Bumping one coefficient:")
 bad = CSPInstance(inst.action, corrupt_polynomial(inst.polynomial, 2))
 rep = build_report(bad)
-for r in rep.rows:
-    print(f"  j={r.j} order {r.elem_order}: fixed {r.fixed} vs {r.value}"
-          + ("" if r.match else "  <-- mismatch"))
+for r in rep.to_dict()["rows"]:
+    print(f"  j={r['j']} order {r['elem_order']}: fixed {r['fixed']} vs {r['eval']}"
+          + ("" if r["match"] else "  <-- mismatch"))
 print(f"  verdict: {rep.verdict}")

@@ -16,7 +16,6 @@ import argparse
 import dataclasses
 import functools
 import json
-import operator
 import os
 import sys
 from typing import Sequence
@@ -125,9 +124,6 @@ def _title(inst: sieve.CSPInstance) -> str:
     return f"family {head['family']}  params {params}\nsize {head['size']}  order {head['order']}"
 
 
-_J, _ORDER = operator.attrgetter("j"), operator.attrgetter("elem_order")
-
-
 def _row_tail(r: sieve.RootRow) -> str:
     """A text row less its j."""
     value = "-" if r.value is None else r.value
@@ -135,15 +131,14 @@ def _row_tail(r: sieve.RootRow) -> str:
 
 
 def _format_report(report: sieve.CSPReport) -> str:
-    """The text report.  The rows of every g^j of one order d hold the same
-    fixed count and evaluation, which depend on g^j only through d, so each
-    d's row tail is formatted once and each row joins its j to that tail."""
-    inst, rows = report.instance, report.rows
-    tails = {d: _row_tail(r) for d, r in dict(zip(map(_ORDER, rows), rows)).items()}
+    """The text report.  Each divisor's row tail is formatted once, and each
+    g^j's row joins j to the tail of its order."""
+    inst, order = report.instance, report.instance.action.order
+    tail = {r.elem_order: _row_tail(r) for r in report.rows}
     lines = [_title(inst) + f"  f = {inst.polynomial}", "  j  ord  fixed  eval  match"]
-    lines += map("{:>3}{}".format, map(_J, rows), map(tails.__getitem__, map(_ORDER, rows)))
+    lines += map("{:>3}{}".format, range(order), map(tail.__getitem__, sieve.element_orders(order)))
     sizes = inst.action.orbit_lengths
-    stabs = [inst.action.order // length for length in sizes]
+    stabs = [order // length for length in sizes]
     lines.append(f"orbits: {len(sizes)} (sizes {sizes}, stabilizers {stabs})")
     lines.append(f"a: {list(report.a)}  census: {list(report.census)}")
     lines.append(f"verdict: {report.verdict.upper()}")

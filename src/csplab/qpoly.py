@@ -106,9 +106,6 @@ class IntPolynomial:
             a - b for a, b in itertools.zip_longest(self.coeffs, other.coeffs, fillvalue=0)
         )
 
-    def __neg__(self) -> "IntPolynomial":
-        return IntPolynomial(-c for c in self.coeffs)
-
     def __mul__(self, other: "IntPolynomial | int") -> "IntPolynomial":
         other = _coerce(other)
         if not self.coeffs or not other.coeffs:
@@ -641,12 +638,6 @@ class BivariatePolynomial:
 
     def __hash__(self) -> int:
         return hash(frozenset(self.terms.items()))
-
-    def __add__(self, other: "BivariatePolynomial") -> "BivariatePolynomial":
-        acc = dict(self.terms)
-        for pair, c in other.terms.items():
-            acc[pair] = acc.get(pair, 0) + c
-        return BivariatePolynomial(acc)
 
     def __str__(self) -> str:
         pairs = sorted(self.terms.items())

@@ -19,7 +19,7 @@ import math
 import operator
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from . import catalan, perms, tableaux
 from .errors import (
@@ -49,8 +49,8 @@ from .qpoly import (
 __all__ = [
     "CyclicAction", "Orbit", "CSPInstance", "RootRow", "CSPReport",
     "BicspCell", "BicspReport", "action_from_objects", "orbit_decompose",
-    "fixed_count", "verify_csp_roots", "verify_csp_orbits", "build_report",
-    "verify_bicsp", "berget_eu_reiner_toy",
+    "fixed_count", "divisors", "element_orders", "verify_csp_roots", "verify_csp_orbits",
+    "build_report", "verify_bicsp", "berget_eu_reiner_toy",
     "registry_instantiate", "list_families", "corrupt_polynomial", "read_int",
     "FLAGS", "DEFAULT_SIZE_CAP", "ORDER_CAP", "ORBIT_LIST_CAP",
 ]
@@ -265,35 +265,43 @@ def fixed_count(action: CyclicAction, j: int) -> int:
 
 
 class RootRow(NamedTuple):
-    j: int
+    """The check of the elements of order ``elem_order``: the points each fixes
+    against f at a primitive root of unity of that order."""
+
     elem_order: int
     fixed: int
     value: int | None  # None when the evaluation is not a rational integer
     match: bool
 
 
+def divisors(n: int) -> list[int]:
+    """The divisors of n >= 1, in increasing order."""
+    return [e for e in range(1, n + 1) if n % e == 0]
+
+
+def element_orders(order: int) -> Iterator[int]:
+    """The order d = order / gcd(order, j) of g^j, for j = 0, 1, ..., order - 1,
+    in a cyclic group of that order: the one map from j to its row."""
+    return map(operator.floordiv, itertools.repeat(order),
+               map(math.gcd, range(order), itertools.repeat(order)))
+
+
 def verify_csp_roots(inst: CSPInstance) -> tuple[RootRow, ...]:
-    """Fixed-point counts of every group element against exact evaluations
-    of the polynomial at roots of unity of matching orders.  g^j has order
-    d = order / gcd(order, j), fixes the points whose orbit length divides
-    order / d, and is checked at a primitive d-th root: once per divisor d.
-    Each j's row is its d's values with j in front, made by ``map`` over a
-    ``zip``, with no loop in Python."""
+    """Fixed-point counts against exact evaluations of the polynomial at roots
+    of unity, one row per divisor d of the order, in increasing d.  Every g^j
+    of order d fixes the points whose orbit length divides order / d and is
+    checked at a primitive d-th root, so the rows of the group elements are
+    these rows, read through ``element_orders``."""
     action, f = inst.action, inst.polynomial
-    order = action.order
-    js = range(order)
-    ds = list(map(operator.floordiv, itertools.repeat(order),
-                  map(math.gcd, js, itertools.repeat(order))))
-    fixed, value = {}, {}
-    for d in dict.fromkeys(ds):
-        fixed[d] = fixed_count(action, order // d)
+    rows = []
+    for d in divisors(action.order):
+        fixed = fixed_count(action, action.order // d)
         try:
-            value[d] = eval_at_root(f, d)
+            value = eval_at_root(f, d)
         except NonIntegerEvaluation:
-            value[d] = None
-    match = {d: value[d] == fixed[d] for d in fixed}
-    return tuple(map(RootRow._make, zip(js, ds, map(fixed.__getitem__, ds),
-                                        map(value.__getitem__, ds), map(match.__getitem__, ds))))
+            value = None
+        rows.append(RootRow(d, fixed, value, value == fixed))
+    return tuple(rows)
 
 
 def verify_csp_orbits(inst: CSPInstance) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -324,9 +332,9 @@ class CSPReport:
     census: tuple[int, ...]
     checker: str = "both"
 
-    @functools.cached_property
+    @property
     def roots_pass(self) -> bool:
-        return all(map(operator.attrgetter("match"), self.rows))
+        return all(r.match for r in self.rows)
 
     @property
     def orbits_pass(self) -> bool:
@@ -342,21 +350,17 @@ class CSPReport:
         return "pass" if ok else "fail"
 
     def to_dict(self) -> dict:
+        """The JSON report: one row per group element g^j, its divisor's row
+        with j in front."""
+        action = self.instance.action
+        row_of = {r.elem_order: dict(zip(("elem_order", "fixed", "eval", "match"), r))
+                  for r in self.rows}
         return {
             **self.instance.header(),
-            "rows": [
-                {
-                    "j": r.j,
-                    "elem_order": r.elem_order,
-                    "fixed": r.fixed,
-                    "eval": r.value,
-                    "match": r.match,
-                }
-                for r in self.rows
-            ],
+            "rows": [{"j": j, **row_of[d]} for j, d in enumerate(element_orders(action.order))],
             "orbits": [
-                {"size": length, "stab": self.instance.action.order // length}
-                for length in self.instance.action.orbit_lengths
+                {"size": length, "stab": action.order // length}
+                for length in action.orbit_lengths
             ],
             "a": list(self.a),
             "verdict": self.verdict,
@@ -515,7 +519,7 @@ def _comb(n: int, k: int, cap: int) -> int:
 
 def _ground(params: Mapping, n: int) -> tuple[CyclicAction, str | None]:
     """The action on [n] of the full cycle by default, or of a supplied
-    nearly-free generator, and the generator's label.  It is counted from
+    nearly-free generator in cycle notation, and its label.  It is counted from
     the generator's cycle type (the points a --gen does not list are fixed)
     and built only when its labels, generator or orbits are read."""
     gen = params.get("gen")
@@ -524,11 +528,8 @@ def _ground(params: Mapping, n: int) -> tuple[CyclicAction, str | None]:
         cycles, label = [range(1, n + 1)], None
     elif isinstance(gen, str):
         cycles, label = perms.read_cycles(gen, n), gen
-    else:  # a permutation of [n] in one-line notation
-        g = tuple(gen)
-        if len(g) != n:
-            raise PreconditionError(f"generator must permute [{n}]")
-        cycles, label = perms.cycles_of(g), perms.perm_label(g)
+    else:
+        raise PreconditionError("--gen must be cycle notation, e.g. (1,2)(3,4)")
     lengths = collections.Counter(map(len, cycles))
     unlisted = n - sum(length * count for length, count in lengths.items())
     if unlisted:
@@ -598,7 +599,7 @@ def _counted_k_sets(
     an equivariant bijection.  ``size`` is |X| in closed form."""
     count = min(k, ground.size - k) if not repeat else k
     order, points = ground.order, {}  # e -> k-sets in orbits of length e
-    for e in [e for e in range(1, order + 1) if order % e == 0]:
+    for e in divisors(order):
         cycles: collections.Counter = collections.Counter()
         for length, orbits in ground.histogram.items():
             g = math.gcd(length, e)

@@ -7,8 +7,9 @@ are skipped, a coefficient of +-1 on a nonconstant monomial prints only its
 sign, and each term after the first carries its sign.
 
 The ``verify`` report as it was rendered from one frozen dataclass row per
-group element, formatted row by row; ``sieve.RootRow`` is now a named tuple,
-and the text formats the row tail of each element order once.
+group element, formatted row by row; ``verify_csp_roots`` now returns one
+``sieve.RootRow`` per divisor of the order, and the text and JSON read each
+j's row through ``sieve.element_orders``.
 """
 from __future__ import annotations
 

@@ -56,7 +56,7 @@ def test_c01_multiset_family():
             _checked("multiset", {"n": n, "k": k})
     inst, rep = _checked("multiset", {"n": 3, "k": 2})
     assert inst.polynomial == IntPolynomial([1, 1, 2, 1, 1])
-    assert tuple(r.value for r in rep.rows) == (6, 0, 0)
+    assert tuple(r["eval"] for r in rep.to_dict()["rows"]) == (6, 0, 0)
     elapsed = time.monotonic() - t0
     assert elapsed < 30, f"took {elapsed:.1f}s"
     _report(1, f"multiset passes for n<=8, k<=8 in {elapsed:.1f}s; "
@@ -86,7 +86,7 @@ def test_c03_rectangle_promotion():
     inst, rep = _checked("syt_rect", {"m": 4, "n": 4})
     assert inst.action.size == 24024 and inst.action.order == 16
     inst, rep = _checked("syt_rect", {"m": 2, "n": 3})
-    assert tuple(r.fixed for r in rep.rows) == (5, 0, 2, 3, 2, 0)
+    assert tuple(r["fixed"] for r in rep.to_dict()["rows"]) == (5, 0, 2, 3, 2, 0)
     assert inst.polynomial == IntPolynomial([1, 0, 1, 1, 1, 0, 1])
     elapsed = time.monotonic() - t0
     assert elapsed < 60, f"took {elapsed:.1f}s"
@@ -131,7 +131,7 @@ def test_c07_conjugacy_classes():
             _checked("conj_class", {"lam": lam})
     inst, rep = _checked("conj_class", {"lam": (3,)})
     assert inst.polynomial == IntPolynomial([2])
-    assert tuple(r.fixed for r in rep.rows) == (2, 2, 2)
+    assert tuple(r["fixed"] for r in rep.to_dict()["rows"]) == (2, 2, 2)
     _report(7, "conjugation passes for every class of S_n, n<=6; "
                "the 3-cycle class has constant polynomial 2 and counts (2,2,2)")
 

@@ -6,6 +6,7 @@ import io
 import itertools
 import math
 
+import printer_oracle
 import pytest
 from enumeration_oracle import parse_cycles
 from evaluation_oracle import root_of_unity_binomial
@@ -269,22 +270,22 @@ def test_multiset_fixed_counts_match_closed_form(n, k):
 
 def test_verify_roots_multiset_golden():
     inst = sieve.registry_instantiate("multiset", {"n": 3, "k": 2})
-    rows = sieve.verify_csp_roots(inst)
-    assert [(r.j, r.elem_order, r.fixed, r.value) for r in rows] == [
+    rows = sieve.build_report(inst).to_dict()["rows"]
+    assert [(r["j"], r["elem_order"], r["fixed"], r["eval"]) for r in rows] == [
         (0, 1, 6, 6),
         (1, 3, 0, 0),
         (2, 3, 0, 0),
     ]
-    assert all(r.match for r in rows)
+    assert all(r["match"] for r in rows)
 
 
 def test_verify_roots_syt33_golden():
     inst = sieve.registry_instantiate("syt_rect", {"m": 2, "n": 3})
     assert inst.polynomial == IntPolynomial([1, 0, 1, 1, 1, 0, 1])
-    rows = sieve.verify_csp_roots(inst)
-    assert tuple(r.fixed for r in rows) == (5, 0, 2, 3, 2, 0)
-    assert tuple(r.elem_order for r in rows) == (1, 6, 3, 2, 3, 6)
-    assert tuple(r.value for r in rows) == (5, 0, 2, 3, 2, 0)
+    rows = sieve.build_report(inst).to_dict()["rows"]
+    assert tuple(r["fixed"] for r in rows) == (5, 0, 2, 3, 2, 0)
+    assert tuple(r["elem_order"] for r in rows) == (1, 6, 3, 2, 3, 6)
+    assert tuple(r["eval"] for r in rows) == (5, 0, 2, 3, 2, 0)
 
 
 def test_verify_orbits_multiset_golden():
@@ -328,6 +329,8 @@ def test_report_and_corruption():
     assert bad_rep.verdict == "fail"
     assert sieve.build_report(bad, "roots").verdict == "fail"
     assert sieve.build_report(bad, "orbits").verdict == "fail"
+    with pytest.raises(PreconditionError, match="^checker must be roots, orbits, or both$"):
+        sieve.build_report(inst, "neither")
 
 
 @pytest.mark.parametrize("coeff", range(5))
@@ -378,13 +381,18 @@ def test_registry_nearly_free_gate():
         sieve.registry_instantiate("subset", {"n": 5, "k": 2, "gen": "(1,2,4)(3,5)"})
     with pytest.raises(NotNearlyFree):
         sieve.registry_instantiate("multiset", {"n": 4, "k": 2, "gen": "(1,2)"})
+    # --gen is read as cycle notation only: 5 raised a bare TypeError, and
+    # b"(1,2)" was read as a one-line permutation of its five bytes
+    for gen in (5, (2, 3, 1), b"(1,2)"):
+        with pytest.raises(PreconditionError, match="^--gen must be cycle notation"):
+            sieve.registry_instantiate("subset", {"n": 3, "k": 1, "gen": gen})
 
 
 def test_conj_class_golden():
     inst = sieve.registry_instantiate("conj_class", {"lam": (3,)})
     assert inst.polynomial == IntPolynomial([2])
-    rows = sieve.verify_csp_roots(inst)
-    assert tuple(r.fixed for r in rows) == (2, 2, 2)
+    rows = sieve.build_report(inst).to_dict()["rows"]
+    assert tuple(r["fixed"] for r in rows) == (2, 2, 2)
     assert sieve.build_report(inst).verdict == "pass"
     inst = sieve.registry_instantiate("conj_class", {"lam": "2,1"})
     assert inst.polynomial == IntPolynomial([1, 1, 1])
@@ -451,6 +459,8 @@ def test_bicsp_toy():
     assert inverted.cell(1, 1).value == 3
     assert inverted.cell(1, 1).fixed == 0
     assert not inverted.cell(1, 1).match
+    with pytest.raises(PreconditionError, match="^embedding exponents must be units mod the orders$"):
+        sieve.verify_bicsp(labels, gen, gen, F, e1=3)
 
 
 def test_bicsp_trivial_side_degenerates():
@@ -464,8 +474,8 @@ def test_bicsp_trivial_side_degenerates():
         order1=inst.action.order, order2=1,
     )
     assert rep.verdict == "pass"
-    roots = sieve.verify_csp_roots(inst)
-    assert [c.fixed for c in rep.cells] == [r.fixed for r in roots]
+    roots = sieve.build_report(inst).to_dict()["rows"]
+    assert [c.fixed for c in rep.cells] == [r["fixed"] for r in roots]
 
 
 def test_bicsp_noncommuting_rejected():
@@ -645,6 +655,37 @@ def test_slice_census_matches_divisibility_oracle(order_and_histogram):
     action = sieve.CyclicAction.counted(histogram, order, lambda: None)
     _, census = sieve.verify_csp_orbits(sieve.CSPInstance(action, IntPolynomial()))
     assert census == census_by_divisibility(action)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=400).flatmap(lambda order: st.tuples(
+    st.just(order),
+    st.dictionaries(st.sampled_from(sieve.divisors(order)),
+                    st.integers(min_value=1, max_value=50), min_size=1),
+    st.integers(min_value=0, max_value=2 * order),
+    st.lists(st.integers(min_value=-3, max_value=3), max_size=2 * order),
+)))
+def test_divisor_rows_read_per_element_match_the_oracle(case):
+    """verify_csp_roots returns one row per divisor of the order; g^j's row
+    in the JSON report is the row of its order with j in front, as the
+    per-element oracle computes it, whether f sieves or not."""
+    order, histogram, i, coeffs = case
+    action = sieve.CyclicAction.counted(histogram, order, lambda: None)
+    _, census = sieve.verify_csp_orbits(sieve.CSPInstance(action, IntPolynomial()))
+    f = IntPolynomial(census)
+    for f in (f, sieve.corrupt_polynomial(f, i), f + IntPolynomial(coeffs)):
+        inst = sieve.CSPInstance(action, f)
+        rows = sieve.verify_csp_roots(inst)
+        assert [r.elem_order for r in rows] == [d for d in range(1, order + 1) if order % d == 0]
+        row_of = {r.elem_order: r for r in rows}
+        oracle = printer_oracle.root_rows(inst)
+        assert [dataclasses.astuple(r) for r in oracle] == [
+            (j, *row_of[d]) for j, d in zip(range(order), sieve.element_orders(order))]
+        rep = sieve.build_report(inst)
+        assert rep.roots_pass == all(r.match for r in oracle)
+        assert rep.to_dict()["rows"] == [
+            {"j": r.j, "elem_order": r.elem_order, "fixed": r.fixed, "eval": r.value,
+             "match": r.match} for r in oracle]
 
 
 def test_roots_checker_divides_by_no_cyclotomic(monkeypatch):
