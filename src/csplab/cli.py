@@ -18,7 +18,7 @@ import functools
 import json
 import os
 import sys
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from . import qpoly, sieve, tableaux
 from .errors import (
@@ -110,7 +110,7 @@ def _emit(text: str, out: str | None) -> None:
     if out:
         try:
             with open(out, "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
+                print(text, file=fh)
         except OSError as exc:
             raise PreconditionError(f"cannot write {out}: {exc.strerror or exc}") from exc
     else:
@@ -145,6 +145,59 @@ def _format_report(report: sieve.CSPReport) -> str:
     return "\n".join(lines)
 
 
+def _json_list(items: list, depth: int) -> str:
+    """What ``json.dumps(items, indent=2)`` prints for a nonempty list of
+    scalars ``depth`` levels into a report (``a``, an orbit's ``members``).
+    Given an indent, json encodes in Python; without one it encodes in C, so
+    the item separator carries each newline and indent instead."""
+    pad = "\n" + "  " * depth
+    return f"[{pad}  {json.dumps(items, separators=(',' + pad + '  ', ': '))[1:-1]}{pad}]"
+
+
+def _json_object(fields: Iterable[tuple[str, str]], depth: int) -> str:
+    """The ``indent=2`` layout of an object ``depth`` levels into a report,
+    from each key and the JSON text of its value."""
+    pad = "\n" + "  " * depth
+    return "{" + ",".join(f'{pad}  "{key}": {text}' for key, text in fields) + pad + "}"
+
+
+def _json_objects(texts: Iterable[str]) -> str:
+    """The layout of a list, one level into a report, of objects two levels in."""
+    body = ",\n    ".join(texts)
+    return f"[\n    {body}\n  ]" if body else "[]"
+
+
+def _json_report(inst: sieve.CSPInstance, fields: Iterable[tuple[str, str]]) -> str:
+    """``json.dumps({**inst.header(), **dict(fields)}, indent=2)``, from each
+    field's key and the JSON text of its value laid out one level in.  Only the
+    small header goes through the indent encoder; the report is joined once."""
+    head = json.dumps(inst.header(), indent=2)
+    parts = [head[:-2]]
+    for key, text in fields:
+        parts += f',\n  "{key}": ', text
+    parts.append("\n}")
+    return "".join(parts)
+
+
+def _verify_json(report: sieve.CSPReport) -> str:
+    """``json.dumps(report.to_dict(), indent=2)``.  As in the text report,
+    each divisor's row less its j is laid out once and joined to each j; each
+    orbit length's object is laid out once and repeated for each orbit."""
+    action = report.instance.action
+    keys = ("elem_order", "fixed", "eval", "match")
+    tail = {r.elem_order: _json_object(zip(keys, map(json.dumps, r)), 2)[1:] for r in report.rows}
+    rows = map('{{\n      "j": {},{}'.format, range(action.order),
+               map(tail.__getitem__, sieve.element_orders(action.order)))
+    orbit = {length: _json_object((("size", str(length)), ("stab", str(action.order // length))), 2)
+             for length in action.histogram}
+    return _json_report(report.instance, (
+        ("rows", _json_objects(rows)),
+        ("orbits", _json_objects(map(orbit.__getitem__, action.orbit_lengths))),
+        ("a", _json_list(list(report.a), 1)),
+        ("verdict", json.dumps(report.verdict)),
+    ))
+
+
 def cmd_verify(ns: argparse.Namespace) -> int:
     inst = sieve.registry_instantiate(ns.family, _collect_params(ns), _size_cap(ns))
     if ns.corrupt_coeff is not None:
@@ -152,7 +205,7 @@ def cmd_verify(ns: argparse.Namespace) -> int:
         inst = dataclasses.replace(inst, polynomial=sieve.corrupt_polynomial(inst.polynomial, i))
     report = sieve.build_report(inst, ns.checker)
     if ns.json:
-        _emit(json.dumps(report.to_dict(), indent=2), ns.out)
+        _emit(_verify_json(report), ns.out)
     else:
         _emit(_format_report(report), ns.out)
     return 0 if report.verdict == "pass" else 1
@@ -163,19 +216,16 @@ def cmd_orbits(ns: argparse.Namespace) -> int:
     a, _ = sieve.verify_csp_orbits(inst)
     orbits, labels = inst.action.orbits, inst.action.labels
     if ns.json:
-        payload = {
-            **inst.header(),
-            "orbits": [
-                {
-                    "size": len(o.members),
-                    "stab": o.stabilizer_order,
-                    "members": list(map(labels.__getitem__, o.members)),
-                }
-                for o in orbits
-            ],
-            "a": list(a),
-        }
-        _emit(json.dumps(payload, indent=2), ns.out)
+        _emit(_json_report(inst, (
+            ("orbits", _json_objects(
+                _json_object((
+                    ("size", str(len(o.members))),
+                    ("stab", str(o.stabilizer_order)),
+                    ("members", _json_list(list(map(labels.__getitem__, o.members)), 3)),
+                ), 2)
+                for o in orbits)),
+            ("a", _json_list(list(a), 1)),
+        )), ns.out)
         return 0
     lines = [_title(inst)]
     for o in orbits:

@@ -10,6 +10,9 @@ The ``verify`` report as it was rendered from one frozen dataclass row per
 group element, formatted row by row; ``verify_csp_roots`` now returns one
 ``sieve.RootRow`` per divisor of the order, and the text and JSON read each
 j's row through ``sieve.element_orders``.
+
+The JSON reports as ``json.dumps(..., indent=2)`` rendered them whole, which
+encodes in Python; ``cli`` now joins text pieces from the C encoder.
 """
 from __future__ import annotations
 
@@ -138,4 +141,22 @@ def verify_json(inst: sieve.CSPInstance, checker: str) -> str:
         ],
         "a": list(a),
         "verdict": verdict(inst, checker),
+    }, indent=2)
+
+
+def orbits_json(inst: sieve.CSPInstance) -> str:
+    """The JSON of ``csp-lab orbits --json``, one dict per orbit."""
+    a, _ = sieve.verify_csp_orbits(inst)
+    labels = inst.action.labels
+    return json.dumps({
+        **inst.header(),
+        "orbits": [
+            {
+                "size": len(o.members),
+                "stab": o.stabilizer_order,
+                "members": list(map(labels.__getitem__, o.members)),
+            }
+            for o in inst.action.orbits
+        ],
+        "a": list(a),
     }, indent=2)

@@ -119,6 +119,51 @@ def test_orbits_command(capsys):
     assert payload["a"] == [2, 1, 2, 1]
 
 
+def _instance(argv):
+    """The instance that ``verify`` or ``orbits`` reads off ``family --flag value ...``."""
+    family, *flags = argv
+    return sieve.registry_instantiate(family, dict(zip((f[2:] for f in flags[::2]), flags[1::2])))
+
+
+@pytest.mark.parametrize("argv", [
+    # labels holding "|", "," and "-"
+    ("ncp", "--n", "5"), ("ncm", "--n", "5"), ("triangulation", "--n", "6"),
+    ("proper_triangulation", "--n", "6"),
+    # params holding a list
+    ("conj_class", "--lam", "2,2,1"),
+    ("subset", "--n", "6", "--k", "3", "--gen", "(1,2,3)(4,5,6)"),
+    # no orbits at all
+    ("subset", "--n", "4", "--k", "9"),
+])
+def test_orbits_json_is_the_whole_dict_printer(argv):
+    """Joining the C encoder's pieces prints, byte for byte, what
+    ``json.dumps`` with an indent printed of the whole dict."""
+    expected = printer_oracle.orbits_json(_instance(argv))
+    assert call(["orbits", *argv, "--json"]) == (0, expected + "\n", "")
+
+
+@pytest.mark.parametrize("argv", [
+    ("cycle", "--n", "12"), ("cycle", "--n", "1"), ("ncp", "--n", "6"),
+    ("conj_class", "--lam", "2,2"), ("subset", "--n", "4", "--k", "9"),
+    ("subset", "--n", "6", "--k", "2", "--gen", "(1,2)(3,4)(5,6)"),
+    ("multiset", "--n", "4", "--k", "3"), ("syt_rect", "--m", "2", "--n", "3"),
+])
+@pytest.mark.parametrize("checker", ["roots", "orbits", "both"])
+@pytest.mark.parametrize("corrupt", [None, 2])
+def test_verify_json_reads_back_as_the_library_dict(argv, checker, corrupt):
+    """The CLI's JSON text and ``CSPReport.to_dict`` cannot drift apart."""
+    inst, extra = _instance(argv), ["--checker", checker]
+    if corrupt is not None:
+        extra += ["--corrupt-coeff", str(corrupt)]
+        inst = dataclasses.replace(inst, polynomial=sieve.corrupt_polynomial(inst.polynomial,
+                                                                             corrupt))
+    report = sieve.build_report(inst, checker)
+    code, out, err = call(["verify", *argv, *extra, "--json"])
+    assert (code, err) == (0 if report.verdict == "pass" else 1, "")
+    # read back through JSON, where the tuple of a partition is a list
+    assert json.loads(out) == json.loads(json.dumps(report.to_dict()))
+
+
 def test_poly_command(capsys):
     code, out, _ = run(capsys, "poly", "qbinom", "4", "2")
     assert code == 0
@@ -209,17 +254,25 @@ def test_large_inputs_end_at_once(argv, code):
         _assert_one_short_cap_message(done)
 
 
-@pytest.mark.parametrize("argv,last", [
+LARGEST_JSON = ("verify", "subset", "--n", "2680", "--k", "3", "--cap", "10000000000", "--json")
+
+
+@pytest.mark.parametrize("argv,address_space,last", [
     # 1,057,141 orbits
-    (("verify", "subset", "--n", "2520", "--k", "3", "--cap", "10000000000"), "verdict: PASS\n"),
+    (("verify", "subset", "--n", "2520", "--k", "3", "--cap", "10000000000"), 1 << 30,
+     "verdict: PASS\n"),
     # 1,195,727 orbits, the most under ORBIT_LIST_CAP of the k = 3 subsets, as JSON
-    (("verify", "subset", "--n", "2680", "--k", "3", "--cap", "10000000000", "--json"),
-     '"verdict": "pass"\n}\n'),
-], ids=["text", "json"])
-def test_reports_under_the_orbit_list_cap_are_listed(argv, last):
-    # the JSON took 4.1-4.9 s in a cold child (json.dumps with an indent
-    # encodes in Python); the budget leaves room for a loaded host
-    done = run_child(argv, address_space=1 << 30, timeout=60)
+    (LARGEST_JSON, 1 << 30, '"verdict": "pass"\n}\n'),
+    # the same in a quarter of the space: the report is joined from pieces
+    # that each orbit length's text repeats (exit 3 with MemoryError before,
+    # when json.dumps with an indent peaked at 943 MB)
+    (LARGEST_JSON, 1 << 28, '"verdict": "pass"\n}\n'),
+], ids=["text", "json", "json-256MiB"])
+def test_reports_under_the_orbit_list_cap_are_listed(argv, address_space, last):
+    # the JSON took 0.6-1.0 s in a cold child, peaking at 130 MB (6.7-7.3 s
+    # and 943 MB when json.dumps with an indent encoded it in Python); the
+    # budget leaves room for a loaded host
+    done = run_child(argv, address_space=address_space, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.endswith(last)
 
