@@ -153,6 +153,9 @@ WORK_CAP = 12_000_000
 # PACKED_WORK_CAP bounds plethysm_h past k = f(1): multiplier coefficients
 # times packed product bytes, about 0.5 ns each on an Intel Xeon, or 1 s.
 PACKED_WORK_CAP = 2_000_000_000
+# CACHE_SIZE bounds each polynomial cache below: unbounded, a long-running
+# process kept all it built (21.5 MB after Phi_2..Phi_3000).
+CACHE_SIZE = 64
 
 
 def _power(var: str, i: int) -> str:
@@ -291,7 +294,7 @@ def q_factorial(n: int) -> IntPolynomial:
     return q_ratio(range(1, n + 1))
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=CACHE_SIZE)
 def gaussian_binomial(n: int, k: int) -> IntPolynomial:
     """The Gaussian binomial coefficient [n choose k]_q = [n]_q! / ([k]_q! [n-k]_q!).
 
@@ -334,7 +337,7 @@ def _admit(d: int) -> list[int]:
     return primes
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=CACHE_SIZE)
 def cyclotomic(d: int) -> IntPolynomial:
     """The d-th cyclotomic polynomial.  For d > 1 it is the product of
     [e]_q^mu(d/e) over the divisors e of d.  With r the product of the
@@ -400,7 +403,7 @@ def eval_at_root(f: IntPolynomial, d: int) -> int:
     return x[0]
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=CACHE_SIZE)
 def _crt_order(primes: tuple[int, ...]) -> tuple[int, ...]:
     """The residues m = a_1 r/p_1 + ... + a_k r/p_k modulo the product r of
     ``primes``, each once, listed by (a_1, ..., a_k) in mixed radix, the

@@ -723,15 +723,10 @@ def _build_proper_triangulation(params: Mapping, cap: int) -> CSPInstance:
 
 
 def _build_cycle(params: Mapping, cap: int) -> CSPInstance:
+    """The counted ground of ``subset`` and ``multiset``, order checked first."""
     n = params["n"]
-    order = _check_order(n)
+    action, _ = _ground(params, n)
     _check_size(n, cap)
-    action = action_from_objects(
-        range(1, n + 1),
-        itertools.chain(range(2, n + 1), (1,)),
-        map(str, range(1, n + 1)),
-        order,
-    )
     return CSPInstance(action, q_int(n), "cycle", (("n", n),))
 
 

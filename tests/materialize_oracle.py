@@ -12,7 +12,9 @@ exactly when the family's step returns the enumerated objects themselves.
 encoding and order that ``oracle_action`` feeds to the label-keyed path,
 written from the family's definition rather than from its builder.  The
 Catalan families and ``conj_class`` are encoded by the part-by-part labels
-of ``labels_oracle``.
+of ``labels_oracle``.  ``cycle`` is the exception: its entry is the n-cycle
+itself, on [n] in numeric order, the ground that ``subset`` and
+``multiset`` act on, so ``plethysm_derived`` over it is compared there too.
 """
 
 import itertools
@@ -80,7 +82,15 @@ def _proper_triangulation(p):
             labels_oracle.triangulation_label, n)
 
 
-# family -> params -> (objects, step, encode, order)
+def _cycle(p):
+    """The n-cycle on [n] written from its definition, not label-keyed: the
+    labels 1..n in numeric order and the generator i -> i + 1 (mod n)."""
+    n = p["n"]
+    return sieve.CyclicAction([str(i) for i in range(1, n + 1)],
+                              [(i + 1) % n for i in range(n)], n)
+
+
+# family -> params -> (objects, step, encode, order), or the action itself
 FAMILIES = {
     "multiset": lambda p: _ground_k_sets(p, True),
     "subset": lambda p: _ground_k_sets(p, False),
@@ -105,11 +115,13 @@ FAMILIES = {
     ),
     "conj_class": _conj_class,
     "proper_triangulation": _proper_triangulation,
-    "cycle": lambda p: (range(1, p["n"] + 1), lambda i: i % p["n"] + 1, str, p["n"]),
+    "cycle": _cycle,
     "plethysm_derived": _plethysm,
 }
 
 
 def oracle_action(family, params) -> sieve.CyclicAction:
-    """The family's action, materialized by the label-keyed path."""
-    return label_keyed_action(*FAMILIES[family](params))
+    """The family's action, materialized by the label-keyed path unless its
+    table entry writes the action out."""
+    entry = FAMILIES[family](params)
+    return entry if isinstance(entry, sieve.CyclicAction) else label_keyed_action(*entry)

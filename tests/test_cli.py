@@ -10,7 +10,7 @@ import pytest
 from child import run_child
 from hypothesis import given, settings, strategies as st
 
-from csplab import cli, sieve
+from csplab import cli, perms, sieve
 from csplab.errors import CspLabError
 
 
@@ -491,6 +491,8 @@ def test_k_set_instances_pass_in_bounded_memory(argv):
     (("verify", "cycle", "--n", "10001"), "group order 10001 exceeds the cap 10000"),
     (("verify", "subset", "--n", "200", "--k", "100"),
      "instance size of 30 or more digits exceeds the cap 200000"),
+    # the order is checked before the size, which also exceeds its cap
+    (("verify", "cycle", "--n", "300000"), "group order 300000 exceeds the cap 10000"),
 ])
 def test_cap_messages(capsys, argv, message):
     # a size short enough to print is printed in full
@@ -649,6 +651,22 @@ def test_conj_class_rejects_non_partitions(capsys, lam):
     assert code == 2
     assert out == ""
     assert "is not a partition" in err
+
+
+# The size cap bounds a class's member count, not the cost of each member,
+# which grows with n: 1000 fixed points are one member but a recursion of
+# depth 1000, and 2,1^630 has 199,396 members of 632 entries each (about
+# 1 GB).  perms.CLASS_CAP bounds n, so each is refused before it is built.
+@pytest.mark.parametrize("lam,n", [
+    ("9", 9),
+    (",".join(["1"] * 1000), 1000),
+    (",".join(["2"] + ["1"] * 630), 632),
+], ids=["9", "1x1000", "2,1x630"])
+def test_conj_class_is_refused_past_the_class_cap(lam, n):
+    done = run_child(("verify", "conj_class", "--lam", lam), address_space=1 << 30)
+    assert (done.returncode, done.stdout, done.stderr) == (
+        2, "", f"error: conjugacy class ground set size {n} exceeds the cap {perms.CLASS_CAP}\n"
+    )
 
 
 def test_conj_class_of_the_empty_partition(capsys):

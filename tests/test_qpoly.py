@@ -107,6 +107,22 @@ def test_gaussian_symmetry_and_positivity(n):
         assert f(1) == math.comb(n, k)
 
 
+PAST_THE_BOUND = qpoly.CACHE_SIZE + 16
+ODD_PRIMES = [p for p in range(3, 1000) if all(p % x for x in range(2, p))]
+
+
+@pytest.mark.parametrize("cached,calls", [
+    (qpoly.gaussian_binomial, [(n, 2) for n in range(2, 2 + PAST_THE_BOUND)]),
+    (qpoly.cyclotomic, [(d,) for d in range(1, 1 + PAST_THE_BOUND)]),
+    (qpoly._crt_order, [((2, p),) for p in ODD_PRIMES[:PAST_THE_BOUND]]),
+], ids=["gaussian_binomial", "cyclotomic", "crt_order"])
+def test_polynomial_caches_are_bounded(cached, calls):
+    # a long sweep kept every polynomial: Phi_2..Phi_3000 held 21.5 MB
+    for args in calls:
+        cached(*args)
+    assert cached.cache_info().currsize == qpoly.CACHE_SIZE
+
+
 def test_cyclotomic_small():
     assert cyclotomic(1) == P([-1, 1])
     assert cyclotomic(2) == P([1, 1])

@@ -406,35 +406,58 @@ def test_triangulation_pentagon_single_orbit():
     assert sieve.build_report(inst).verdict == "pass"
 
 
-def _assert_same_k_sets(derived, direct):
+def _assert_same_k_sets(derived, direct, n):
     assert derived.action.size == direct.action.size
     assert derived.action.generator == direct.action.generator
-    # the base labels are joined by commas, the direct ones (n <= 9) are not
-    assert [x.replace(",", "") for x in derived.action.labels] == list(
-        direct.action.labels
-    )
+    # the base labels are joined by commas, the direct ones only from n = 10 on
+    labels = derived.action.labels
+    if n <= 9:
+        labels = [x.replace(",", "") for x in labels]
+    assert list(labels) == list(direct.action.labels)
     assert sieve.build_report(derived).verdict == "pass"
 
 
 def test_plethysm_h_reproduces_multisets():
-    for n in range(1, 7):
+    # from n = 10 on, both list a k-set's members in numeric order: 9,10
+    for n in (*range(1, 7), 10, 11, 12):
         for k in range(7):
             derived = sieve.registry_instantiate(
                 "plethysm_derived", {"base": "cycle", "k": k, "kind": "h", "n": n}
             )
             direct = sieve.registry_instantiate("multiset", {"n": n, "k": k})
-            _assert_same_k_sets(derived, direct)
+            _assert_same_k_sets(derived, direct, n)
             assert derived.polynomial == direct.polynomial
 
 
 def test_plethysm_e_reproduces_subsets():
-    for n in (1, 3, 5, 7):
+    # n = 10 and 12 give even orders, which e_k refuses (test_plethysm_e_odd_only)
+    for n in (1, 3, 5, 7, 9, 11):
         for k in range(n + 1):
             derived = sieve.registry_instantiate(
                 "plethysm_derived", {"base": "cycle", "k": k, "kind": "e", "n": n}
             )
             direct = sieve.registry_instantiate("subset", {"n": n, "k": k})
-            _assert_same_k_sets(derived, direct)
+            _assert_same_k_sets(derived, direct, n)
+
+
+@pytest.mark.parametrize("family,params", [
+    ("cycle", {"n": 2520}),
+    ("plethysm_derived", {"base": "cycle", "n": 15, "k": 4, "kind": "e"}),
+])
+def test_verify_builds_nothing_for_the_n_cycle(monkeypatch, capsys, family, params):
+    """cycle is the counted ground of subset and multiset: verify, of it or
+    of a k-set family over it, materializes no action and lists no [n]."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify built an action")
+
+    monkeypatch.setattr(sieve, "action_from_objects", refuse)
+    monkeypatch.setattr(perms, "from_cycles", refuse)
+    argv = ["verify", family] + [f"--{key}={value}" for key, value in params.items()]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out.endswith("verdict: PASS\n")
+    inst = sieve.registry_instantiate(family, params)
+    sieve.build_report(inst)
+    assert "_built" not in vars(inst.action)
 
 
 def test_plethysm_e_odd_only():
