@@ -245,18 +245,19 @@ class _Texts(dict):
 
 _DIGITS, _COMMAS, _DASHES = _Texts(""), _Texts(","), _Texts("-")
 _LAST = operator.itemgetter(-1)
+_WIDE = (9).__lt__  # an entry above 9 takes the separated style
 
 
 def partition_label(blocks: SetPartition) -> str:
     """Blocks joined by '|', digit strings while elements fit one digit."""
-    texts = _DIGITS if max(map(_LAST, blocks), default=0) <= 9 else _COMMAS
+    texts = _COMMAS if any(map(_WIDE, map(_LAST, blocks))) else _DIGITS
     return "|".join(map(texts.__getitem__, blocks))
 
 
 def matching_label(edges: Matching) -> str:
     """Edges joined by commas: "18,23,47,56" style for one-digit vertices,
     "1-14" style otherwise."""
-    texts = _DIGITS if max(map(_LAST, edges), default=0) <= 9 else _DASHES
+    texts = _DASHES if any(map(_WIDE, map(_LAST, edges))) else _DIGITS
     return ",".join(map(texts.__getitem__, edges))
 
 

@@ -630,11 +630,19 @@ def _build_k_sets(params: Mapping, cap: int, repeat: bool) -> CSPInstance:
 
 
 def _build_syt_rect(params: Mapping, cap: int) -> CSPInstance:
+    """Promotion on the standard tableaux of the m-by-n rectangle.  A row or
+    a column holds one tableau, which promotion fixes: it is counted, and
+    built, labelled by ``tableau_label``, only when it is read."""
     m, n = params["m"], params["n"]
     order = _check_order(m * n)
     lam = (n,) * m
     _check_size(tableaux.count_syt(lam), cap)
-    action = action_from_objects(*tableaux.promotion_of_syt(lam, cap=m * n), order)
+    if m == 1 or n == 1:
+        rows = tableaux._unflatten(range(1, m * n + 1), lam)
+        action = CyclicAction.counted({1: 1}, order, lambda: CyclicAction(
+            (tableaux.tableau_label(rows),), (0,), order))
+    else:
+        action = action_from_objects(*tableaux.promotion_of_syt(lam, cap=m * n), order)
     return CSPInstance(
         action, tableaux.q_count_syt(lam), "syt_rect", (("m", m), ("n", n))
     )

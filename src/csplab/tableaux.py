@@ -5,10 +5,11 @@ column) 1-based.  A standard tableau of shape lam holds 1..n with rows and
 columns strictly increasing; a semistandard one weakly increases along rows
 and strictly down columns.
 
-Standard tableaux are enumerated, promoted and labelled as flat tuples of
-their entries read row by row, the shape held apart; ``enumerate_syt``,
-``promote`` and ``tableau_label`` convert from and to row tuples around
-that flat code.
+Standard tableaux are enumerated and promoted as flat ``bytes`` of their
+entries read row by row, the shape held apart, so a shape has at most
+``FLAT_CELL_CAP`` = 254 cells: every entry and promotion's sentinel n + 1
+fit in a byte.  ``enumerate_syt``, ``promote`` and ``tableau_label``
+convert from and to row tuples around that flat code.
 """
 from __future__ import annotations
 
@@ -16,6 +17,7 @@ import bisect
 import functools
 import itertools
 import math
+import operator
 from typing import Iterator, Sequence
 
 from .errors import InternalInvariantError, PreconditionError, check_cap
@@ -29,13 +31,14 @@ __all__ = [
     "promotion_of_syt",
     "transpose_tableau", "pon_wang_iota", "rsk_word", "rsk_matrix",
     "ballot_sequence", "tableau_to_matching",
-    "SYT_CELL_CAP",
+    "SYT_CELL_CAP", "FLAT_CELL_CAP",
 ]
 
 Tableau = tuple[tuple[int, ...], ...]
-Flat = tuple[int, ...]  # a tableau's entries read row by row
+Flat = bytes  # a tableau's entries read row by row
 
 SYT_CELL_CAP = 12  # default bound on cells for single-shape enumeration
+FLAT_CELL_CAP = 254  # a flat tableau's entries and the sentinel n + 1 are bytes
 
 
 def _check_partition(lam: Sequence[int]) -> tuple[int, ...]:
@@ -88,13 +91,13 @@ def label_template(lam: tuple[int, ...], digits: bool) -> str:
     return "/".join(sep.join(["{}"] * p) for p in lam)
 
 
-def _flatten(T: Tableau) -> Flat:
+def _flatten(T: Tableau) -> tuple[int, ...]:
     return tuple(itertools.chain.from_iterable(T))
 
 
-def _unflatten(T: Flat, lam: Sequence[int]) -> Tableau:
+def _unflatten(T: Sequence[int], lam: Sequence[int]) -> Tableau:
     ends = tuple(itertools.accumulate(lam))
-    return tuple(T[end - p:end] for p, end in zip(lam, ends))
+    return tuple(tuple(T[end - p:end]) for p, end in zip(lam, ends))
 
 
 # ---------------------------------------------------------------------------
@@ -158,16 +161,18 @@ def _growths(corners: tuple, lam: tuple[int, ...]) -> Iterator[tuple[int, tuple]
 
 
 def enumerate_syt_flat(lam: Sequence[int], cap: int = SYT_CELL_CAP) -> list[Flat]:
-    """All standard tableaux of shape lam as flat tuples, built level by
+    """All standard tableaux of shape lam as flat ``bytes``, built level by
     level.  Level m maps each shape of m cells inside lam to its fillings
     by 1..m, and each cell the shape can take extends all of them with one
-    slice and concatenation."""
+    slice and concatenation.  A shape of more than ``FLAT_CELL_CAP`` cells
+    is refused whatever ``cap`` says."""
     lam = _check_partition(lam)
     n = sum(lam)
     check_cap("shape cell count", n, cap)
-    level: dict[tuple, list[Flat]] = {(): [()]}
+    check_cap("flat tableau cell count", n, FLAT_CELL_CAP)
+    level: dict[tuple, list[Flat]] = {(): [b""]}
     for m in range(1, n + 1):
-        cell = (m,)
+        cell = bytes((m,))
         nxt: dict[tuple, list[Flat]] = {}
         for corners, fillings in level.items():
             for pos, child in _growths(corners, lam):
@@ -183,10 +188,11 @@ def enumerate_syt_flat(lam: Sequence[int], cap: int = SYT_CELL_CAP) -> list[Flat
 
 def promote(T: Tableau) -> Tableau:
     """Promotion of a standard tableau given as row tuples (see
-    ``promote_flat``)."""
+    ``promote_flat``), of at most ``FLAT_CELL_CAP`` cells."""
     lam = shape(T)
     if not any(lam):
         return T
+    check_cap("flat tableau cell count", sum(lam), FLAT_CELL_CAP)
     return _unflatten(promote_flat(_flatten(T), *neighbour_tables(lam)), lam)
 
 
@@ -210,29 +216,49 @@ def neighbour_tables(lam: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, 
 def promotion_of_syt(
     lam: Sequence[int], cap: int = SYT_CELL_CAP
 ) -> tuple[list[Flat], Iterator[Flat], Iterator[str]]:
-    """The standard tableaux of shape lam as flat tuples, and their images
-    under promotion and their labels as iterables aligned with them, made by
-    ``map`` and ``starmap`` with no Python frame per label."""
+    """The standard tableaux of shape lam as flat ``bytes``, and their
+    images under promotion and their labels as iterables aligned with them,
+    made by ``map`` with no Python frame per tableau.  A label is the texts
+    of its cells joined: ``texts[i][v]`` is entry v followed by cell i's
+    separator, so a label reads one string per cell and parses nothing."""
     lam = _check_partition(lam)
     X = enumerate_syt_flat(lam, cap)
     below, right = neighbour_tables(lam)
+    texts = _cell_texts(lam)
     return (
         X,
         map(promote_flat, X, itertools.repeat(below), itertools.repeat(right)),
-        itertools.starmap(label_template(lam, sum(lam) <= 9).format, X),
+        map("".join, map(map, itertools.repeat(operator.getitem), itertools.repeat(texts), X)),
     )
 
 
-_DECREMENT = (-1).__add__
+def _cell_texts(lam: tuple[int, ...]) -> list[tuple[str, ...]]:
+    """For each cell of lam in flat order, the text of each entry 0..n
+    followed by the cell's separator in ``label_template``'s layout: '/'
+    after a row's last cell, nothing after the tableau's last, and between
+    cells of a row nothing while n <= 9, else ','."""
+    n = sum(lam)
+    sep = "" if n <= 9 else ","
+    seps = [sep] * n
+    for end in itertools.accumulate(lam):
+        seps[end - 1] = "/"
+    if n:
+        seps[-1] = ""
+    values = list(map(str, range(n + 1)))
+    return [tuple([v + s for v in values]) for s in seps]
 
 
-def promote_flat(T: Flat, below: Sequence[int], right: Sequence[int]) -> Flat:
+_DECREMENT = bytes((0, *range(255)))  # bytes.translate table: v -> v - 1
+
+
+def promote_flat(T: Sequence[int], below: Sequence[int], right: Sequence[int]) -> Flat:
     """Promotion: remove the 1, slide the hole to a corner by always
     exchanging with the smaller of the neighbors below and to the right,
     then decrement everything and write n in the freed corner.  T is a
-    nonempty flat standard tableau, and ``below`` and ``right`` are the
-    ``neighbour_tables`` of its shape; index n holds n + 1, larger than
-    every entry, so a missing neighbour is never the smaller."""
+    nonempty flat standard tableau of at most ``FLAT_CELL_CAP`` cells, and
+    ``below`` and ``right`` are the ``neighbour_tables`` of its shape;
+    index n holds n + 1, larger than every entry, so a missing neighbour is
+    never the smaller."""
     n = len(T)
     t = [*T, n + 1]
     i = 0
@@ -248,7 +274,7 @@ def promote_flat(T: Flat, below: Sequence[int], right: Sequence[int]) -> Flat:
             break
     t[i] = n + 1
     del t[n]
-    return tuple(map(_DECREMENT, t))
+    return bytes(t).translate(_DECREMENT)
 
 
 def evacuate(T: Tableau) -> Tableau:

@@ -1,9 +1,13 @@
 """Test oracle for the canonical labels: each label built part by part.
 
-``csplab.catalan`` joins texts it keeps per part, and ``csplab.perms`` maps
-``str`` over a permutation; these are the per-block and per-edge versions
-they replaced, and the labels must be byte-identical to theirs.
+``csplab.catalan`` joins texts it keeps per part, ``csplab.perms`` maps
+``str`` over a permutation, and ``csplab.tableaux.promotion_of_syt`` joins
+texts it keeps per cell; these are the per-block, per-edge and per-template
+versions they replaced, and the labels must be byte-identical to theirs.
 """
+import itertools
+
+from csplab.tableaux import label_template
 
 
 def partition_label(blocks):
@@ -29,3 +33,9 @@ def perm_label(w):
     if len(w) <= 9:
         return "".join(str(x) for x in w)
     return ",".join(str(x) for x in w)
+
+
+def tableau_labels(lam, X):
+    """The labels of the flat tableaux X of shape lam, each formatted into
+    the shape's template, one field per cell."""
+    return itertools.starmap(label_template(lam, sum(lam) <= 9).format, X)

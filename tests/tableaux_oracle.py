@@ -1,19 +1,21 @@
 """Test oracle for the tableau code: recursive fill and hand-written slides.
 
 ``csplab.tableaux`` enumerates, promotes and labels standard tableaux as
-flat row-major tuples: enumeration level by level over shapes, promotion by
-one slide over per-shape neighbour tables, labels by a per-shape format
-template.  It builds evacuation from promotion: it promotes the tableau
+flat row-major ``bytes``: enumeration level by level over shapes, promotion
+by one slide over per-shape neighbour tables, labels from a per-cell text
+table.  It builds evacuation from promotion: it promotes the tableau
 of entries 1..m for m = n, ..., 1.  This module keeps the direct forms on
 row tuples instead: the recursive row-wise fill, the slide on rows, labels
 joined row by row, the q-count with [n]_q! multiplied out, and evacuation
-sliding among cells that freeze as they are filled.
+sliding among cells that freeze as they are filled.  It also keeps the flat
+code's former forms on tuples of ints, which hold entries of any size: the
+level-by-level enumeration and the slide over neighbour tables.
 """
 
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from csplab.qpoly import IntPolynomial, exact_divide
-from csplab.tableaux import Tableau, hooklengths
+from csplab.tableaux import Tableau, _growths, hooklengths
 from qpoly_oracle import product
 
 
@@ -34,6 +36,41 @@ def enumerate_syt(lam: tuple[int, ...]) -> tuple[Tableau, ...]:
                 rows[r].pop()
 
     return tuple(fill(1))
+
+
+def enumerate_syt_flat(lam: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """All standard tableaux of shape lam as flat tuples, level by level in
+    the order ``tableaux.enumerate_syt_flat`` makes them."""
+    level: dict[tuple, list[tuple[int, ...]]] = {(): [()]}
+    for m in range(1, sum(lam) + 1):
+        nxt: dict[tuple, list[tuple[int, ...]]] = {}
+        for corners, fillings in level.items():
+            for pos, child in _growths(corners, lam):
+                nxt.setdefault(child, []).extend([T[:pos] + (m,) + T[pos:] for T in fillings])
+        level = nxt
+    (fillings,) = level.values()
+    return fillings
+
+
+def promote_flat(T: tuple[int, ...], below: Sequence[int], right: Sequence[int]) -> tuple[int, ...]:
+    """Promotion of a nonempty flat tuple over its shape's neighbour tables:
+    the slide of ``tableaux.promote_flat`` ending in a tuple of ints."""
+    n = len(T)
+    t = [*T, n + 1]
+    i = 0
+    while True:
+        b, r = below[i], right[i]
+        if t[b] < t[r]:
+            t[i] = t[b]
+            i = b
+        elif r < n:
+            t[i] = t[r]
+            i = r
+        else:
+            break
+    t[i] = n + 1
+    del t[n]
+    return tuple(x - 1 for x in t)
 
 
 def q_count_syt(lam: tuple[int, ...]) -> IntPolynomial:

@@ -246,6 +246,9 @@ HUGE = "1" + "0" * 4299  # the most digits Python converts to an int by default
     (("verify", "subset", "--n", "200", "--k", "100", "--cap", "1" + "0" * 60), 2),
     (("verify", "multiset", "--n", "840", "--k", "20", "--cap", "1" + "0" * 45), 2),
     (("verify", "subset", "--n", "2690", "--k", "3", "--cap", "10000000000"), 2),
+    # a flat tableau is bytes: 256 cells are refused before any level is
+    # built (exit 3 before, on MemoryError, after about 5 s)
+    (("verify", "syt_rect", "--m", "2", "--n", "128", "--cap", "1" + "0" * 80), 2),
 ])
 def test_large_inputs_end_at_once(argv, code):
     done = run_child(argv, address_space=1 << 30)

@@ -6,7 +6,9 @@ from collections import Counter
 
 import pytest
 
+import labels_oracle
 import tableaux_oracle
+from csplab import cli
 from csplab import tableaux as tb
 from csplab.errors import CapExceeded, PreconditionError
 from csplab.qpoly import IntPolynomial, q_catalan
@@ -122,25 +124,35 @@ _ORACLE_SHAPES = [lam for n in range(11) for lam in _partitions(n)] + [
 @pytest.mark.parametrize("lam", _ORACLE_SHAPES, ids=str)
 def test_flat_tableaux_match_oracle(lam):
     """Level-by-level enumeration, the slide over neighbour tables and the
-    label templates equal the recursive fill, the slide on rows and the
-    labels joined row by row, on every partition of n <= 10 and on the
-    rectangles up to 4x4."""
+    per-cell label texts equal the recursive fill, the slide on rows and the
+    labels joined row by row, and the same enumeration, slide and label
+    templates on tuples, on every partition of n <= 10 and on the
+    rectangles up to 4x4.  Flat tableaux are bytes, read through tuple()."""
     n = sum(lam)
     expected = tableaux_oracle.enumerate_syt(lam)
     tabs = tb.enumerate_syt(lam, cap=n)
     assert sorted(tabs) == sorted(expected)
     flat = tb.enumerate_syt_flat(lam, cap=n)
-    assert flat == [tuple(x for row in T for x in row) for T in tabs]
+    assert all(type(F) is bytes for F in flat)
+    as_tuples = list(map(tuple, flat))
+    assert as_tuples == [tuple(x for row in T for x in row) for T in tabs]
+    assert as_tuples == tableaux_oracle.enumerate_syt_flat(lam)
     below, right = tb.neighbour_tables(lam)
-    template = tb.label_template(lam, n <= 9)
-    for T, F in zip(tabs, flat):
+    X, images, labels = tb.promotion_of_syt(lam, cap=n)
+    assert X == flat
+    labels = list(labels)
+    assert labels == list(labels_oracle.tableau_labels(lam, flat))
+    for T, F, label in zip(tabs, flat, labels, strict=True):
         image = tableaux_oracle.promote(T)
         assert tb.promote(T) == image
         if n:
-            assert tb.promote_flat(F, below, right) == tuple(x for row in image for x in row)
-        label = tableaux_oracle.tableau_label(T)
-        assert tb.tableau_label(T) == label
-        assert template.format(*F) == label
+            G = tb.promote_flat(F, below, right)
+            assert type(G) is bytes
+            assert tuple(G) == tuple(x for row in image for x in row)
+            assert tuple(G) == tableaux_oracle.promote_flat(tuple(F), below, right)
+        assert label == tableaux_oracle.tableau_label(T) == tb.tableau_label(T)
+    if n:
+        assert list(images) == [tb.promote_flat(F, below, right) for F in flat]
 
 
 def _corners(mu):
@@ -171,12 +183,32 @@ def test_q_count_syt_matches_q_factorial_quotient(lam):
     assert tb.q_count_syt(lam) == tableaux_oracle.q_count_syt(lam)
 
 
-def test_long_row_and_column_are_one_tableau():
-    for lam in ((3000,), (1,) * 3000):
+def test_long_row_and_column_are_one_tableau(monkeypatch, capsys):
+    """A flat tableau is bytes, so 254 cells enumerate and 255 are refused
+    before any level is built; a longer row or column goes through the
+    counted rectangle, which enumerates nothing."""
+    for lam in ((254,), (1,) * 254):
         (T,) = tb.enumerate_syt_flat(lam, cap=3000)
-        assert T == tuple(range(1, 3001))
+        assert T == bytes(range(1, 255))
         assert tb.promote_flat(T, *tb.neighbour_tables(lam)) == T
+    for T in ((tuple(range(1, 256)),), tuple((x,) for x in range(1, 256))):
+        with pytest.raises(CapExceeded, match="^flat tableau cell count 255 exceeds the cap 254$"):
+            tb.enumerate_syt_flat(tb.shape(T), cap=3000)
+        with pytest.raises(CapExceeded):
+            tb.promote(T)
+    for lam in ((3000,), (1,) * 3000):
         assert tb.q_count_syt(lam) == IntPolynomial([1])
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a row or a column is counted, not enumerated")
+
+    monkeypatch.setattr(tb, "promotion_of_syt", refuse)
+    for m, n, label in ((1, 3000, ",".join(map(str, range(1, 3001)))),
+                        (3000, 1, "/".join(map(str, range(1, 3001))))):
+        assert cli.main(["verify", "syt_rect", "--m", str(m), "--n", str(n)]) == 0
+        assert capsys.readouterr().out.endswith("verdict: PASS\n")
+        assert cli.main(["orbits", "syt_rect", "--m", str(m), "--n", str(n)]) == 0
+        assert f"orbit size    1  stab 3000  {label}\n" in capsys.readouterr().out
 
 
 def test_slides_built_from_promotion_match_oracle():
