@@ -20,7 +20,7 @@ import os
 import sys
 from typing import Iterable, Sequence
 
-from . import qpoly, sieve, tableaux
+from . import perms, qpoly, sieve, tableaux
 from .errors import (
     CspLabError,
     InexactDivision,
@@ -247,28 +247,24 @@ def cmd_poly(ns: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_list() -> int:
+def cmd_list(ns: argparse.Namespace) -> int:
     families = sieve.list_families()
     width = max(len(fam.signature) for fam in families)
     for fam in families:
         print(f"{fam.name:<22} {fam.signature:<{width}} {fam.description}")
     print(f"caps: size {sieve.DEFAULT_SIZE_CAP} (override with --cap or CSP_LAB_CAP), "
-          f"order {sieve.ORDER_CAP}")
+          f"order {sieve.ORDER_CAP}, conj_class n {perms.CLASS_CAP}, "
+          f"syt_rect cells {tableaux.FLAT_CELL_CAP} (m, n > 1)")
     return 0
+
+
+COMMANDS = {"list": cmd_list, "verify": cmd_verify, "orbits": cmd_orbits, "poly": cmd_poly}
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     ns = _parser().parse_args(argv)
     try:
-        if ns.command == "list":
-            return cmd_list()
-        if ns.command == "verify":
-            return cmd_verify(ns)
-        if ns.command == "orbits":
-            return cmd_orbits(ns)
-        if ns.command == "poly":
-            return cmd_poly(ns)
-        raise PreconditionError(f"unknown command {ns.command}")
+        return COMMANDS[ns.command](ns)
     except INTERNAL_ERRORS as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3

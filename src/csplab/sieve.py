@@ -497,14 +497,6 @@ def read_int(name: str, value: object, *, least: int | None) -> int:
     return value
 
 
-def _check_size(count: int, cap: int) -> int:
-    return check_cap("instance size", count, cap)
-
-
-def _check_order(order: int) -> int:
-    return check_cap("group order", order, ORDER_CAP)
-
-
 def _comb(n: int, k: int, cap: int) -> int:
     """C(n, k), or a lower bound on it once that bound is above the cap and
     too long to print: C(n, j) grows with j up to min(k, n - k)."""
@@ -518,14 +510,15 @@ def _comb(n: int, k: int, cap: int) -> int:
     return count
 
 
-def _ground(params: Mapping, n: int) -> tuple[CyclicAction, str | None]:
-    """The action on [n] of the full cycle by default, or of a supplied
-    nearly-free generator in cycle notation, and its label.  It is counted from
-    the generator's cycle type (the points a --gen does not list are fixed)
-    and built only when its labels, generator or orbits are read."""
+def _ground(params: Mapping, n: int, order: int | None) -> tuple[CyclicAction, str | None]:
+    """The action on [n] of the full cycle, of the admitted order n, by
+    default, or of a supplied nearly-free generator in cycle notation, and
+    its label.  It is counted from the generator's cycle type (the points a
+    --gen does not list are fixed) and built only when its labels, generator
+    or orbits are read.  A --gen's order (None when admitted) is the one the
+    registry cannot read off a closed form: it is checked here."""
     gen = params.get("gen")
     if gen is None:
-        _check_order(n)  # the order of the full cycle, before len() measures it
         cycles, label = [range(1, n + 1)], None
     elif isinstance(gen, str):
         cycles, label = perms.read_cycles(gen, n), gen
@@ -536,10 +529,10 @@ def _ground(params: Mapping, n: int) -> tuple[CyclicAction, str | None]:
     if unlisted:
         lengths[1] += unlisted
     if perms.cycle_type_kind(lengths) == "neither":
-        raise NotNearlyFree(
-            f"the generator acts neither freely nor nearly freely on [{n}]"
-        )
-    order = _check_order(math.lcm(*lengths))
+        ground = f"[{n}]" if n < 10**SHOWN_DIGITS else f"[n], n of {SHOWN_DIGITS} or more digits"
+        raise NotNearlyFree(f"the generator acts neither freely nor nearly freely on {ground}")
+    if order is None:
+        order = check_cap("group order", math.lcm(*lengths), ORDER_CAP)
     return CyclicAction.counted(lengths, order, lambda: CyclicAction(
         tuple(map(str, range(1, n + 1))), [x - 1 for x in perms.from_cycles(n, cycles)], order,
     )), label
@@ -615,28 +608,24 @@ def _counted_k_sets(
     )
 
 
-def _build_k_sets(params: Mapping, cap: int, repeat: bool) -> CSPInstance:
+def _build_k_sets(params: Mapping, order: int | None, size: int, repeat: bool) -> CSPInstance:
     """k-multisets (``repeat``) or k-subsets of [n] under a permutation of [n]."""
     name = "multiset" if repeat else "subset"
     n, k = params["n"], params["k"]
-    top = n + k - 1 if repeat else n
-    size = _check_size(_comb(top, k, cap), cap)
-    check_cap("ground set size n", n, cap)  # a size of 0 or 1 bounds neither n
-    check_cap("k", k, cap)  # nor k; any other size bounds both
-    ground, gen_label = _ground(params, n)
+    ground, gen_label = _ground(params, n, order)
+    # f first: its degree cap bounds the series that counts the orbits
+    f = gaussian_binomial(n + k - 1 if repeat else n, k)
     action = _counted_k_sets(ground, k, repeat, "" if n <= 9 else ",", size)
     p = [("n", n), ("k", k)] + ([("gen", gen_label)] if gen_label else [])
-    return CSPInstance(action, gaussian_binomial(top, k), name, tuple(p))
+    return CSPInstance(action, f, name, tuple(p))
 
 
-def _build_syt_rect(params: Mapping, cap: int) -> CSPInstance:
+def _build_syt_rect(params: Mapping, order: int, size: int) -> CSPInstance:
     """Promotion on the standard tableaux of the m-by-n rectangle.  A row or
     a column holds one tableau, which promotion fixes: it is counted, and
     built, labelled by ``tableau_label``, only when it is read."""
     m, n = params["m"], params["n"]
-    order = _check_order(m * n)
     lam = (n,) * m
-    _check_size(tableaux.count_syt(lam), cap)
     if m == 1 or n == 1:
         rows = tableaux._unflatten(range(1, m * n + 1), lam)
         action = CyclicAction.counted({1: 1}, order, lambda: CyclicAction(
@@ -660,46 +649,31 @@ def _rotations(X: Sequence, order: int, shift: int, label: Callable) -> CyclicAc
     return action_from_objects(X, images, map(label, X), order)
 
 
-def _build_ncm(params: Mapping, cap: int) -> CSPInstance:
+def _build_ncm(params: Mapping, order: int, size: int) -> CSPInstance:
     n = params["n"]
-    order = _check_order(2 * n)
-    _check_size(catalan.catalan_number(n), cap)
     # promotion transports to the clockwise rotation i -> i-1 (mod 2n)
     X = catalan.enumerate_nc_matchings(n, cap=n)
     action = _rotations(X, order, -1, catalan.matching_label)
     return CSPInstance(action, tableaux.q_count_syt((n, n)), "ncm", (("n", n),))
 
 
-def _build_ncp(params: Mapping, cap: int) -> CSPInstance:
+def _build_ncp(params: Mapping, order: int, size: int) -> CSPInstance:
     n = params["n"]
-    order = _check_order(n)
-    _check_size(catalan.catalan_number(n), cap)
     X = catalan.enumerate_nc_partitions(n, cap=n)
     action = _rotations(X, order, 1, catalan.partition_label)
     return CSPInstance(action, q_catalan(n), "ncp", (("n", n),))
 
 
-def _build_triangulation(params: Mapping, cap: int) -> CSPInstance:
+def _build_triangulation(params: Mapping, order: int, size: int) -> CSPInstance:
     n = params["n"]
-    order = _check_order(n + 2)
-    _check_size(catalan.catalan_number(n), cap)
     X = catalan.enumerate_triangulations(n + 2, cap=n + 2)
     action = _rotations(X, order, 1, catalan.triangulation_label)
     return CSPInstance(action, q_catalan(n), "triangulation", (("n", n),))
 
 
-def _build_conj_class(params: Mapping, cap: int) -> CSPInstance:
+def _build_conj_class(params: Mapping, order: int, size: int) -> CSPInstance:
     lam = params["lam"]
-    if isinstance(lam, str):  # the empty string is the empty partition
-        lam = lam.split(",") if lam else ()
-    lam = tableaux._check_partition(read_int("each --lam part", x, least=None) for x in lam)
-    n = sum(lam)
-    order = _check_order(max(n, 1))  # the long cycle of S_0 is the identity
-    z = math.prod(
-        i ** lam.count(i) * math.factorial(lam.count(i)) for i in set(lam)
-    )
-    _check_size(math.factorial(n) // z, cap)
-    c = tuple(range(2, n + 1)) + (1,)
+    c = tuple(range(2, order + 1)) + (1,)  # the long cycle (of S_1 for the empty class)
     cls = perms.conjugacy_class(lam)
     f = subst_t_q_inverse(perms.maj_exc_genfun(cls))
     action = action_from_objects(
@@ -709,13 +683,15 @@ def _build_conj_class(params: Mapping, cap: int) -> CSPInstance:
     return CSPInstance(action, f, "conj_class", (("lam", lam),))
 
 
-def _build_proper_triangulation(params: Mapping, cap: int) -> CSPInstance:
-    N = params["n"]
-    if N % 2:
+def _proper_order(params: Mapping) -> int:
+    """N + 2, the rotations of the (N+2)-gon; an odd N has no instance."""
+    if params["n"] % 2:
         raise PreconditionError("proper_triangulation needs even n >= 2")
-    half = N // 2
-    order = _check_order(N + 2)
-    _check_size(catalan.proper_count(N), cap)
+    return params["n"] + 2
+
+
+def _build_proper_triangulation(params: Mapping, order: int, size: int) -> CSPInstance:
+    N = params["n"]
     if N == 4:
         # The closed form q_proper_triangulations(2) evaluates to 0 at q=-1,
         # but six proper hexagon triangulations are fixed by the half turn;
@@ -724,46 +700,56 @@ def _build_proper_triangulation(params: Mapping, cap: int) -> CSPInstance:
         # forced values at every sixth root of unity.
         f = IntPolynomial((3, 1, 3, 1, 3, 1))
     else:
-        f = q_proper_triangulations(half)
+        f = q_proper_triangulations(N // 2)
     X = catalan.enumerate_proper_triangulations(N + 2, cap=N + 2)
     action = _rotations(X, order, 1, catalan.triangulation_label)
     return CSPInstance(action, f, "proper_triangulation", (("n", N),))
 
 
-def _build_cycle(params: Mapping, cap: int) -> CSPInstance:
-    """The counted ground of ``subset`` and ``multiset``, order checked first."""
+def _build_cycle(params: Mapping, order: int, size: int) -> CSPInstance:
+    """The counted ground of ``subset`` and ``multiset``."""
     n = params["n"]
-    action, _ = _ground(params, n)
-    _check_size(n, cap)
+    action, _ = _ground(params, n, order)
     return CSPInstance(action, q_int(n), "cycle", (("n", n),))
 
 
-def _build_plethysm(params: Mapping, cap: int) -> CSPInstance:
-    base_id = params["base"]
-    k = params["k"]
-    kind = params.get("kind", "h")
-    if kind not in ("h", "e"):
-        raise PreconditionError("plethysm kind must be 'h' or 'e'")
-    _, base_flags = _parameters(base_id)
-    base_params = {key: val for key, val in params.items() if key in base_flags}
-    base = registry_instantiate(base_id, base_params, cap)
-    N = base.action.size
-    if kind == "e" and base.action.order % 2 == 0:
+def _plethysm_size(params: Mapping, cap: int) -> int:
+    """The k-multisets (h) or k-subsets (e) of the admitted base's points;
+    the e_k construction is refused first over a base of even order."""
+    (_, _, order, N), k = params["base"], params["k"]
+    if params["kind"] == "e" and order % 2 == 0:
         raise PreconditionError("the e_k construction needs a group of odd order")
-    size = _check_size(_comb(N + k - 1, k, cap) if kind == "h" else _comb(N, k, cap), cap)
-    check_cap("k", k, cap)  # a size of 0 or 1 bounds no k
+    return _comb(N + k - 1, k, cap) if params["kind"] == "h" else _comb(N, k, cap)
+
+
+def _build_plethysm(params: Mapping, order: int, size: int) -> CSPInstance:
+    k, kind = params["k"], params["kind"]
+    fam, *admitted = params["base"]  # the base family, its parameters, order and size
+    base = fam.builder(*admitted)
     f = (plethysm_h if kind == "h" else plethysm_e)(k, base.polynomial)
     action = _counted_k_sets(base.action, k, kind == "h", ",", size)
-    p = (("base", base_id), ("k", k), ("kind", kind)) + base.params
+    p = (("base", base.family), ("k", k), ("kind", kind)) + base.params
     return CSPInstance(action, f, "plethysm_derived", p)
 
 
 @dataclass(frozen=True)
 class Family:
+    """A registered family.  ``order`` and ``size`` are its group order (None
+    when a --gen gives it) and |X| in closed form, ``size`` past the cap a
+    lower bound on it; ``bounded`` names the flags the size cap also bounds.
+    The registry admits all three before it calls ``builder``."""
+
     name: str
     signature: str
     description: str
-    builder: Callable[[Mapping, int], CSPInstance] = field(compare=False)
+    order: Callable[[Mapping], int | None] = field(compare=False)
+    size: Callable[[Mapping, int], int] = field(compare=False)
+    builder: Callable[[Mapping, int | None, int], CSPInstance] = field(compare=False)
+    bounded: tuple[tuple[str, str], ...] = ()  # (flag, its name in the cap message)
+
+
+# a size of 0 or 1 bounds neither n nor k; any other size bounds both
+_K_SET_BOUNDS = (("n", "ground set size n"), ("k", "k"))
 
 
 FAMILIES: dict[str, Family] = {
@@ -773,56 +759,68 @@ FAMILIES: dict[str, Family] = {
             "multiset", "--n N --k K [--gen CYCLES]",
             "k-multisets on [n] under a (nearly) free generator; "
             "polynomial [n+k-1 choose k]_q",
-            functools.partial(_build_k_sets, repeat=True),
+            lambda p: None if "gen" in p else p["n"],
+            lambda p, cap: _comb(p["n"] + p["k"] - 1, p["k"], cap),
+            functools.partial(_build_k_sets, repeat=True), _K_SET_BOUNDS,
         ),
         Family(
             "subset", "--n N --k K [--gen CYCLES]",
             "k-subsets of [n] under a (nearly) free generator; "
             "polynomial [n choose k]_q",
-            functools.partial(_build_k_sets, repeat=False),
+            lambda p: None if "gen" in p else p["n"],
+            lambda p, cap: _comb(p["n"], p["k"], cap),
+            functools.partial(_build_k_sets, repeat=False), _K_SET_BOUNDS,
         ),
         Family(
             "syt_rect", "--m M --n N",
             "standard tableaux of the m-by-n rectangle under promotion; "
             "q-hooklength polynomial",
+            lambda p: p["m"] * p["n"],
+            lambda p, cap: tableaux.count_syt((p["n"],) * p["m"]),
             _build_syt_rect,
         ),
         Family(
             "ncm", "--n N",
             "noncrossing perfect matchings on [2n] under rotation; "
             "q-hooklength polynomial of (n,n)",
-            _build_ncm,
+            lambda p: 2 * p["n"], lambda p, cap: catalan.catalan_number(p["n"]), _build_ncm,
         ),
         Family(
             "ncp", "--n N",
             "noncrossing partitions of [n] under rotation; q-Catalan",
-            _build_ncp,
+            lambda p: p["n"], lambda p, cap: catalan.catalan_number(p["n"]), _build_ncp,
         ),
         Family(
             "triangulation", "--n N",
             "triangulations of the (n+2)-gon under rotation; q-Catalan",
+            lambda p: p["n"] + 2, lambda p, cap: catalan.catalan_number(p["n"]),
             _build_triangulation,
         ),
         Family(
             "conj_class", "--lam P1,P2,...",
             "a conjugacy class under conjugation by the long cycle; "
             "maj/exc polynomial at t=1/q",
+            lambda p: max(sum(p["lam"]), 1),  # the long cycle of S_0 is the identity
+            lambda p, cap: math.factorial(sum(p["lam"])) // math.prod(
+                i ** c * math.factorial(c) for i, c in collections.Counter(p["lam"]).items()),
             _build_conj_class,
         ),
         Family(
             "proper_triangulation", "--n N (even)",
             "proper 2-colored triangulations of the (n+2)-gon under rotation",
+            _proper_order, lambda p, cap: catalan.proper_count(p["n"]),
             _build_proper_triangulation,
         ),
         Family(
             "cycle", "--n N",
             "the ground set [n] under rotation; polynomial [n]_q",
-            _build_cycle,
+            lambda p: p["n"], lambda p, cap: p["n"], _build_cycle,
         ),
         Family(
             "plethysm_derived", "--base FAMILY --k K [--kind h|e] [base params]",
             "k-multisets (h) or k-subsets (e, odd order) of a base instance",
-            _build_plethysm,
+            # its base, admitted first: (family, parameters, order, size)
+            lambda p: p["base"][2], _plethysm_size, _build_plethysm, (("k", "k"),),
         ),
     )
 }
@@ -841,15 +839,12 @@ def _parameters(family_id: str) -> tuple[Family, dict[str, bool]]:
     return fam, {flag: not opt for opt, flag in re.findall(r"(\[?)--(\w+)", fam.signature)}
 
 
-def registry_instantiate(
-    family_id: str, params: Mapping, size_cap: int | None = None
-) -> CSPInstance:
-    """Build the (X, generator, f) triple for a registered family, once its
-    parameters match the family's table (and its base family's, which may not
-    share a flag with it): none unlisted, none of the required ones missing;
-    the size cap and the integer parameters are read before any builder runs."""
-    cap = DEFAULT_SIZE_CAP if size_cap is None else read_int(
-        "the size cap (--cap or CSP_LAB_CAP)", size_cap, least=1)
+def _read(family_id: str, params: Mapping) -> tuple[Family, dict]:
+    """A registered family and its parameters, read: they match the family's
+    table (and its base family's, which may not share a flag with it), none
+    unlisted, none of the required ones missing; then the integers, --kind
+    and --lam are read, and --base becomes the base family and its own
+    parameters, read."""
     fam, table = _parameters(family_id)
     accepted, signature = set(table), fam.signature
     if "base" in table and "base" in params:
@@ -870,4 +865,42 @@ def registry_instantiate(
                                 f"signature: {fam.signature}")
     params = {key: read_int(f"--{key}", value, least=_LEAST[key]) if key in _LEAST else value
               for key, value in params.items()}
-    return fam.builder(params, cap)
+    if "kind" in table and params.setdefault("kind", "h") not in ("h", "e"):
+        raise PreconditionError("plethysm kind must be 'h' or 'e'")
+    if "lam" in table:
+        lam = params["lam"]
+        if isinstance(lam, str):  # the empty string is the empty partition
+            lam = lam.split(",") if lam else ()
+        params["lam"] = tableaux._check_partition(
+            read_int("each --lam part", x, least=None) for x in lam)
+    if "base" in table:
+        params["base"] = _read(base.name, {key: params[key] for key in base_table if key in params})
+    return fam, params
+
+
+def _admit(fam: Family, params: Mapping, cap: int) -> tuple[int | None, int]:
+    """The one admission of every family and caller: the group order, then
+    the size, then the flags the size cap also bounds, each checked from its
+    closed form before anything is built.  Returns the order and the size."""
+    order = fam.order(params)
+    if order is not None:
+        check_cap("group order", order, ORDER_CAP)
+    size = check_cap("instance size", fam.size(params, cap), cap)
+    for flag, what in fam.bounded:
+        check_cap(what, params[flag], cap)
+    return order, size
+
+
+def registry_instantiate(
+    family_id: str, params: Mapping, size_cap: int | None = None
+) -> CSPInstance:
+    """Build the (X, generator, f) triple for a registered family.  The size
+    cap and the parameters are read, and the instance admitted, before the
+    builder runs.  A base is admitted first, and its order and size join it:
+    the family's order is its base's, and its size counts the base's points."""
+    cap = DEFAULT_SIZE_CAP if size_cap is None else read_int(
+        "the size cap (--cap or CSP_LAB_CAP)", size_cap, least=1)
+    fam, params = _read(family_id, params)
+    if "base" in params:
+        params["base"] += _admit(*params["base"], cap)
+    return fam.builder(params, *_admit(fam, params, cap))

@@ -10,7 +10,7 @@ import pytest
 from child import run_child
 from hypothesis import given, settings, strategies as st
 
-from csplab import cli, perms, sieve
+from csplab import cli, perms, sieve, tableaux
 from csplab.errors import CspLabError
 
 
@@ -249,6 +249,11 @@ HUGE = "1" + "0" * 4299  # the most digits Python converts to an int by default
     # a flat tableau is bytes: 256 cells are refused before any level is
     # built (exit 3 before, on MemoryError, after about 5 s)
     (("verify", "syt_rect", "--m", "2", "--n", "128", "--cap", "1" + "0" * 80), 2),
+    # f's degree cap is checked before the orbits are counted, whose series
+    # has k/2 terms under a generator of two cycle lengths (exit 3 before, on
+    # MemoryError, after about 17 s under 2 GiB)
+    (("verify", "multiset", "--n", "3", "--k", "100000000", "--gen", "(1,2)",
+      "--cap", "1" + "0" * 19), 2),
 ])
 def test_large_inputs_end_at_once(argv, code):
     done = run_child(argv, address_space=1 << 30)
@@ -311,6 +316,18 @@ def test_generator_on_a_huge_ground_set_builds_nothing_of_size_n(gen, code, last
                       "--cap", "100000000000", "--gen", gen), address_space=1 << 30)
     assert done.returncode == code, done.stderr
     assert (done.stderr if code else done.stdout).endswith(last)
+
+
+@pytest.mark.parametrize("digits", [41, 4000])
+def test_generator_on_a_ground_set_too_long_to_print_names_no_n(digits):
+    # n was printed in full: 106 characters at 41 digits, 4,065 at 4,000
+    done = run_child(("verify", "subset", "--n", "1" + "0" * (digits - 1), "--k", "0",
+                      "--cap", "9" * digits, "--gen", "(1,2)"), address_space=1 << 30)
+    assert done.returncode == 2, done.stderr[:200]
+    assert done.stdout == ""
+    assert done.stderr == ("error: the generator acts neither freely nor nearly freely on "
+                           "[n], n of 30 or more digits\n")
+    assert len(done.stderr) < 100
 
 
 @pytest.mark.parametrize("m,n", [(1, 1200), (1, 10000), (10000, 1)])
@@ -429,6 +446,8 @@ def test_list_command(capsys):
     starts = {row.index(fam.description) for row, fam in zip(rows, families)}
     assert starts == {23 + max(len(fam.signature) for fam in families) + 1}
     assert caps.startswith("caps: size 200000")
+    assert f"conj_class n {perms.CLASS_CAP}," in caps and perms.CLASS_CAP == 8
+    assert f"syt_rect cells {tableaux.FLAT_CELL_CAP} " in caps and tableaux.FLAT_CELL_CAP == 254
 
 
 def test_env_cap(capsys, monkeypatch):
@@ -496,6 +515,9 @@ def test_k_set_instances_pass_in_bounded_memory(argv):
      "instance size of 30 or more digits exceeds the cap 200000"),
     # the order is checked before the size, which also exceeds its cap
     (("verify", "cycle", "--n", "300000"), "group order 300000 exceeds the cap 10000"),
+    (("verify", "subset", "--n", "300000", "--k", "1"), "group order 300000 exceeds the cap 10000"),
+    (("verify", "multiset", "--n", "300000", "--k", "1"),
+     "group order 300000 exceeds the cap 10000"),
 ])
 def test_cap_messages(capsys, argv, message):
     # a size short enough to print is printed in full
@@ -616,7 +638,7 @@ def test_collected_options_are_the_signature_flags(command):
 
 def test_key_error_in_a_builder_is_internal_error(capsys, monkeypatch):
     # the registry no longer turns a builder's KeyError into a usage error
-    def builder(params, cap):
+    def builder(params, order, size):
         raise KeyError("oops")
 
     fam = sieve.FAMILIES["ncp"]
@@ -625,6 +647,89 @@ def test_key_error_in_a_builder_is_internal_error(capsys, monkeypatch):
     assert code == 3
     assert out == ""
     assert err == "internal error: KeyError: 'oops'\n"
+
+
+# For every family: requests over the order cap and over the size cap, and
+# over the other bounds the registry admits, each refused before any builder
+# runs.  The order is checked first, then the size, then the flags the size
+# cap also bounds (the k-sets' n and k, plethysm_derived's k).
+ADMISSION_CASES = {
+    "multiset": [
+        (("--n", "10001", "--k", "1"), "group order 10001 exceeds the cap 10000"),
+        (("--n", "6", "--k", "3", "--cap", "5"), "instance size 56 exceeds the cap 5"),
+        (("--n", "300", "--k", "0", "--cap", "100"), "ground set size n 300 exceeds the cap 100"),
+        (("--n", "1", "--k", "100000000"), "k 100000000 exceeds the cap 200000"),
+    ],
+    "subset": [
+        (("--n", "10001", "--k", "2"), "group order 10001 exceeds the cap 10000"),
+        (("--n", "30", "--k", "15"), "instance size 155117520 exceeds the cap 200000"),
+        (("--n", "300", "--k", "300", "--cap", "100"), "ground set size n 300 exceeds the cap 100"),
+        (("--n", "5", "--k", "1000000"), "k 1000000 exceeds the cap 200000"),
+        # n and k are bounded before a generator's order is read
+        (("--n", "10", "--k", "0", "--gen", "(1,2)", "--cap", "5"),
+         "ground set size n 10 exceeds the cap 5"),
+    ],
+    "syt_rect": [
+        (("--m", "100", "--n", "101"), "group order 10100 exceeds the cap 10000"),
+        (("--m", "5", "--n", "5"), "instance size 701149020 exceeds the cap 200000"),
+    ],
+    "ncm": [
+        (("--n", "5001"), "group order 10002 exceeds the cap 10000"),
+        (("--n", "15"), "instance size 9694845 exceeds the cap 200000"),
+    ],
+    "ncp": [
+        (("--n", "10001"), "group order 10001 exceeds the cap 10000"),
+        (("--n", "15"), "instance size 9694845 exceeds the cap 200000"),
+    ],
+    "triangulation": [
+        (("--n", "9999"), "group order 10001 exceeds the cap 10000"),
+        (("--n", "15"), "instance size 9694845 exceeds the cap 200000"),
+    ],
+    "conj_class": [
+        (("--lam", "10001"), "group order 10001 exceeds the cap 10000"),
+        (("--lam", "10"), "instance size 362880 exceeds the cap 200000"),
+    ],
+    "proper_triangulation": [
+        (("--n", "10000"), "group order 10002 exceeds the cap 10000"),
+        (("--n", "20"), "instance size 1465052160 exceeds the cap 200000"),
+        # an odd n has no order: refused before the order is read
+        (("--n", "10001"), "proper_triangulation needs even n >= 2"),
+    ],
+    "cycle": [
+        (("--n", "10001"), "group order 10001 exceeds the cap 10000"),
+        (("--n", "3", "--cap", "2"), "instance size 3 exceeds the cap 2"),
+    ],
+    "plethysm_derived": [
+        (("--base", "cycle", "--n", "10001", "--k", "2"),
+         "group order 10001 exceeds the cap 10000"),
+        (("--base", "ncp", "--n", "15", "--k", "2"),
+         "instance size 9694845 exceeds the cap 200000"),
+        # over its own size, with an admissible base: 58,786 partitions
+        # were enumerated before the refusal
+        (("--base", "ncp", "--n", "11", "--k", "2"),
+         "instance size 1727926291 exceeds the cap 200000"),
+        (("--base", "triangulation", "--n", "10", "--k", "2"),
+         "instance size 141061206 exceeds the cap 200000"),
+        (("--base", "ncm", "--n", "10", "--k", "2", "--kind", "e"),
+         "the e_k construction needs a group of odd order"),
+        (("--base", "cycle", "--n", "1", "--k", "100000000"), "k 100000000 exceeds the cap 200000"),
+    ],
+}
+
+
+@pytest.mark.parametrize("family", sorted(sieve.FAMILIES))
+def test_registry_admits_every_family_before_any_builder_runs(capsys, monkeypatch, family):
+    def builder(params, order, size):
+        raise AssertionError("a builder ran")
+
+    for name, fam in list(sieve.FAMILIES.items()):
+        monkeypatch.setitem(sieve.FAMILIES, name, dataclasses.replace(fam, builder=builder))
+    cases = ADMISSION_CASES.get(family, [])
+    messages = [message for _, message in cases]
+    assert any(m.startswith("group order ") for m in messages), f"{family}: no order case"
+    assert any(m.startswith("instance size ") for m in messages), f"{family}: no size case"
+    for argv, message in cases:
+        assert run(capsys, "verify", family, *argv) == (2, "", f"error: {message}\n"), argv
 
 
 def test_empty_instance_passes(capsys):

@@ -93,31 +93,32 @@ def test_action_from_objects_rejects_misaligned_iterables(images, labels, messag
         sieve.action_from_objects((1, 2, 3), images, labels, 3)
 
 
-@pytest.mark.parametrize(
-    "family,params",
-    [
-        ("multiset", {"n": 3, "k": 2}),
-        ("multiset", {"n": 5, "k": 3, "gen": "(1,2,3,4)(5)"}),
-        ("subset", {"n": 6, "k": 3}),
-        ("subset", {"n": 12, "k": 2}),
-        ("syt_rect", {"m": 2, "n": 4}),
-        ("syt_rect", {"m": 3, "n": 3}),
-        ("ncm", {"n": 3}),
-        ("ncm", {"n": 5}),
-        ("ncp", {"n": 5}),
-        ("ncp", {"n": 8}),
-        ("triangulation", {"n": 4}),
-        ("triangulation", {"n": 8}),
-        ("conj_class", {"lam": (2, 2)}),
-        ("conj_class", {"lam": (3, 2, 1)}),
-        ("proper_triangulation", {"n": 4}),
-        ("proper_triangulation", {"n": 6}),
-        ("cycle", {"n": 1}),
-        ("cycle", {"n": 12}),
-        ("plethysm_derived", {"base": "ncp", "k": 2, "kind": "h", "n": 4}),
-        ("plethysm_derived", {"base": "cycle", "k": 3, "kind": "e", "n": 7}),
-    ],
-)
+# one or two parameter sets of every family
+FAMILY_GRID = [
+    ("multiset", {"n": 3, "k": 2}),
+    ("multiset", {"n": 5, "k": 3, "gen": "(1,2,3,4)(5)"}),
+    ("subset", {"n": 6, "k": 3}),
+    ("subset", {"n": 12, "k": 2}),
+    ("syt_rect", {"m": 2, "n": 4}),
+    ("syt_rect", {"m": 3, "n": 3}),
+    ("ncm", {"n": 3}),
+    ("ncm", {"n": 5}),
+    ("ncp", {"n": 5}),
+    ("ncp", {"n": 8}),
+    ("triangulation", {"n": 4}),
+    ("triangulation", {"n": 8}),
+    ("conj_class", {"lam": (2, 2)}),
+    ("conj_class", {"lam": (3, 2, 1)}),
+    ("proper_triangulation", {"n": 4}),
+    ("proper_triangulation", {"n": 6}),
+    ("cycle", {"n": 1}),
+    ("cycle", {"n": 12}),
+    ("plethysm_derived", {"base": "ncp", "k": 2, "kind": "h", "n": 4}),
+    ("plethysm_derived", {"base": "cycle", "k": 3, "kind": "e", "n": 7}),
+]
+
+
+@pytest.mark.parametrize("family,params", FAMILY_GRID)
 def test_materialization_matches_label_keyed_oracle(family, params):
     """Keying the index by object, fed aligned images and labels, gives the
     same labels, generator and order as calling step and encode per object
@@ -125,6 +126,40 @@ def test_materialization_matches_label_keyed_oracle(family, params):
     new = sieve.registry_instantiate(family, params).action
     old = oracle_action(family, params)
     assert (new.labels, new.generator, new.order) == (old.labels, old.generator, old.order)
+
+
+# plethysm_derived over each family that can be its base
+BASES = [("syt_rect", {"m": 2, "n": 3}), ("ncm", {"n": 3}), ("ncp", {"n": 4}),
+         ("triangulation", {"n": 3}), ("conj_class", {"lam": "3"}),
+         ("proper_triangulation", {"n": 4}), ("cycle", {"n": 5})]
+
+
+@pytest.mark.parametrize("family,params", FAMILY_GRID + [
+    ("subset", {"n": 7, "k": 3, "gen": "(1,2,3)(4,5,6)"}),
+] + [
+    ("plethysm_derived", {"base": base, "k": 2, "kind": kind, **base_params})
+    for base, base_params in BASES for kind in ("h", "e")
+    if kind == "h" or base in ("conj_class", "cycle")
+])
+def test_admitted_order_and_size_are_the_built_ones(monkeypatch, family, params):
+    """The order and the size the registry admitted from closed forms, and
+    passed to each builder, a plethysm base's too, are the built action's.
+    A --gen's order is admitted as None and read off the generator."""
+    admitted = []
+    for name, fam in list(sieve.FAMILIES.items()):
+        def builder(p, order, size, build=fam.builder):
+            inst = build(p, order, size)
+            admitted.append((order, size, inst.action))
+            return inst
+
+        monkeypatch.setitem(sieve.FAMILIES, name, dataclasses.replace(fam, builder=builder))
+    sieve.registry_instantiate(family, params)
+    assert len(admitted) == (2 if family == "plethysm_derived" else 1)
+    for order, size, action in admitted:
+        if "gen" in params:
+            assert order is None
+            order = math.lcm(*map(len, perms.read_cycles(params["gen"], params["n"])))
+        assert (order, size) == (action.order, action.size)
 
 
 @pytest.mark.parametrize("m,n", [(1, 10), (2, 5), (5, 2), (3, 4), (1, 1)])
@@ -986,7 +1021,7 @@ def test_unknown_parameter_is_refused_not_dropped():
 )
 def test_first_missing_parameter_is_named_before_the_builder_runs(monkeypatch, params,
                                                                   missing):
-    def builder(params, cap):
+    def builder(params, order, size):
         raise AssertionError(f"builder ran on {params}")
 
     fam = sieve.FAMILIES["multiset"]
