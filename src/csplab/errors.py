@@ -66,17 +66,25 @@ SHOWN_DIGITS = 30
 
 def check_cap(what: str, value: int, cap: int) -> int:
     """Return value, or raise CapExceeded when it is above cap; every cap
-    message in the package is this one.
+    message in the package is this one.  Neither the value nor the cap is
+    printed when it has ``SHOWN_DIGITS`` digits or more.
 
     >>> check_cap("group order", 10**40, 10_000)
     Traceback (most recent call last):
     ...
     csplab.errors.CapExceeded: group order of 30 or more digits exceeds the cap 10000
+    >>> check_cap("instance size", 10**50, 10**40)
+    Traceback (most recent call last):
+    ...
+    csplab.errors.CapExceeded: instance size of 30 or more digits exceeds the cap of 30 or more digits
     """
     if value > cap:
-        shown = value if value < 10**SHOWN_DIGITS else f"of {SHOWN_DIGITS} or more digits"
-        raise CapExceeded(f"{what} {shown} exceeds the cap {cap}")
+        raise CapExceeded(f"{what} {_shown(value)} exceeds the cap {_shown(cap)}")
     return value
+
+
+def _shown(value: int) -> int | str:
+    return value if value < 10**SHOWN_DIGITS else f"of {SHOWN_DIGITS} or more digits"
 
 
 class UnknownFamily(CspLabError, KeyError):

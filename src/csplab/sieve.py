@@ -637,49 +637,92 @@ def _build_syt_rect(params: Mapping, order: int, size: int) -> CSPInstance:
     )
 
 
-def _rotations(X: Sequence, order: int, shift: int, label: Callable) -> CyclicAction:
-    """The rotation i -> i + shift (mod order) of the objects X, each a
-    sorted tuple of sorted parts on 1..order, labelled by ``label`` as its
-    module holds it at the call.  One table maps each distinct part to its
-    rotated, re-sorted image; an object's image is its parts' images sorted,
-    made by ``map`` and ``sorted`` with no Python frame per object."""
-    parts = set(itertools.chain.from_iterable(X))
-    table = {p: tuple(sorted((x + shift - 1) % order + 1 for x in p)) for p in parts}
-    images = map(tuple, map(sorted, map(map, itertools.repeat(table.__getitem__), X)))
-    return action_from_objects(X, images, map(label, X), order)
+def _successor_code(part: tuple[int, ...], base: int, order: int) -> int:
+    """A block's or an edge's digits of its object's key: each member i's
+    jump to the next member, cyclically, (succ(i) - i) mod order, at digit
+    i - 1.  The successors are the object's blocks as cycles (Biane)."""
+    return sum((b - a) % order * base ** (a - 1) for a, b in zip(part, part[1:] + part[:1]))
+
+
+def _degree_code(diagonal: tuple[int, int], base: int, order: int) -> int:
+    """A diagonal's digits of its triangulation's key: one at each of its
+    two ends, so digit i - 1 counts the diagonals at vertex i (its quiddity
+    less one, which determines the triangulation: Conway and Coxeter)."""
+    return sum(base ** (a - 1) for a in diagonal)
+
+
+def _part_keys(X: Sequence, order: int, code: Callable) -> list[int]:
+    """The key of each object of X, a tuple of parts on 1..order: the sum of
+    its parts' codes, from one table over the distinct parts, made by
+    ``map`` and ``sum`` with no Python frame per object."""
+    base = order + 1
+    table = {p: code(p, base, order) for p in set(itertools.chain.from_iterable(X))}
+    return list(map(sum, map(map, itertools.repeat(table.__getitem__), X)))
+
+
+def _position_keys(W: Sequence, order: int) -> list[int]:
+    """The key of each permutation w in W: digit i - 1 is (w(i) - i) mod
+    order, read from one table per position, with no Python frame per
+    permutation."""
+    base = order + 1
+    tables = [[(x - i) % order * base ** (i - 1) for x in range(order + 1)]
+              for i in range(1, order + 1)]
+    return list(map(sum, map(map, itertools.repeat(operator.getitem), itertools.repeat(tables), W)))
+
+
+def _rotated(keys: Iterable[int], order: int, shift: int) -> Iterator[int]:
+    """The key of each object's image under i -> i + shift (mod order).  A
+    key reads a statistic on the points as base-B digits, B = order + 1,
+    digit i - 1 for point i, and the rotation moves point i's digit to
+    point i + shift.  B^order = 1 modulo B^order - 1, so that is the key
+    times B^shift modulo B^order - 1: every digit is at most order - 1 <
+    B - 1, so the key is below the modulus."""
+    base = order + 1
+    return map(operator.mod, map(operator.mul, keys, itertools.repeat(base ** (shift % order))),
+               itertools.repeat(base ** order - 1))
+
+
+def _rotations(X: Sequence, keys: list[int], order: int, shift: int,
+               label: Callable) -> CyclicAction:
+    """The rotation i -> i + shift (mod order) of the objects X, indexed by
+    their ``keys`` and labelled by ``label`` as its module holds it at the
+    call.  A repeated key leaves an image that no index holds, or an index
+    that no image reaches, and ``action_from_objects`` refuses either."""
+    return action_from_objects(keys, _rotated(keys, order, shift), map(label, X), order)
 
 
 def _build_ncm(params: Mapping, order: int, size: int) -> CSPInstance:
     n = params["n"]
     # promotion transports to the clockwise rotation i -> i-1 (mod 2n)
     X = catalan.enumerate_nc_matchings(n, cap=n)
-    action = _rotations(X, order, -1, catalan.matching_label)
+    action = _rotations(X, _part_keys(X, order, _successor_code), order, -1,
+                        catalan.matching_label)
     return CSPInstance(action, tableaux.q_count_syt((n, n)), "ncm", (("n", n),))
 
 
 def _build_ncp(params: Mapping, order: int, size: int) -> CSPInstance:
     n = params["n"]
     X = catalan.enumerate_nc_partitions(n, cap=n)
-    action = _rotations(X, order, 1, catalan.partition_label)
+    action = _rotations(X, _part_keys(X, order, _successor_code), order, 1,
+                        catalan.partition_label)
     return CSPInstance(action, q_catalan(n), "ncp", (("n", n),))
 
 
 def _build_triangulation(params: Mapping, order: int, size: int) -> CSPInstance:
     n = params["n"]
     X = catalan.enumerate_triangulations(n + 2, cap=n + 2)
-    action = _rotations(X, order, 1, catalan.triangulation_label)
+    action = _rotations(X, _part_keys(X, order, _degree_code), order, 1,
+                        catalan.triangulation_label)
     return CSPInstance(action, q_catalan(n), "triangulation", (("n", n),))
 
 
 def _build_conj_class(params: Mapping, order: int, size: int) -> CSPInstance:
+    """Conjugation by the long cycle c: (c w c^-1)(i + 1) = w(i) + 1, so it
+    is the rotation of w's jumps (w(i) - i) mod n."""
     lam = params["lam"]
-    c = tuple(range(2, order + 1)) + (1,)  # the long cycle (of S_1 for the empty class)
     cls = perms.conjugacy_class(lam)
     f = subst_t_q_inverse(perms.maj_exc_genfun(cls))
-    action = action_from_objects(
-        cls, map(perms.conjugate, itertools.repeat(c), cls), map(perms.perm_label, cls),
-        order,
-    )
+    action = _rotations(cls, _position_keys(cls, order), order, 1, perms.perm_label)
     return CSPInstance(action, f, "conj_class", (("lam", lam),))
 
 
@@ -702,7 +745,8 @@ def _build_proper_triangulation(params: Mapping, order: int, size: int) -> CSPIn
     else:
         f = q_proper_triangulations(N // 2)
     X = catalan.enumerate_proper_triangulations(N + 2, cap=N + 2)
-    action = _rotations(X, order, 1, catalan.triangulation_label)
+    action = _rotations(X, _part_keys(X, order, _degree_code), order, 1,
+                        catalan.triangulation_label)
     return CSPInstance(action, f, "proper_triangulation", (("n", N),))
 
 

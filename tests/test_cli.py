@@ -330,6 +330,17 @@ def test_generator_on_a_ground_set_too_long_to_print_names_no_n(digits):
     assert len(done.stderr) < 100
 
 
+def test_a_cap_too_long_to_print_is_not_printed():
+    # the cap was printed in full: a 3,059-character line
+    done = run_child(("verify", "subset", "--n", "10000", "--k", "5000",
+                      "--cap", "1" + "0" * 2999), address_space=1 << 30)
+    assert done.returncode == 2, done.stderr[:200]
+    assert done.stdout == ""
+    assert done.stderr == ("error: instance size of 30 or more digits exceeds the cap "
+                           "of 30 or more digits\n")
+    assert len(done.stderr) < 100
+
+
 @pytest.mark.parametrize("m,n", [(1, 1200), (1, 10000), (10000, 1)])
 def test_one_row_and_one_column_rectangles_pass(m, n):
     # one tableau, order m*n at most ORDER_CAP: no recursion 10000 deep, and

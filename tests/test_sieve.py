@@ -175,26 +175,122 @@ def test_label_keyed_oracle_table_covers_every_family():
     assert sorted(ORACLE_FAMILIES) == sorted(sieve.FAMILIES)
 
 
+# the code of each part of a rotation family's objects, summed into its key
+PART_CODES = {
+    "ncp": sieve._successor_code, "ncm": sieve._successor_code,
+    "triangulation": sieve._degree_code, "proper_triangulation": sieve._degree_code,
+}
+
+
+def _key(obj, order, family):
+    return sieve._part_keys([obj], order, PART_CODES[family])[0]
+
+
 @pytest.mark.parametrize("family,n", [
     (family, n) for family in ("ncp", "ncm", "triangulation", "proper_triangulation")
     for n in range(1, 9) if family != "proper_triangulation" or n % 2 == 0
 ])
 def test_rotation_table_gives_the_step_functions_images(monkeypatch, family, n):
-    """The one table over distinct parts maps every object to exactly its
-    image under the family's step function, ``catalan.rotate_blocks`` or
-    ``catalan.rotate_triangulation``."""
+    """The builder indexes every object by its key, and the image key of
+    each object is the key of its image under the family's step function,
+    ``catalan.rotate_blocks`` or ``catalan.rotate_triangulation``."""
     seen = []
     real = sieve.action_from_objects
 
-    def capture(objects, images, labels, order):
-        seen.append((objects, list(images)))
-        return real(objects, seen[-1][1], labels, order)
+    def capture(keys, images, labels, order):
+        seen.append((keys, list(images), order))
+        return real(keys, seen[-1][1], labels, order)
 
     monkeypatch.setattr(sieve, "action_from_objects", capture)
     sieve.registry_instantiate(family, {"n": n})
-    [(objects, images)] = seen
-    step = ORACLE_FAMILIES[family]({"n": n})[1]
-    assert images == list(map(step, objects))
+    [(keys, images, order)] = seen
+    objects, step, _, oracle_order = ORACLE_FAMILIES[family]({"n": n})
+    assert order == oracle_order
+    image_of = dict(zip(keys, images))
+    assert len(image_of) == len(keys) == len(objects)
+    for obj in objects:
+        assert image_of[_key(obj, order, family)] == _key(step(obj), order, family)
+
+
+@pytest.mark.parametrize("family,n", [
+    (family, n) for family in PART_CODES
+    for n in (range(2, 11, 2) if family == "proper_triangulation" else range(1, 10))
+])
+def test_part_keys_are_injective_and_rotate_with_their_objects(family, n):
+    """Every object has its own key, and rotating the key one place the way
+    the family's step function turns (i -> i - 1 for ``ncm``, i -> i + 1
+    otherwise), or back, gives the key of the object stepped, or of the
+    object it was stepped from."""
+    objects, step, _, order = ORACLE_FAMILIES[family]({"n": n})
+    shift = -1 if family == "ncm" else 1
+    keys = sieve._part_keys(objects, order, PART_CODES[family])
+    assert len(set(keys)) == len(objects)
+    stepped = sieve._part_keys(list(map(step, objects)), order, PART_CODES[family])
+    assert list(sieve._rotated(keys, order, shift)) == stepped
+    assert list(sieve._rotated(stepped, order, -shift)) == keys
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_position_keys_are_injective_and_rotate_with_conjugation(n):
+    """On every class of S_n, the permutations' keys are distinct, and
+    rotating a key by one place either way gives the key of the permutation
+    conjugated by the long cycle c, or by c^-1."""
+    order = max(n, 1)
+    c = tuple(range(2, n + 1)) + (1,) if n else ()
+    c_inv = perms.inverse(c)
+    for lam in {tuple(sorted(map(len, perms.cycles_of(w)), reverse=True))
+                for w in itertools.permutations(range(1, n + 1))}:
+        cls = perms.conjugacy_class(lam)
+        keys = sieve._position_keys(cls, order)
+        assert len(set(keys)) == len(cls)
+        up = sieve._position_keys([perms.conjugate(c, w) for w in cls], order)
+        down = sieve._position_keys([perms.conjugate(c_inv, w) for w in cls], order)
+        assert list(sieve._rotated(keys, order, 1)) == up
+        assert list(sieve._rotated(keys, order, -1)) == down
+
+
+def _shared_part_code(family, coded_as):
+    """The family's part code, with each part in ``coded_as`` coded as the
+    part it maps to."""
+    code = PART_CODES[family]
+    return lambda p, base, order: code(coded_as.get(p, p), base, order)
+
+
+def _first_two_keys_shared(W, order, position_keys=sieve._position_keys):
+    keys = position_keys(W, order)
+    keys[1] = keys[0]
+    return keys
+
+
+def _every_key_zero(W, order):
+    return [0] * len(W)
+
+
+@pytest.mark.parametrize("argv,name,patch", [
+    # 12|3 and 1|23 share a key
+    (["verify", "ncp", "--n", "3"], "_successor_code",
+     _shared_part_code("ncp", {(2, 3): (1, 2)})),
+    # so do the two matchings on [4]
+    (["verify", "ncm", "--n", "2", "--json"], "_successor_code",
+     _shared_part_code("ncm", {(1, 4): (1, 2), (2, 3): (3, 4)})),
+    # and the two triangulations of the square
+    (["verify", "triangulation", "--n", "2", "--checker", "orbits"], "_degree_code",
+     _shared_part_code("triangulation", {(2, 4): (1, 3)})),
+    (["verify", "conj_class", "--lam", "2,1"], "_position_keys", _first_two_keys_shared),
+    # the images stay in the set, and both point at the one index left
+    (["verify", "conj_class", "--lam", "3"], "_position_keys", _every_key_zero),
+], ids=["ncp", "ncm-json", "triangulation-orbits", "conj_class", "conj_class-one-key"])
+def test_a_shared_key_is_refused(monkeypatch, capsys, argv, name, patch):
+    """Two objects that share a key leave an image that no index holds, or
+    an index that no image reaches: the generator is refused, never
+    passed."""
+    monkeypatch.setattr(sieve, name, patch)
+    code = cli.main(argv)
+    out, err = capsys.readouterr()
+    assert code == 2, err
+    assert "verdict: PASS" not in out and '"verdict": "pass"' not in out
+    assert err.startswith(("error: generator leaves the set",
+                           f"error: {perms.NOT_A_PERMUTATION}")), err
 
 
 @pytest.mark.parametrize("family,params", [
