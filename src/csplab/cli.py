@@ -16,6 +16,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import operator
 import os
 import sys
 from typing import Iterable, Sequence
@@ -124,6 +125,25 @@ def _title(inst: sieve.CSPInstance) -> str:
     return f"family {head['family']}  params {params}\nsize {head['size']}  order {head['order']}"
 
 
+# template -> the texts template.format(j) that start each j's row, in the
+# text report and in the JSON, made once for j below the largest order
+# printed, up to sieve.ORDER_CAP.  A table grows by storing a longer tuple,
+# so a reader holds the old one or the new one, never a partly written one.
+_J_TEXTS: dict[str, tuple[str, ...]] = {}
+
+
+def _j_texts(template: str, order: int) -> Iterable[str]:
+    """``template.format(j)`` for j = 0, 1, ..., order - 1 and maybe more:
+    the template's table grown to ``order``, or a larger order's texts made
+    here."""
+    if order > sieve.ORDER_CAP:
+        return map(template.format, range(order))
+    table = _J_TEXTS.get(template, ())
+    if len(table) < order:
+        table = _J_TEXTS[template] = (*table, *map(template.format, range(len(table), order)))
+    return table
+
+
 def _row_tail(r: sieve.RootRow) -> str:
     """A text row less its j."""
     value = "-" if r.value is None else r.value
@@ -136,7 +156,8 @@ def _format_report(report: sieve.CSPReport) -> str:
     inst, order = report.instance, report.instance.action.order
     tail = {r.elem_order: _row_tail(r) for r in report.rows}
     lines = [_title(inst) + f"  f = {inst.polynomial}", "  j  ord  fixed  eval  match"]
-    lines += map("{:>3}{}".format, range(order), map(tail.__getitem__, sieve.element_orders(order)))
+    lines += map(operator.add, _j_texts("{:>3}", order),
+                 map(tail.__getitem__, sieve.element_orders(order)))
     sizes = inst.action.orbit_lengths
     stabs = [order // length for length in sizes]
     lines.append(f"orbits: {len(sizes)} (sizes {sizes}, stabilizers {stabs})")
@@ -186,7 +207,7 @@ def _verify_json(report: sieve.CSPReport) -> str:
     action = report.instance.action
     keys = ("elem_order", "fixed", "eval", "match")
     tail = {r.elem_order: _json_object(zip(keys, map(json.dumps, r)), 2)[1:] for r in report.rows}
-    rows = map('{{\n      "j": {},{}'.format, range(action.order),
+    rows = map(operator.add, _j_texts('{{\n      "j": {},', action.order),
                map(tail.__getitem__, sieve.element_orders(action.order)))
     orbit = {length: _json_object((("size", str(length)), ("stab", str(action.order // length))), 2)
              for length in action.histogram}

@@ -133,7 +133,23 @@ class IntPolynomial:
         return acc
 
     def __str__(self) -> str:
-        return _format_terms(enumerate(self.coeffs), functools.partial(_power, "q"))
+        """The nonzero terms, each after the first with its sign.  Below
+        degree TEXT_CAP, each term is a signed magnitude and a monomial read
+        from the text tables, joined in C; from it on, formatted term by term."""
+        global _Q_POWERS
+        cs = self.coeffs
+        q_power = functools.partial(_power, "q")
+        if len(cs) > TEXT_CAP:
+            return _format_terms(enumerate(cs), q_power)
+        powers = _Q_POWERS
+        if len(powers) < len(cs) - 1:
+            powers = _Q_POWERS = (*powers, *map(q_power, range(len(powers) + 1, len(cs))))
+        rest = cs[1:]
+        text = "".join(map(operator.add, map(_SIGNED.__getitem__, filter(None, rest)),
+                           itertools.compress(powers, rest)))
+        if cs and cs[0]:
+            return str(cs[0]) + text
+        return text.removeprefix("+") or "0"
 
     def __repr__(self) -> str:
         return f"IntPolynomial({str(self)!r})"
@@ -156,10 +172,36 @@ PACKED_WORK_CAP = 2_000_000_000
 # CACHE_SIZE bounds each polynomial cache below: unbounded, a long-running
 # process kept all it built (21.5 MB after Phi_2..Phi_3000).
 CACHE_SIZE = 64
+# TEXT_CAP bounds each text table of the printer below, as sieve.ORDER_CAP
+# (which qpoly cannot import) bounds the order of a verify report; a longer
+# polynomial is printed term by term.
+TEXT_CAP = 10_000
 
 
 def _power(var: str, i: int) -> str:
     return "" if i == 0 else var if i == 1 else f"{var}^{i}"
+
+
+# q, q^2, ...: the monomial q^i at i - 1.  Grown on demand by rebinding it to
+# a longer tuple, so a reader holds the old table or the new one, never a
+# partly written one; both list the same monomials.
+_Q_POWERS: tuple[str, ...] = ()
+
+
+class _Signed(dict):
+    """The text of a nonzero coefficient after the first term: its sign, then
+    its magnitude unless that is 1.  Stored the first time it is printed when
+    the magnitude is at most TEXT_CAP / 2, so the table holds at most TEXT_CAP
+    entries, all short; a larger coefficient is formatted per call."""
+
+    def __missing__(self, c: int) -> str:
+        text = ("-" if c < 0 else "+") + ("" if c in (1, -1) else str(abs(c)))
+        if -TEXT_CAP // 2 <= c <= TEXT_CAP // 2:
+            self[c] = text
+        return text
+
+
+_SIGNED = _Signed()
 
 
 def _format_terms(terms: Iterable[tuple], monomial: Callable[..., str]) -> str:

@@ -276,8 +276,10 @@ class RootRow(NamedTuple):
 
 
 def divisors(n: int) -> list[int]:
-    """The divisors of n >= 1, in increasing order."""
-    return [e for e in range(1, n + 1) if n % e == 0]
+    """The divisors of n >= 1, in increasing order: the e <= sqrt(n) that
+    divide n, then their cofactors n / e, the square root once."""
+    small = [e for e in range(1, math.isqrt(n) + 1) if n % e == 0]
+    return small + [n // e for e in reversed(small) if e * e != n]
 
 
 def element_orders(order: int) -> Iterator[int]:
@@ -292,17 +294,27 @@ def verify_csp_roots(inst: CSPInstance) -> tuple[RootRow, ...]:
     of unity, one row per divisor d of the order, in increasing d.  Every g^j
     of order d fixes the points whose orbit length divides order / d and is
     checked at a primitive d-th root, so the rows of the group elements are
-    these rows, read through ``element_orders``."""
-    action, f = inst.action, inst.polynomial
+    these rows, read through ``element_orders``.
+
+    f(w) for w of order d depends only on f modulo q^d - 1, and f modulo
+    q^m - 1 determines it when d divides m.  So f is folded once modulo
+    q^order - 1, and each divisor, in decreasing order, folds the fold of
+    its least multiple folded so far, d p with p the least prime of
+    order / d: at most p d coefficients."""
+    action = inst.action
+    order = action.order
+    folds: dict[int, IntPolynomial] = {}  # d -> f modulo q^d - 1, d decreasing
     rows = []
-    for d in divisors(action.order):
-        fixed = fixed_count(action, action.order // d)
+    for d in reversed(divisors(order)):
+        m = next((m for m in reversed(folds) if m % d == 0), None)  # None at d = order
+        fold = folds[d] = IntPolynomial(fold_mod_qn(folds[m] if m else inst.polynomial, d))
+        fixed = fixed_count(action, order // d)
         try:
-            value = eval_at_root(f, d)
+            value = eval_at_root(fold, d)
         except NonIntegerEvaluation:
             value = None
         rows.append(RootRow(d, fixed, value, value == fixed))
-    return tuple(rows)
+    return tuple(reversed(rows))
 
 
 def verify_csp_orbits(inst: CSPInstance) -> tuple[tuple[int, ...], tuple[int, ...]]:

@@ -3,6 +3,7 @@
 import dataclasses
 import io
 import json
+import threading
 from contextlib import redirect_stderr, redirect_stdout
 
 import printer_oracle
@@ -10,7 +11,7 @@ import pytest
 from child import run_child
 from hypothesis import given, settings, strategies as st
 
-from csplab import cli, perms, sieve, tableaux
+from csplab import cli, perms, qpoly, sieve, tableaux
 from csplab.errors import CspLabError
 
 
@@ -922,3 +923,38 @@ def test_verify_output_is_the_per_row_printers(drawn):
     render = printer_oracle.verify_json if as_json else printer_oracle.verify_text
     assert (out, err) == (render(inst, checker) + "\n", "")
     assert code == (0 if printer_oracle.verdict(inst, checker) == "pass" else 1)
+
+
+def test_row_texts_past_the_order_cap_are_made_per_report():
+    """A library instance of an order past ORDER_CAP prints the rows the
+    per-row printers print, and leaves the j tables within ORDER_CAP."""
+    order = sieve.ORDER_CAP + 2
+    action = sieve.CyclicAction.counted({1: 2, order: 1}, order, lambda: None)
+    inst = sieve.CSPInstance(action, sieve.corrupt_polynomial(qpoly.q_int(2), order + 1))
+    report = sieve.build_report(inst)
+    assert cli._format_report(report) == printer_oracle.verify_text(inst, "both")
+    assert cli._verify_json(report) == printer_oracle.verify_json(inst, "both")
+    assert all(len(table) <= sieve.ORDER_CAP for table in cli._J_TEXTS.values())
+
+
+def test_row_texts_grown_from_many_threads(monkeypatch):
+    """Threads that print reports of different orders while the j tables
+    grow each print what the per-row printers print."""
+    monkeypatch.setattr(cli, "_J_TEXTS", {})
+    insts = [sieve.registry_instantiate("cycle", {"n": n}) for n in (200, 400, 600, 800, 1000)]
+    start = threading.Barrier(len(insts))
+    texts = {}
+
+    def show(inst):
+        start.wait()
+        report = sieve.build_report(inst)
+        texts[inst.action.order] = (cli._format_report(report), cli._verify_json(report))
+
+    threads = [threading.Thread(target=show, args=(inst,)) for inst in insts]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert texts == {inst.action.order: (printer_oracle.verify_text(inst, "both"),
+                                         printer_oracle.verify_json(inst, "both"))
+                     for inst in insts}

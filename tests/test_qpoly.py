@@ -4,6 +4,8 @@ import functools
 import math
 import pickle
 import random
+import sys
+import threading
 
 import pytest
 from child import run_child
@@ -526,6 +528,68 @@ COEFFS = st.one_of(st.sampled_from([0, 1, -1]), st.integers(min_value=-10**6, ma
 def test_str_matches_the_old_printer(coeffs):
     f = P(coeffs)
     assert str(f) == printer_oracle.int_polynomial_str(f.coeffs)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from([13, 100, 2521, qpoly.TEXT_CAP - 1, qpoly.TEXT_CAP, qpoly.TEXT_CAP + 1,
+                     qpoly.TEXT_CAP + 50]),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_long_str_matches_the_old_printer(length, seed):
+    """Long polynomials, below and past the degree the text tables cover,
+    with zero, +-1, big and negative coefficients."""
+    rng = random.Random(seed)
+    draws = (0, 0, 1, -1, rng.randint(-9, 9), rng.randint(-10**40, 10**40))
+    f = P([*(rng.choice(draws) for _ in range(length - 1)), rng.choice(draws[2:]) or 1])
+    assert f.degree == length - 1
+    assert str(f) == printer_oracle.int_polynomial_str(f.coeffs)
+
+
+def test_text_tables_hold_at_most_text_cap_entries():
+    """Printing past the bound, in degree or in distinct coefficients, leaves
+    each table at no more than TEXT_CAP entries."""
+    cap = qpoly.TEXT_CAP
+    for f in (P(range(1, cap + 501)), P(range(1, cap + 1)), P(range(-cap, 0)), P([0] * 20 + [7])):
+        assert str(f) == printer_oracle.int_polynomial_str(f.coeffs)
+        assert len(qpoly._Q_POWERS) <= cap and len(qpoly._SIGNED) <= cap
+
+
+def test_big_coefficients_are_printed_but_not_kept():
+    """The signed table keeps no coefficient past TEXT_CAP / 2: the ~4,000-digit
+    coefficients of eulerian_poly(1500) are printed and let go."""
+    f = eulerian_poly(1500)
+    assert str(f) == printer_oracle.int_polynomial_str(f.coeffs)
+    assert all(abs(c) <= qpoly.TEXT_CAP // 2 for c in qpoly._SIGNED)
+    assert max(map(sys.getsizeof, qpoly._SIGNED.values())) < 100
+
+
+def test_monomial_table_grown_from_many_threads(monkeypatch):
+    """Threads that print polynomials of different lengths while the monomial
+    table grows each print what the per-term printer prints, and leave a
+    table of the monomials q, q^2, ... in order."""
+    monkeypatch.setattr(qpoly, "_Q_POWERS", ())
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        polys = [P([1] * length) for length in range(500, 4001, 500)]
+        start = threading.Barrier(len(polys))
+        texts = {}
+
+        def show(f):
+            start.wait()
+            texts[f.degree] = str(f)
+
+        threads = [threading.Thread(target=show, args=(f,)) for f in polys]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+    finally:
+        sys.setswitchinterval(interval)
+    assert texts == {f.degree: printer_oracle.int_polynomial_str(f.coeffs) for f in polys}
+    table = qpoly._Q_POWERS
+    assert table == tuple(f"q^{i}" if i > 1 else "q" for i in range(1, len(table) + 1))
 
 
 @given(st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)), COEFFS, max_size=10))

@@ -5,7 +5,9 @@ import dataclasses
 import io
 import itertools
 import math
+import random
 
+import evaluation_oracle
 import printer_oracle
 import pytest
 from enumeration_oracle import parse_cycles
@@ -29,6 +31,7 @@ from csplab.errors import (
     CspLabError,
     InternalInvariantError,
     NonCommutingActions,
+    NonIntegerEvaluation,
     NotNearlyFree,
     PreconditionError,
     UnknownFamily,
@@ -840,6 +843,84 @@ def test_divisor_rows_read_per_element_match_the_oracle(case):
         assert rep.to_dict()["rows"] == [
             {"j": r.j, "elem_order": r.elem_order, "fixed": r.fixed, "eval": r.value,
              "match": r.match} for r in oracle]
+
+
+def test_divisors_are_the_linear_scan():
+    """Trial division up to sqrt(n) lists the divisors in increasing order,
+    each once, also at a square."""
+    for n in [*range(1, 2001), 5040, 9240, sieve.ORDER_CAP - 1, sieve.ORDER_CAP]:
+        assert sieve.divisors(n) == [e for e in range(1, n + 1) if n % e == 0], n
+
+
+def _prime_count(n):
+    """The number of distinct primes of n >= 1, by trial division."""
+    count, p = 0, 2
+    while n > 1:
+        if p * p > n:
+            return count + 1  # what is left is prime
+        if n % p == 0:
+            count += 1
+            while n % p == 0:
+                n //= p
+        p += 1
+    return count
+
+
+# the orders up to 2520 by their number of distinct primes, 1 to 4
+ORDERS_BY_PRIMES = {k: [n for n in range(2, 2521) if _prime_count(n) == k] for k in range(1, 5)}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(range(1, 5)).flatmap(lambda k: st.sampled_from(ORDERS_BY_PRIMES[k])),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_chained_folds_evaluate_as_division_does(order, seed):
+    """Each divisor's row holds what dividing f, folded modulo q^d - 1 by a
+    loop, by Phi_d gives (None when that is not an integer), for an f that
+    sieves, the same f corrupted past the order, and a random f longer than
+    the order."""
+    rng = random.Random(seed)
+    divs = sieve.divisors(order)
+    histogram = {e: rng.randint(1, 9) for e in rng.sample(divs, min(3, len(divs)))}
+    action = sieve.CyclicAction.counted(histogram, order, lambda: None)
+    _, census = sieve.verify_csp_orbits(sieve.CSPInstance(action, IntPolynomial()))
+    f = IntPolynomial(census)
+    noise = IntPolynomial(rng.randint(-3, 3) for _ in range(rng.randint(order, 3 * order)))
+    for f in (f, sieve.corrupt_polynomial(f, rng.randint(order, 3 * order)), noise):
+        rows = sieve.verify_csp_roots(sieve.CSPInstance(action, f))
+        assert [r.elem_order for r in rows] == sieve.divisors(order)
+        for r in rows:
+            try:
+                expected = evaluation_oracle.eval_by_division(f, r.elem_order)
+            except NonIntegerEvaluation:
+                expected = None
+            assert r.value == expected
+            assert r.fixed == sieve.fixed_count(action, order // r.elem_order)
+            assert r.match == (expected == r.fixed)
+
+
+def test_roots_checker_folds_each_divisor_from_a_multiple(monkeypatch):
+    """f is folded once modulo q^order - 1; every other divisor d folds the
+    fold of d p, p the least prime of order / d, and is evaluated on its own
+    fold: one fold and one evaluation per divisor, read through sieve's
+    names."""
+    folds, evals = [], []
+    fold, evaluate = sieve.fold_mod_qn, sieve.eval_at_root
+    monkeypatch.setattr(sieve, "fold_mod_qn", lambda f, n: folds.append((len(f.coeffs), n))
+                        or fold(f, n))
+    monkeypatch.setattr(sieve, "eval_at_root", lambda f, d: evals.append((len(f.coeffs), d))
+                        or evaluate(f, d))
+    order = 2520
+    inst = sieve.registry_instantiate("cycle", {"n": order})
+    inst = dataclasses.replace(inst, polynomial=sieve.corrupt_polynomial(inst.polynomial, 9000))
+    sieve.verify_csp_roots(inst)
+    divs = sieve.divisors(order)
+    assert [n for _, n in folds] == [d for _, d in evals] == divs[::-1]
+    assert folds[0] == (9001, order)
+    least_prime = {d: min(p for p in (2, 3, 5, 7) if order // d % p == 0) for d in divs[:-1]}
+    assert all(length <= least_prime[n] * n for length, n in folds[1:])
+    assert all(length <= d for length, d in evals)
 
 
 def test_roots_checker_divides_by_no_cyclotomic(monkeypatch):
