@@ -18,6 +18,7 @@ import operator
 from typing import Iterator, Sequence
 
 from .errors import PreconditionError, check_cap
+from .qpoly import Texts
 
 __all__ = [
     "SetPartition", "Matching", "Diagonals", "enumerate_nc_partitions",
@@ -222,28 +223,13 @@ def proper_count(N: int) -> int:
 # ---------------------------------------------------------------------------
 # canonical labels
 
-TEXTS_CAP = 8192
-
-
-class _Texts(dict):
-    """The text of each part (a block or an edge) joined by ``sep``, made
-    the first time a label needs it, so a label joins its parts' texts with
-    no Python frame per part.  The table is emptied before it would hold
-    more than ``TEXTS_CAP`` parts; the families under ``NC_CAP`` have at
-    most 4,095 distinct blocks and 276 distinct edges."""
-
-    def __init__(self, sep: str):
-        super().__init__()
-        self.sep = sep
-
-    def __missing__(self, part: tuple[int, ...]) -> str:
-        if len(self) >= TEXTS_CAP:
-            self.clear()
-        text = self[part] = self.sep.join(map(str, part))
-        return text
-
-
-_DIGITS, _COMMAS, _DASHES = _Texts(""), _Texts(","), _Texts("-")
+# The text of each part (a block or an edge) joined by a separator, made the
+# first time a label needs it, so a label joins its parts' texts with no
+# Python frame per part.  The families under NC_CAP have at most 4,095
+# distinct blocks and 276 distinct edges, of at most 26 characters: all kept.
+_DIGITS = Texts(lambda part: "".join(map(str, part)))
+_COMMAS = Texts(lambda part: ",".join(map(str, part)))
+_DASHES = Texts(lambda part: "-".join(map(str, part)))
 _LAST = operator.itemgetter(-1)
 _WIDE = (9).__lt__  # an entry above 9 takes the separated style
 

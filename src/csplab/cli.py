@@ -125,23 +125,9 @@ def _title(inst: sieve.CSPInstance) -> str:
     return f"family {head['family']}  params {params}\nsize {head['size']}  order {head['order']}"
 
 
-# template -> the texts template.format(j) that start each j's row, in the
-# text report and in the JSON, made once for j below the largest order
-# printed, up to sieve.ORDER_CAP.  A table grows by storing a longer tuple,
-# so a reader holds the old one or the new one, never a partly written one.
-_J_TEXTS: dict[str, tuple[str, ...]] = {}
-
-
-def _j_texts(template: str, order: int) -> Iterable[str]:
-    """``template.format(j)`` for j = 0, 1, ..., order - 1 and maybe more:
-    the template's table grown to ``order``, or a larger order's texts made
-    here."""
-    if order > sieve.ORDER_CAP:
-        return map(template.format, range(order))
-    table = _J_TEXTS.get(template, ())
-    if len(table) < order:
-        table = _J_TEXTS[template] = (*table, *map(template.format, range(len(table), order)))
-    return table
+# The texts that start each j's row, in the text report and in the JSON.
+_J_TEXT = qpoly.Texts("{:>3}".format)
+_J_JSON = qpoly.Texts('{{\n      "j": {},'.format)
 
 
 def _row_tail(r: sieve.RootRow) -> str:
@@ -156,7 +142,7 @@ def _format_report(report: sieve.CSPReport) -> str:
     inst, order = report.instance, report.instance.action.order
     tail = {r.elem_order: _row_tail(r) for r in report.rows}
     lines = [_title(inst) + f"  f = {inst.polynomial}", "  j  ord  fixed  eval  match"]
-    lines += map(operator.add, _j_texts("{:>3}", order),
+    lines += map(operator.add, _J_TEXT.upto(order),
                  map(tail.__getitem__, sieve.element_orders(order)))
     sizes = inst.action.orbit_lengths
     stabs = [order // length for length in sizes]
@@ -207,7 +193,7 @@ def _verify_json(report: sieve.CSPReport) -> str:
     action = report.instance.action
     keys = ("elem_order", "fixed", "eval", "match")
     tail = {r.elem_order: _json_object(zip(keys, map(json.dumps, r)), 2)[1:] for r in report.rows}
-    rows = map(operator.add, _j_texts('{{\n      "j": {},', action.order),
+    rows = map(operator.add, _J_JSON.upto(action.order),
                map(tail.__getitem__, sieve.element_orders(action.order)))
     orbit = {length: _json_object((("size", str(length)), ("stab", str(action.order // length))), 2)
              for length in action.histogram}

@@ -33,7 +33,7 @@ from .errors import (
 )
 
 __all__ = [
-    "IntPolynomial", "BivariatePolynomial", "DEGREE_CAP", "WORK_CAP",
+    "IntPolynomial", "BivariatePolynomial", "Texts", "DEGREE_CAP", "WORK_CAP", "TEXTS_CAP",
     "q_int", "q_ratio", "q_factorial", "gaussian_binomial", "cyclotomic",
     "eval_at_root", "fold_mod_qn", "exact_divide",
     "q_catalan", "q_fuss_catalan_A", "eulerian_poly",
@@ -133,20 +133,12 @@ class IntPolynomial:
         return acc
 
     def __str__(self) -> str:
-        """The nonzero terms, each after the first with its sign.  Below
-        degree TEXT_CAP, each term is a signed magnitude and a monomial read
-        from the text tables, joined in C; from it on, formatted term by term."""
-        global _Q_POWERS
+        """The nonzero terms, each after the first with its sign: a signed
+        magnitude and a monomial read from the text tables, joined in C."""
         cs = self.coeffs
-        q_power = functools.partial(_power, "q")
-        if len(cs) > TEXT_CAP:
-            return _format_terms(enumerate(cs), q_power)
-        powers = _Q_POWERS
-        if len(powers) < len(cs) - 1:
-            powers = _Q_POWERS = (*powers, *map(q_power, range(len(powers) + 1, len(cs))))
         rest = cs[1:]
         text = "".join(map(operator.add, map(_SIGNED.__getitem__, filter(None, rest)),
-                           itertools.compress(powers, rest)))
+                           itertools.compress(_MONOMIALS.upto(len(rest)), rest)))
         if cs and cs[0]:
             return str(cs[0]) + text
         return text.removeprefix("+") or "0"
@@ -172,36 +164,52 @@ PACKED_WORK_CAP = 2_000_000_000
 # CACHE_SIZE bounds each polynomial cache below: unbounded, a long-running
 # process kept all it built (21.5 MB after Phi_2..Phi_3000).
 CACHE_SIZE = 64
-# TEXT_CAP bounds each text table of the printer below, as sieve.ORDER_CAP
-# (which qpoly cannot import) bounds the order of a verify report; a longer
-# polynomial is printed term by term.
-TEXT_CAP = 10_000
+# TEXTS_CAP bounds each text table (``Texts``): the texts it keeps, and the
+# dense range it lays out, which is sieve.ORDER_CAP (qpoly cannot import
+# sieve) so that every row of a report is read from a table.
+TEXTS_CAP = 10_000
+# A keyed text longer than this is made per call and not kept, so a full
+# table holds at most about 2 MB (1.1 MB of coefficient texts up to 5,000).
+SHORT_TEXT = 32
+
+
+class Texts(dict):
+    """The texts ``make(key)``, each made once.  ``table[key]`` makes a text
+    on a miss and keeps it while the table holds fewer than TEXTS_CAP texts
+    and the text is at most SHORT_TEXT characters long.  ``table.upto(n)``
+    is make(0), ..., make(n - 1) and maybe more: a tuple grown by rebinding
+    to a longer one, up to TEXTS_CAP, and past it made per call.  A writer
+    stores one key or rebinds the whole tuple, so a racing reader sees the
+    old text or the new one, and both are make's."""
+
+    def __init__(self, make: Callable[..., str]):
+        super().__init__()
+        self.make = make
+        self.dense: tuple[str, ...] = ()
+
+    def __missing__(self, key: object) -> str:
+        text = self.make(key)
+        if len(self) < TEXTS_CAP and len(text) <= SHORT_TEXT:
+            self[key] = text
+        return text
+
+    def upto(self, n: int) -> Iterable[str]:
+        if n > TEXTS_CAP:
+            return map(self.make, range(n))
+        dense = self.dense
+        if len(dense) < n:
+            dense = self.dense = (*dense, *map(self.make, range(len(dense), n)))
+        return dense
 
 
 def _power(var: str, i: int) -> str:
     return "" if i == 0 else var if i == 1 else f"{var}^{i}"
 
 
-# q, q^2, ...: the monomial q^i at i - 1.  Grown on demand by rebinding it to
-# a longer tuple, so a reader holds the old table or the new one, never a
-# partly written one; both list the same monomials.
-_Q_POWERS: tuple[str, ...] = ()
-
-
-class _Signed(dict):
-    """The text of a nonzero coefficient after the first term: its sign, then
-    its magnitude unless that is 1.  Stored the first time it is printed when
-    the magnitude is at most TEXT_CAP / 2, so the table holds at most TEXT_CAP
-    entries, all short; a larger coefficient is formatted per call."""
-
-    def __missing__(self, c: int) -> str:
-        text = ("-" if c < 0 else "+") + ("" if c in (1, -1) else str(abs(c)))
-        if -TEXT_CAP // 2 <= c <= TEXT_CAP // 2:
-            self[c] = text
-        return text
-
-
-_SIGNED = _Signed()
+# A nonzero coefficient after the first term: its sign, then its magnitude
+# unless that is 1.
+_SIGNED = Texts(lambda c: ("-" if c < 0 else "+") + ("" if c in (1, -1) else str(abs(c))))
+_MONOMIALS = Texts(lambda i: _power("q", i + 1))  # q, q^2, ...: q^i at i - 1
 
 
 def _format_terms(terms: Iterable[tuple], monomial: Callable[..., str]) -> str:

@@ -57,9 +57,11 @@ __all__ = [
 
 DEFAULT_SIZE_CAP = 200_000
 ORDER_CAP = 10_000
-# A report lists each orbit's size and stabilizer.  Under a 1 GiB address
-# space the JSON of 1.2e6 orbits takes about 0.6 s and 130 MB, joined from
-# one text per orbit length; the bound holds the list, not the encoder.
+# The one bound on what a report lists: each orbit's size and stabilizer in
+# verify, each k-set's members in orbits (priced as |X| max(k, 1) before any
+# is built).  Under a 1 GiB address space the JSON of 1.2e6 orbits takes
+# about 0.6 s and 130 MB, joined from one text per orbit length; the bound
+# holds the list, not the encoder.
 ORBIT_LIST_CAP = 1_200_000
 LABELS_NOT_DISTINCT = "labels must be distinct canonical encodings"
 
@@ -597,7 +599,8 @@ def _counted_k_sets(
 ) -> CyclicAction:
     """The action on the k-multisets (``repeat``) or k-subsets of the points
     of ``ground``, its orbit-length histogram read off that of ``ground``;
-    ``_k_sets`` builds its members only when they are read.  For each e
+    ``_k_sets`` builds its members only when they are read, once their
+    listing, |X| max(k, 1) members, passes ORBIT_LIST_CAP.  For each e
     dividing the order, g^e splits an orbit of length l into gcd(l, e)
     cycles of length l / gcd(l, e); the k-sets in orbits of length e are
     those g^e fixes less those in orbits of a length dividing e (Moebius
@@ -614,10 +617,12 @@ def _counted_k_sets(
         points[e] = fixed - sum(p for d, p in points.items() if e % d == 0)
     if any(p < 0 or p % e for e, p in points.items()) or sum(points.values()) != size:
         raise InternalInvariantError(f"the counted orbits do not hold the {size} k-sets")
-    return CyclicAction.counted(
-        {e: p // e for e, p in points.items() if p}, order,
-        lambda: _k_sets(ground.labels, ground.generator, k, repeat, sep, order),
-    )
+
+    def build() -> CyclicAction:
+        check_cap("listed k-set member count", size * max(k, 1), ORBIT_LIST_CAP)
+        return _k_sets(ground.labels, ground.generator, k, repeat, sep, order)
+
+    return CyclicAction.counted({e: p // e for e, p in points.items() if p}, order, build)
 
 
 def _build_k_sets(params: Mapping, order: int | None, size: int, repeat: bool) -> CSPInstance:

@@ -1,6 +1,7 @@
 """Printers that faster ones replaced, kept as test oracles.
 
-The two polynomial printers that ``qpoly._format_terms`` replaced:
+The two polynomial printers that the text-table join of
+``IntPolynomial.__str__`` and ``qpoly._format_terms`` replaced:
 ``IntPolynomial.__str__`` and ``BivariatePolynomial.__str__`` each had
 their own loop over the terms, with the same three rules: zero coefficients
 are skipped, a coefficient of +-1 on a nonconstant monomial prints only its

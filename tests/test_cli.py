@@ -496,6 +496,20 @@ def test_cap_of_one_admits_a_single_object(capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    ("orbits", "multiset", "--n", "2", "--k", "199999"),
+    ("orbits", "subset", "--n", "3000", "--k", "2999"),
+], ids=lambda argv: "-".join(argv[1:]))
+def test_k_set_listings_past_the_list_cap_are_refused_at_once(argv):
+    # |X| max(k, 1) members are priced before any k-set is built: 0.09-0.11 s
+    # in a cold child, where the first exited 3 with MemoryError and the
+    # second printed 41.7 MB
+    done = run_child(argv, address_space=1 << 30, timeout=1)
+    assert done.returncode == 2, done.stderr
+    _assert_one_short_cap_message(done)
+    assert "listed k-set member count" in done.stderr
+
+
+@pytest.mark.parametrize("argv", [
     ("verify", "multiset", "--n", "2", "--k", "9000"),
     ("verify", "multiset", "--n", "2", "--k", "30000"),
     ("verify", "multiset", "--n", "2", "--k", "199999"),
@@ -934,13 +948,28 @@ def test_row_texts_past_the_order_cap_are_made_per_report():
     report = sieve.build_report(inst)
     assert cli._format_report(report) == printer_oracle.verify_text(inst, "both")
     assert cli._verify_json(report) == printer_oracle.verify_json(inst, "both")
-    assert all(len(table) <= sieve.ORDER_CAP for table in cli._J_TEXTS.values())
+    assert all(len(table.dense) <= sieve.ORDER_CAP for table in (cli._J_TEXT, cli._J_JSON))
+
+
+def test_text_tables_cover_every_order():
+    # qpoly cannot import sieve: a smaller cap would put every row of the
+    # highest orders back on per-call formatting, with the same output
+    assert qpoly.TEXTS_CAP >= sieve.ORDER_CAP
+
+
+def test_f_past_the_text_cap_prints_as_the_per_row_printers():
+    # f has 10,002 terms: its monomials are made per call, past the table
+    argv = ("verify", "multiset", "--n", "2", "--k", "10001")
+    inst = sieve.registry_instantiate("multiset", {"n": 2, "k": 10001})
+    assert len(inst.polynomial.coeffs) == qpoly.TEXTS_CAP + 2
+    assert call(argv) == (0, printer_oracle.verify_text(inst, "both") + "\n", "")
 
 
 def test_row_texts_grown_from_many_threads(monkeypatch):
     """Threads that print reports of different orders while the j tables
     grow each print what the per-row printers print."""
-    monkeypatch.setattr(cli, "_J_TEXTS", {})
+    for name in ("_J_TEXT", "_J_JSON"):
+        monkeypatch.setattr(cli, name, qpoly.Texts(getattr(cli, name).make))
     insts = [sieve.registry_instantiate("cycle", {"n": n}) for n in (200, 400, 600, 800, 1000)]
     start = threading.Barrier(len(insts))
     texts = {}

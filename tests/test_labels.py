@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import labels_oracle
-from csplab import catalan, perms
+from csplab import catalan, perms, qpoly
 
 # entries up to 9 (one-digit labels), just past it, or well past it
 ENTRIES = st.sampled_from([9, 12, 120]).flatmap(
@@ -71,23 +71,22 @@ def test_every_catalan_label_matches_oracle(family, n):
     assert list(map(label, objects)) == list(map(oracle, objects))
 
 
-def test_part_tables_stay_bounded():
+def test_part_tables_stay_bounded(monkeypatch):
     # more distinct parts than the bound in every table: single blocks
-    # 1..cap+999, and every edge on 1..140 (C(140, 2) = 9,730 of them)
-    tables = (catalan._DIGITS, catalan._COMMAS, catalan._DASHES)
-    cap = catalan.TEXTS_CAP
+    # 1..cap+999, and every edge on 1..150 (C(150, 2) = 11,175 of them)
+    names = ("_DIGITS", "_COMMAS", "_DASHES")
+    for name in names:
+        monkeypatch.setattr(catalan, name, qpoly.Texts(getattr(catalan, name).make))
+    cap = qpoly.TEXTS_CAP
     objects = [(catalan.partition_label, labels_oracle.partition_label, ((x,),))
                for x in range(1, cap + 1000)]
     objects += [(catalan.matching_label, labels_oracle.matching_label, ((a, b),))
-                for b in range(2, 141) for a in range(1, b)]
+                for b in range(2, 151) for a in range(1, b)]
     objects += [(catalan.partition_label, labels_oracle.partition_label, ((1, 3), (2,))),
                 (catalan.matching_label, labels_oracle.matching_label, ((1, 8), (2, 3)))]
-    cleared = set()
     for label, oracle, obj in objects:
-        before = list(map(len, tables))
         assert label(obj) == oracle(obj)
-        sizes = list(map(len, tables))
-        assert max(sizes) <= cap
-        cleared.update(i for i, (b, s) in enumerate(zip(before, sizes)) if s < b)
-    # the comma and dash tables each passed the bound and were emptied
-    assert {1, 2} <= cleared
+        assert max(len(getattr(catalan, name)) for name in names) <= cap
+    # the comma and dash tables each reached the bound and kept their first texts
+    assert [len(getattr(catalan, name)) for name in names[1:]] == [cap, cap]
+    assert catalan._COMMAS[(10,)] == "10" and catalan._DASHES[(1, 10)] == "1-10"

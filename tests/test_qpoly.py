@@ -9,7 +9,7 @@ import threading
 
 import pytest
 from child import run_child
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import evaluation_oracle
 import printer_oracle
@@ -532,10 +532,12 @@ def test_str_matches_the_old_printer(coeffs):
 
 @settings(max_examples=30, deadline=None)
 @given(
-    st.sampled_from([13, 100, 2521, qpoly.TEXT_CAP - 1, qpoly.TEXT_CAP, qpoly.TEXT_CAP + 1,
-                     qpoly.TEXT_CAP + 50]),
+    st.sampled_from([13, 100, 2521, qpoly.TEXTS_CAP - 1, qpoly.TEXTS_CAP, qpoly.TEXTS_CAP + 1,
+                     qpoly.TEXTS_CAP + 50]),
     st.integers(min_value=0, max_value=2**32 - 1),
 )
+@example(qpoly.TEXTS_CAP + 1, 1)  # the last length whose monomials are all kept
+@example(2 * qpoly.TEXTS_CAP, 2)
 def test_long_str_matches_the_old_printer(length, seed):
     """Long polynomials, below and past the degree the text tables cover,
     with zero, +-1, big and negative coefficients."""
@@ -546,21 +548,32 @@ def test_long_str_matches_the_old_printer(length, seed):
     assert str(f) == printer_oracle.int_polynomial_str(f.coeffs)
 
 
-def test_text_tables_hold_at_most_text_cap_entries():
+def test_text_tables_hold_at_most_text_cap_entries(monkeypatch):
     """Printing past the bound, in degree or in distinct coefficients, leaves
-    each table at no more than TEXT_CAP entries."""
-    cap = qpoly.TEXT_CAP
+    each table at no more than TEXTS_CAP entries, and a table lays out past
+    the bound what it would have kept."""
+    cap = qpoly.TEXTS_CAP
+    monkeypatch.setattr(qpoly, "_SIGNED", qpoly.Texts(qpoly._SIGNED.make))
+    monkeypatch.setattr(qpoly, "_MONOMIALS", qpoly.Texts(qpoly._MONOMIALS.make))
     for f in (P(range(1, cap + 501)), P(range(1, cap + 1)), P(range(-cap, 0)), P([0] * 20 + [7])):
         assert str(f) == printer_oracle.int_polynomial_str(f.coeffs)
-        assert len(qpoly._Q_POWERS) <= cap and len(qpoly._SIGNED) <= cap
+        assert len(qpoly._MONOMIALS.dense) <= cap and len(qpoly._SIGNED) <= cap
+    assert len(qpoly._SIGNED) == cap
+    table = qpoly.Texts(str)
+    assert [table[key] for key in range(cap + 5)] == list(map(str, range(cap + 5)))
+    assert len(table) == cap
+    assert list(table.upto(cap + 2)) == list(map(str, range(cap + 2)))
+    assert table.dense == ()
+    assert table.upto(3) == ("0", "1", "2")
 
 
-def test_big_coefficients_are_printed_but_not_kept():
-    """The signed table keeps no coefficient past TEXT_CAP / 2: the ~4,000-digit
-    coefficients of eulerian_poly(1500) are printed and let go."""
+def test_big_coefficients_are_printed_but_not_kept(monkeypatch):
+    """The signed table keeps no text past SHORT_TEXT characters: the
+    ~4,000-digit coefficients of eulerian_poly(1500) are printed and let go."""
+    monkeypatch.setattr(qpoly, "_SIGNED", qpoly.Texts(qpoly._SIGNED.make))
     f = eulerian_poly(1500)
     assert str(f) == printer_oracle.int_polynomial_str(f.coeffs)
-    assert all(abs(c) <= qpoly.TEXT_CAP // 2 for c in qpoly._SIGNED)
+    assert qpoly._SIGNED and all(len(t) <= qpoly.SHORT_TEXT for t in qpoly._SIGNED.values())
     assert max(map(sys.getsizeof, qpoly._SIGNED.values())) < 100
 
 
@@ -568,7 +581,7 @@ def test_monomial_table_grown_from_many_threads(monkeypatch):
     """Threads that print polynomials of different lengths while the monomial
     table grows each print what the per-term printer prints, and leave a
     table of the monomials q, q^2, ... in order."""
-    monkeypatch.setattr(qpoly, "_Q_POWERS", ())
+    monkeypatch.setattr(qpoly, "_MONOMIALS", qpoly.Texts(qpoly._MONOMIALS.make))
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -588,7 +601,7 @@ def test_monomial_table_grown_from_many_threads(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert texts == {f.degree: printer_oracle.int_polynomial_str(f.coeffs) for f in polys}
-    table = qpoly._Q_POWERS
+    table = qpoly._MONOMIALS.dense
     assert table == tuple(f"q^{i}" if i > 1 else "q" for i in range(1, len(table) + 1))
 
 

@@ -1383,3 +1383,20 @@ def test_orbit_list_is_bounded_before_it_is_made():
     for histogram in ({1: cap - 1, 2: 2}, {1: 10**50}):
         with pytest.raises(CapExceeded, match="listed orbit count .* exceeds the cap"):
             sieve.CyclicAction.counted(histogram, 2, lambda: None).orbit_lengths
+
+
+def test_k_set_listing_is_priced_before_it_is_built(monkeypatch):
+    """orbits lists |X| max(k, 1) members: at ORBIT_LIST_CAP the k-sets are
+    built, past it none is."""
+    monkeypatch.setattr(sieve, "ORBIT_LIST_CAP", 20)
+    assert len(sieve.registry_instantiate("subset", {"n": 5, "k": 2}).action.orbits) == 2
+
+    def refuse(*args):
+        raise AssertionError("a k-set was built")
+
+    monkeypatch.setattr(sieve, "_k_sets", refuse)
+    for family, params in (("subset", {"n": 5, "k": 3}), ("multiset", {"n": 2, "k": 6}),
+                           ("plethysm_derived", {"base": "cycle", "n": "5", "k": "3"})):
+        action = sieve.registry_instantiate(family, params).action
+        with pytest.raises(CapExceeded, match="listed k-set member count .* exceeds the cap 20"):
+            action.orbits
