@@ -22,7 +22,7 @@ import operator
 import sys
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Mapping
 
 from .errors import (
     InexactDivision,
@@ -35,7 +35,7 @@ from .errors import (
 __all__ = [
     "IntPolynomial", "BivariatePolynomial", "Texts", "DEGREE_CAP", "WORK_CAP", "TEXTS_CAP",
     "q_int", "q_ratio", "q_factorial", "gaussian_binomial", "cyclotomic",
-    "eval_at_root", "fold_mod_qn", "exact_divide",
+    "eval_at_root", "eval_at_divisors", "fold_mod_qn", "exact_divide",
     "q_catalan", "q_fuss_catalan_A", "eulerian_poly",
     "plethysm_h", "plethysm_e", "face_poly", "subst_t_q_inverse",
     "q_proper_triangulations",
@@ -369,22 +369,23 @@ def _at_power(f: IntPolynomial, k: int) -> IntPolynomial:
     return IntPolynomial(out)
 
 
-def _admit(d: int) -> list[int]:
-    """The distinct primes of d >= 1, in increasing order, once d and
-    phi(d), the degree of Phi_d, pass the caps."""
+def _admit(d: int) -> tuple[tuple[int, int], ...]:
+    """The prime powers p^e of d >= 1, as (p, e) in increasing p, by trial
+    division, once d and phi(d), the degree of Phi_d, pass the caps."""
     check_cap("Phi_d index d", d, 2 * DEGREE_CAP**2)  # phi(d) >= sqrt(d / 2)
-    primes, rest, p = [], d, 2
+    factors, rest, p = [], d, 2
     while rest > 1:
         if p * p > rest:
             p = rest  # what is left is prime
-        if rest % p == 0:
-            primes.append(p)
-            while rest % p == 0:
-                rest //= p
+        e = 0
+        while rest % p == 0:
+            rest //= p
+            e += 1
+        if e:
+            factors.append((p, e))
         p += 1
-    r = math.prod(primes)
-    check_cap("Phi_d degree", d // r * math.prod(p - 1 for p in primes), DEGREE_CAP)
-    return primes
+    check_cap("Phi_d degree", math.prod((p - 1) * p ** (e - 1) for p, e in factors), DEGREE_CAP)
+    return tuple(factors)
 
 
 @functools.lru_cache(maxsize=CACHE_SIZE)
@@ -401,7 +402,7 @@ def cyclotomic(d: int) -> IntPolynomial:
         raise PreconditionError("cyclotomic needs d >= 1")
     if d == 1:
         return IntPolynomial((-1, 1))
-    primes = _admit(d)
+    primes = [p for p, _ in _admit(d)]
     num, den = [1], []  # the e | r with mu(r/e) = 1, and with mu(r/e) = -1
     for p in primes:
         num, den = den + [e * p for e in num], num + [e * p for e in den]
@@ -409,77 +410,141 @@ def cyclotomic(d: int) -> IntPolynomial:
 
 
 def eval_at_root(f: IntPolynomial, d: int) -> int:
-    """Evaluate f exactly at a primitive d-th root of unity w.
+    """Evaluate f exactly at a primitive d-th root of unity w: the first
+    block of the transform of f folded modulo q^d - 1 (``eval_at_divisors``).
 
-    With r the product of the primes p_1 < ... < p_k of d and s = d/r,
-    u_i = w^(s r / p_i) is a primitive p_i-th root, and each m mod r is
-    a_1 r/p_1 + ... + a_k r/p_k for one tuple (a_i mod p_i), so w^(t+sm)
-    is w^t u_1^a_1 ... u_k^a_k.  The coefficients of f folded modulo
-    q^d - 1 are gathered into a (p_1, ..., p_k, s) array by that rule, and
-    u^(p-1) = -(1 + u + ... + u^(p-2)) subtracts the last slice of each
-    prime axis from the others.  What is left are the coordinates
-    of f(w) in the Z-basis w^t u_1^a_1 ... u_k^a_k (t < s, a_i < p_i - 1)
-    of Z[w]: f(w) is a rational integer iff only the coordinate of 1 is
-    nonzero, and is then that coordinate, the same for every primitive d-th
-    root.  Otherwise raises NonIntegerEvaluation, which is how a failed
-    sieving candidate shows up; its message, the residue of the fold modulo
-    Phi_d, is computed only when it is read.
+    With d = P_1 ... P_k, P_i = p_i^e_i, the fold is gathered into a
+    (P_1, ..., P_k) array by CRT, and each axis is reduced to its top level,
+    modulo Phi_{P_i}: its first p_i - 1 slices, each less the last.  What is
+    left are the coordinates of f(w) in the tensor power basis of Z[w]: f(w)
+    is a rational integer iff every coordinate but the first is 0, and is
+    then the first, the same for every primitive d-th root.  Otherwise
+    raises NonIntegerEvaluation, which is how a failed sieving candidate
+    shows up; its message, the residue of the fold modulo Phi_d, is computed
+    only when it is read.
 
     >>> eval_at_root(q_int(6), 3)
     0
     """
     if d < 1:
         raise PreconditionError("root order must be >= 1")
-    primes = _admit(d)
-    s = d // math.prod(primes)
-    x = folded = fold_mod_qn(f, d)
-    if len(primes) > 1:  # for one prime the table is 0, ..., p - 1: the fold is in order
-        table = _crt_order(tuple(primes))
-        if s == 1:
-            x = list(map(folded.__getitem__, table))
-        else:  # the block of the s coefficients of q^(sm), ..., q^(sm+s-1) for each m
-            starts = [m * s for m in table]
-            stops = map(operator.add, starts, itertools.repeat(s))
-            x = list(itertools.chain.from_iterable(
-                map(folded.__getitem__, map(slice, starts, stops))))
-    for p in primes:
-        x = _reduce_first_axis(x, p)
-    if any(x[1:]):
+    factors = _admit(d)
+    folded = fold_mod_qn(f, d)
+    block = next(_blocks(folded, factors)[1])
+    if any(block[1:]):
         def message() -> str:
             residue = _divmod(IntPolynomial(folded), cyclotomic(d))[1]
             return f"residue {residue} mod Phi_{d} is not constant"
 
         raise NonIntegerEvaluation(message)
-    return x[0]
+    return block[0]
+
+
+def eval_at_divisors(folded: tuple[int, ...]) -> dict[int, int | None]:
+    """f at a primitive d-th root of unity for every divisor d of
+    n = len(folded), in increasing d, from f folded modulo q^n - 1, in one
+    exact transform; None where the value is not a rational integer.
+
+    With n = P_1 ... P_k, P_i = p_i^e_i, the fold is gathered into a
+    (P_1, ..., P_k) array by CRT (``_layout``).  Each axis is reduced level
+    by level, for c = e_i down to 1: its first p - 1 slices, each less the
+    last, are level c, the coordinates modulo Phi_{p^c}, and the sum of all
+    p slices is the axis modulo q^(p^(c-1)) - 1, which feeds the next level
+    (``_levels``).  The block of d = p_1^c_1 ... p_k^c_k then holds the
+    coordinates of f(w_d) in the tensor power basis of Z[w_d], and the
+    value is an integer iff every coordinate but the first is 0.  About
+    2 k n coefficient operations in all.
+
+    >>> eval_at_divisors(fold_mod_qn(q_int(6), 6))
+    {1: 6, 2: 0, 3: 0, 6: 0}
+    """
+    divisors, blocks = _blocks(folded, _admit(len(folded)))
+    return dict(sorted((d, None if any(block[1:]) else block[0])
+                       for d, block in zip(divisors, blocks)))
+
+
+def _blocks(folded: tuple[int, ...], factors: tuple[tuple[int, int], ...]
+            ) -> tuple[tuple[int, ...], Iterator[list[int]]]:
+    """The divisors of len(folded), whose prime powers are ``factors``, in
+    the order of the transform's blocks, and the blocks, made as they are
+    read: the first is d = n's."""
+    rows, divisors = _layout(factors)
+    source = folded * 2 if len(rows) > 1 else folded  # a row may wrap past q^(n-1)
+    x = list(itertools.chain.from_iterable(map(source.__getitem__, rows)))
+    return divisors, _transform(x, factors)
 
 
 @functools.lru_cache(maxsize=CACHE_SIZE)
-def _crt_order(primes: tuple[int, ...]) -> tuple[int, ...]:
-    """The residues m = a_1 r/p_1 + ... + a_k r/p_k modulo the product r of
-    ``primes``, each once, listed by (a_1, ..., a_k) in mixed radix, the
-    last prime fastest."""
-    r = math.prod(primes)
-    table = [0]
-    for p in primes:
-        table = [(m + a * (r // p)) % r for m in table for a in range(p)]
-    return tuple(table)
+def _layout(factors: tuple[tuple[int, int], ...]) -> tuple[tuple[slice, ...], tuple[int, ...]]:
+    """For n = P_1 ... P_k, P_i = p_i^e_i: the gather of a fold of n
+    coefficients, doubled, into a (P_1, ..., P_k) array, as the slices of
+    its rows; and the divisor of each block of ``_transform``, in order.
+
+    Position (a_1, ..., a_k) takes the coefficient of q^m,
+    m = a_1 n/P_1 + ... + a_k n/P_k mod n: one m for each tuple, since n/P_i
+    is a unit mod P_i, and w^m = u_1^a_1 ... u_k^a_k with u_i = w^(n/P_i),
+    of order p_i^c_i for w of order d = p_1^c_1 ... p_k^c_k.  So a row (the
+    last axis) is a slice of stride n/P_k, one per tuple of the other axes."""
+    n = math.prod(p**e for p, e in factors)
+    sizes = [p**e for p, e in factors] or [1]
+    starts = [0]
+    for size in sizes[:-1]:
+        starts = [(b + a * (n // size)) % n for b in starts for a in range(size)]
+    divisors = [1]
+    for p, e in reversed(factors):  # the first axis outermost
+        divisors = [p**c * d for c in range(e, -1, -1) for d in divisors]
+    step = n // sizes[-1]
+    return tuple(slice(b, b + n, step) for b in starts), tuple(divisors)
 
 
-def _reduce_first_axis(x: Sequence[int], p: int) -> list[int]:
-    """x read as a (p, w) array: its first p - 1 rows less its last one,
-    returned as a (w, p - 1) array, so the next axis comes first.  Python
-    loops over the shorter of the two axes."""
-    w = len(x) // p
-    last = x[w * (p - 1):]
-    out = [0] * (w * (p - 1))
-    if p - 1 <= w:
-        for a in range(p - 1):
-            out[a::p - 1] = map(operator.sub, x[w * a:w * (a + 1)], last)
+def _transform(x: list[int], factors: tuple[tuple[int, int], ...]) -> Iterator[list[int]]:
+    """The blocks of x, a (p_1^e_1, ..., p_k^e_k) array: the first axis
+    split into its levels (``_levels``), each moved last and the rest of the
+    axes split in turn; the blocks of d = p_1^c_1 ... p_k^c_k, in the order
+    of c_1 = e_1, ..., 0 outermost.  A block of zeros splits into zeros, so
+    it gives [0] for each of its divisors."""
+    if not factors:
+        yield x
+    elif not any(x):
+        yield from itertools.repeat(x[:1], math.prod(e + 1 for _, e in factors))
     else:
-        for j in range(w):
-            out[j * (p - 1):(j + 1) * (p - 1)] = map(
-                operator.sub, x[j:w * (p - 1):w], itertools.repeat(last[j]))
-    return out
+        (p, e), rest = factors[0], factors[1:]
+        for block in _levels(x, p, e, bool(rest)):
+            yield from _transform(block, rest)
+
+
+def _levels(x: list[int], p: int, e: int, turn: bool) -> Iterator[list[int]]:
+    """x read as a (p^e, w) array.  For c = e, ..., 1: its coordinates
+    modulo Phi_{p^c} along the first axis, (phi(p^c), w), the first p - 1
+    slices of p^(c-1) rows each less the last, turned to (w, phi(p^c)) when
+    ``turn``; then x becomes the sum of its p slices, x modulo
+    q^(p^(c-1)) - 1 there.  Last, x modulo q - 1, (1, w).  Python loops over
+    the shorter of two axes."""
+    w = len(x) // p**e
+    for _ in range(e):
+        m = len(x) // p  # a slice
+        last, h = x[-m:], len(x) - m
+        if not turn:
+            yield list(map(operator.sub, x[:h], itertools.cycle(last)))
+        else:
+            rows, out = h // w, [0] * h
+            if rows <= w:
+                for a in range(rows):
+                    b = a % (m // w) * w
+                    out[a::rows] = map(operator.sub, x[a * w:(a + 1) * w], last[b:b + w])
+            else:
+                for j in range(w):
+                    out[j * rows:(j + 1) * rows] = map(
+                        operator.sub, x[j:h:w], itertools.cycle(last[j::w]))
+            yield out
+        if p <= m:
+            acc = x[:m]
+            for s in range(m, len(x), m):
+                acc = list(map(operator.add, acc, x[s:s + m]))
+            x = acc
+        else:
+            x = [sum(x[t::m]) for t in range(m)]
+    yield x
 
 
 def fold_mod_qn(f: IntPolynomial, n: int) -> tuple[int, ...]:

@@ -35,6 +35,7 @@ from .errors import (
 from .qpoly import (
     BivariatePolynomial,
     IntPolynomial,
+    eval_at_divisors,
     eval_at_root,
     fold_mod_qn,
     gaussian_binomial,
@@ -299,24 +300,23 @@ def verify_csp_roots(inst: CSPInstance) -> tuple[RootRow, ...]:
     these rows, read through ``element_orders``.
 
     f(w) for w of order d depends only on f modulo q^d - 1, and f modulo
-    q^m - 1 determines it when d divides m.  So f is folded once modulo
-    q^order - 1, and each divisor, in decreasing order, folds the fold of
-    its least multiple folded so far, d p with p the least prime of
-    order / d: at most p d coefficients."""
+    q^order - 1 determines it, so f is folded once, modulo q^order - 1, and
+    one exact transform of the fold gives every divisor's value
+    (``qpoly.eval_at_divisors``).  With order = P_1 ... P_k, P_i = p_i^e_i,
+    the fold is gathered by CRT into a (P_1, ..., P_k) array; each axis is
+    reduced level by level, c = e_i down to 1, its first p_i - 1 slices less
+    the last giving level c (modulo Phi_{p_i^c}) and the sum of all p_i
+    slices feeding level c - 1.  The block of d = p_1^c_1 ... p_k^c_k holds
+    the coordinates of f at a primitive d-th root in the tensor power basis
+    of Z[w_d]: the value is an integer iff every coordinate but the first is
+    0, and is then the first; otherwise the row's value is None."""
     action = inst.action
     order = action.order
-    folds: dict[int, IntPolynomial] = {}  # d -> f modulo q^d - 1, d decreasing
     rows = []
-    for d in reversed(divisors(order)):
-        m = next((m for m in reversed(folds) if m % d == 0), None)  # None at d = order
-        fold = folds[d] = IntPolynomial(fold_mod_qn(folds[m] if m else inst.polynomial, d))
+    for d, value in eval_at_divisors(fold_mod_qn(inst.polynomial, order)).items():
         fixed = fixed_count(action, order // d)
-        try:
-            value = eval_at_root(fold, d)
-        except NonIntegerEvaluation:
-            value = None
         rows.append(RootRow(d, fixed, value, value == fixed))
-    return tuple(reversed(rows))
+    return tuple(rows)
 
 
 def verify_csp_orbits(inst: CSPInstance) -> tuple[tuple[int, ...], tuple[int, ...]]:

@@ -293,14 +293,21 @@ def test_reports_under_the_orbit_list_cap_are_listed(argv, address_space, last):
 ORDER_CAP_BUDGET_S = 5
 
 
-@pytest.mark.parametrize("extra,code,last", [
-    ((), 0, "verdict: PASS\n"),
-    (("--corrupt-coeff", "1"), 1, "verdict: FAIL\n"),
-    (("--json",), 0, '"verdict": "pass"\n}\n'),
-], ids=["pass", "corrupt", "json"])
-def test_order_near_the_cap_ends_in_a_verdict(extra, code, last):
-    # every divisor of 9240 is evaluated; the corrupted f has non-integer ones
-    done = run_child(("verify", "cycle", "--n", "9240", *extra), address_space=1 << 30,
+@pytest.mark.parametrize("n,extra,code,last", [
+    (n, extra, code, last)
+    for n in ("9240", "9973", "8192")
+    for extra, code, last in [
+        ((), 0, "verdict: PASS\n"),
+        (("--corrupt-coeff", "1"), 1, "verdict: FAIL\n"),
+        (("--json",), 0, '"verdict": "pass"\n}\n'),
+    ]
+], ids=[f"{prefix}{kind}" for prefix in ("", "9973-", "8192-")
+        for kind in ("pass", "corrupt", "json")])
+def test_order_near_the_cap_ends_in_a_verdict(n, extra, code, last):
+    # every divisor of n is evaluated; the corrupted f has non-integer ones.
+    # 9240 has five primes, 9973 is prime (one slice of 9,972 rows) and
+    # 8192 = 2^13 has thirteen levels: the transform's widest loops
+    done = run_child(("verify", "cycle", "--n", n, *extra), address_space=1 << 30,
                      timeout=ORDER_CAP_BUDGET_S)
     assert done.returncode == code, done.stderr
     assert done.stdout.endswith(last)

@@ -116,8 +116,8 @@ ODD_PRIMES = [p for p in range(3, 1000) if all(p % x for x in range(2, p))]
 @pytest.mark.parametrize("cached,calls", [
     (qpoly.gaussian_binomial, [(n, 2) for n in range(2, 2 + PAST_THE_BOUND)]),
     (qpoly.cyclotomic, [(d,) for d in range(1, 1 + PAST_THE_BOUND)]),
-    (qpoly._crt_order, [((2, p),) for p in ODD_PRIMES[:PAST_THE_BOUND]]),
-], ids=["gaussian_binomial", "cyclotomic", "crt_order"])
+    (qpoly._layout, [(((2, 1), (p, 1)),) for p in ODD_PRIMES[:PAST_THE_BOUND]]),
+], ids=["gaussian_binomial", "cyclotomic", "root_layout"])
 def test_polynomial_caches_are_bounded(cached, calls):
     # a long sweep kept every polynomial: Phi_2..Phi_3000 held 21.5 MB
     for args in calls:

@@ -36,7 +36,7 @@ from csplab.errors import (
     PreconditionError,
     UnknownFamily,
 )
-from csplab.qpoly import BivariatePolynomial, IntPolynomial
+from csplab.qpoly import BivariatePolynomial, IntPolynomial, q_int
 
 
 def test_action_validation():
@@ -900,27 +900,64 @@ def test_chained_folds_evaluate_as_division_does(order, seed):
             assert r.match == (expected == r.fixed)
 
 
-def test_roots_checker_folds_each_divisor_from_a_multiple(monkeypatch):
-    """f is folded once modulo q^order - 1; every other divisor d folds the
-    fold of d p, p the least prime of order / d, and is evaluated on its own
-    fold: one fold and one evaluation per divisor, read through sieve's
-    names."""
+def test_roots_checker_folds_f_once_per_report(monkeypatch):
+    """f is folded exactly once per report, modulo q^order - 1, read
+    through sieve's name, and no divisor is folded or evaluated on its own:
+    one transform of that fold gives every row."""
     folds, evals = [], []
-    fold, evaluate = sieve.fold_mod_qn, sieve.eval_at_root
+    fold = sieve.fold_mod_qn
+
+    def evaluate(f, d):
+        evals.append(d)
+        raise AssertionError("a divisor was evaluated on its own")
+
     monkeypatch.setattr(sieve, "fold_mod_qn", lambda f, n: folds.append((len(f.coeffs), n))
                         or fold(f, n))
-    monkeypatch.setattr(sieve, "eval_at_root", lambda f, d: evals.append((len(f.coeffs), d))
-                        or evaluate(f, d))
+    monkeypatch.setattr(qpoly, "fold_mod_qn", lambda f, n: folds.append((len(f.coeffs), n))
+                        or fold(f, n))
+    for module in (sieve, qpoly):
+        monkeypatch.setattr(module, "eval_at_root", evaluate)
     order = 2520
     inst = sieve.registry_instantiate("cycle", {"n": order})
     inst = dataclasses.replace(inst, polynomial=sieve.corrupt_polynomial(inst.polynomial, 9000))
-    sieve.verify_csp_roots(inst)
-    divs = sieve.divisors(order)
-    assert [n for _, n in folds] == [d for _, d in evals] == divs[::-1]
-    assert folds[0] == (9001, order)
-    least_prime = {d: min(p for p in (2, 3, 5, 7) if order // d % p == 0) for d in divs[:-1]}
-    assert all(length <= least_prime[n] * n for length, n in folds[1:])
-    assert all(length <= d for length, d in evals)
+    rows = sieve.verify_csp_roots(inst)
+    assert folds == [(9001, order)]
+    assert evals == []
+    assert [r.elem_order for r in rows] == sieve.divisors(order)
+    assert any(r.value is None for r in rows)
+
+
+def _oracle_rows(f, order):
+    """Each divisor's value by the CRT evaluation at that divisor alone."""
+    values = []
+    for d in sieve.divisors(order):
+        try:
+            values.append(evaluation_oracle.eval_by_crt(f, d))
+        except NonIntegerEvaluation:
+            values.append(None)
+    return values
+
+
+def _transform_rows(f, order):
+    action = sieve.CyclicAction.counted({order: 1}, order, lambda: None)
+    return [r.value for r in sieve.verify_csp_roots(sieve.CSPInstance(action, f))]
+
+
+def test_every_divisor_row_matches_the_crt_evaluation():
+    """Every order up to 1,200, on [N]_q and on [N]_q with one coefficient
+    bumped past the order."""
+    for order in range(1, 1201):
+        for f in (q_int(order), sieve.corrupt_polynomial(q_int(order), order + order // 3)):
+            assert _transform_rows(f, order) == _oracle_rows(f, order), order
+
+
+# composite, prime powers, primes, and the library's order past ORDER_CAP
+@pytest.mark.parametrize("order", [5040, 6561, 8192, 9240, 9973, 7919, 9998, 9999, 10002])
+def test_every_divisor_row_matches_the_crt_evaluation_at_edge_orders(order):
+    rng = random.Random(order)
+    noise = IntPolynomial(rng.randint(-3, 3) for _ in range(2 * order + 5))
+    for f in (q_int(order), sieve.corrupt_polynomial(q_int(order), order + 7), noise):
+        assert _transform_rows(f, order) == _oracle_rows(f, order)
 
 
 def test_roots_checker_divides_by_no_cyclotomic(monkeypatch):
