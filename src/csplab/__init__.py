@@ -18,7 +18,6 @@ from .qpoly import (
     cyclotomic,
     eulerian_poly,
     eval_at_root,
-    exact_divide,
     face_poly,
     fold_mod_qn,
     gaussian_binomial,

@@ -17,7 +17,7 @@ from .tableaux import _check_partition
 
 __all__ = [
     "Permutation", "inverse",
-    "from_cycles", "index_cycles", "cycles_of", "read_cycles", "perm_label",
+    "from_cycles", "index_cycles", "read_cycles", "perm_label",
     "stat",
     "conjugacy_class", "conjugate", "maj_exc_genfun", "cycle_type_kind",
     "CLASS_CAP",
@@ -63,14 +63,6 @@ def index_cycles(gen: Sequence[int]) -> list[tuple[int, ...]]:
             raise PreconditionError(NOT_A_PERMUTATION)
         cycles.append(tuple(members))
     return cycles
-
-
-def cycles_of(w: Permutation) -> list[tuple[int, ...]]:
-    """Disjoint cycles, each starting at its minimum, sorted by minimum.
-    Raises PreconditionError when w is not a permutation of [len(w)].
-    (0, *w) permutes the indices 0..len(w) exactly when w permutes [len(w)],
-    and its first cycle is (0,)."""
-    return index_cycles((0, *w))[1:]
 
 
 def from_cycles(n: int, cycles: Iterable[Iterable[int]]) -> Permutation:

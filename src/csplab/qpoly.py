@@ -35,7 +35,7 @@ from .errors import (
 __all__ = [
     "IntPolynomial", "BivariatePolynomial", "Texts", "DEGREE_CAP", "WORK_CAP", "TEXTS_CAP",
     "q_int", "q_ratio", "q_factorial", "gaussian_binomial", "cyclotomic",
-    "eval_at_root", "eval_at_divisors", "fold_mod_qn", "exact_divide",
+    "eval_at_root", "eval_at_divisors", "fold_mod_qn",
     "q_catalan", "q_fuss_catalan_A", "eulerian_poly",
     "plethysm_h", "plethysm_e", "face_poly", "subst_t_q_inverse",
     "q_proper_triangulations",
@@ -262,14 +262,6 @@ def _divmod(f: IntPolynomial, g: IntPolynomial) -> tuple[IntPolynomial, IntPolyn
         for i, b in terms:
             rem[shift + i] -= t * b
     return IntPolynomial(quot), IntPolynomial(rem)
-
-
-def exact_divide(f: IntPolynomial, g: IntPolynomial) -> IntPolynomial:
-    """Return h with f = g*h, raising InexactDivision if no such h exists."""
-    quot, rem = _divmod(f, g)
-    if rem:
-        raise InexactDivision(f"{f} is not a multiple of {g} (remainder {rem})")
-    return quot
 
 
 # ---------------------------------------------------------------------------

@@ -194,12 +194,12 @@ def action_from_objects(
 
 def _indexed(
     objects: Iterable, images: Iterable, labels: Iterable[str], order: int
-) -> tuple[tuple[str, ...], list[int]]:
-    """The labels and the generator as an index list, in enumeration order,
+) -> tuple[list[str], list[int]]:
+    """The labels and the generator as index lists, in enumeration order,
     for ``action_from_objects`` (which says what the three iterables hold):
     checks everything but that the generator is a permutation, which the
     walk of its cycles checks."""
-    objects, labels = tuple(objects), tuple(labels)
+    objects, labels = tuple(objects), list(labels)
     n = len(objects)
     if len(labels) != n:
         raise PreconditionError(f"{len(labels)} labels for {n} objects")
@@ -224,16 +224,36 @@ def _sorted_by_label(state: list, order: int) -> CyclicAction:
     freed before the orbits are walked."""
     labels, gen = state
     state.clear()
-    # gen holds each index once, so sorting it rather than a range reuses
-    # its int objects
-    perm = sorted(gen, key=labels.__getitem__)
-    rank = sorted(gen, key=perm.__getitem__)  # the inverse of perm
-    sorted_labels = tuple(map(labels.__getitem__, perm))
-    sorted_gen = tuple(map(rank.__getitem__, map(gen.__getitem__, perm)))
-    del labels, gen, perm, rank
-    # the labels and the order were checked when they were indexed
+    texts, rank = _label_order(labels)  # checked distinct when indexed
+    del labels
+    sorted_gen = _scattered(rank, map(rank.__getitem__, gen))
+    del gen, rank
+    return _walked(texts, tuple(sorted_gen), order)
+
+
+def _label_order(labels: list[str]) -> tuple[tuple[str, ...], list[int]]:
+    """The labels sorted, and each one's rank in that order, aligned with
+    ``labels``: one sort of their positions by label, inverted by a scatter
+    that reuses the positions' int objects.  The caller checks that the
+    labels are distinct."""
+    positions = list(range(len(labels)))
+    by_label = sorted(positions, key=labels.__getitem__)
+    return tuple(map(labels.__getitem__, by_label)), _scattered(by_label, positions)
+
+
+def _scattered(ranks: Sequence[int], images: Iterable[int]) -> list[int]:
+    """The list whose entry ranks[i] is images[i], both aligned with one
+    enumeration: put in label order, the generator, or with ranks by label
+    and images the positions, the inverse of that order."""
+    out = [0] * len(ranks)
+    collections.deque(map(out.__setitem__, ranks, images), maxlen=0)
+    return out
+
+
+def _walked(texts: tuple[str, ...], gen: tuple[int, ...], order: int) -> CyclicAction:
+    """The action on checked labels in label order, its orbits walked once."""
     action = CyclicAction.__new__(CyclicAction)
-    action._walk(sorted_labels, sorted_gen, order)
+    action._walk(texts, gen, order)
     return action
 
 
@@ -559,17 +579,29 @@ def _k_sets(
     """The action on the k-subsets of an indexed ground set, or on its
     k-multisets when ``repeat`` is set, induced by the index permutation
     ``gen``, built sorted by label; a (multi)set is labelled by its members'
-    labels, the empty one by "-".  The three iterables enumerate the same
-    combinations of positions, in the same order, all in C.  The caller
-    counted the orbits, so no walk in enumeration order reads them: the
-    cycles are walked once, sorted."""
+    labels, the empty one by "-".  The k-sets' positions are indexed in the
+    order ``itertools`` picks them, each image is looked up as its sorted
+    positions, all in C, and the index is freed before the labels are made
+    and put in label order (``_label_order``), so that the largest listing
+    holds the two in turn, not at once.  The caller counted the
+    orbits, so no walk in enumeration order reads them: the cycles are
+    walked once, sorted."""
+    if len(gen) != len(labels):
+        raise PreconditionError(perms.NOT_A_PERMUTATION)
+    _check_declared_order(order)
     pick = itertools.combinations_with_replacement if repeat else itertools.combinations
-    return _sorted_by_label(list(_indexed(
-        pick(range(len(labels)), k),
-        map(tuple, map(sorted, pick(gen, k))),
-        map(sep.join, pick(labels, k)) if k else ("-",),
-        order,
-    )), order)
+    index = dict(zip(pick(range(len(labels)), k), itertools.count()))
+    try:
+        images = list(map(index.__getitem__, map(tuple, map(sorted, pick(gen, k)))))
+    except KeyError as exc:
+        raise PreconditionError(f"generator leaves the set: {exc}") from exc
+    del index
+    texts, rank = _label_order(list(map(sep.join, pick(labels, k))) if k else ["-"])
+    if any(map(operator.eq, texts, itertools.islice(texts, 1, None))):
+        raise PreconditionError(LABELS_NOT_DISTINCT)
+    sorted_gen = _scattered(rank, map(rank.__getitem__, images))
+    del images, rank
+    return _walked(texts, tuple(sorted_gen), order)
 
 
 def _fixed_k_sets(cycles: Mapping[int, int], k: int, repeat: bool) -> int:

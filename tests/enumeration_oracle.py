@@ -19,7 +19,7 @@ import math
 from typing import Iterable, Iterator, Sequence
 
 from csplab.catalan import Diagonals, Matching, SetPartition
-from csplab.perms import Permutation, cycles_of, from_cycles, read_cycles
+from csplab.perms import Permutation, from_cycles, index_cycles, read_cycles
 
 
 def canonical_blocks(blocks: Iterable[Iterable[int]]) -> SetPartition:
@@ -147,6 +147,14 @@ def symmetric_group(n: int) -> Iterator[Permutation]:
 
 def parse_cycles(text: str, n: int) -> Permutation:
     return from_cycles(n, read_cycles(text, n))
+
+
+def cycles_of(w: Permutation) -> list[tuple[int, ...]]:
+    """Disjoint cycles, each starting at its minimum, sorted by minimum.
+    Raises PreconditionError when w is not a permutation of [len(w)].
+    (0, *w) permutes the indices 0..len(w) exactly when w permutes [len(w)],
+    and its first cycle is (0,)."""
+    return index_cycles((0, *w))[1:]
 
 
 def perm_order(w: Permutation) -> int:

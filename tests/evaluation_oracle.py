@@ -35,7 +35,8 @@ import operator
 
 from csplab import qpoly
 from csplab.errors import NonIntegerEvaluation, PreconditionError
-from csplab.qpoly import IntPolynomial, exact_divide
+from csplab.qpoly import IntPolynomial
+from qpoly_oracle import exact_divide
 
 
 @functools.lru_cache(maxsize=None)

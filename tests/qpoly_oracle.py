@@ -12,14 +12,27 @@ none of that code:
   ring term as ``IntPolynomial`` products followed by ``exact_divide``;
 - the proper-triangulation polynomial with [2]_q^j as a repeated product.
 
+``exact_divide``, the long division that these constructions and the other
+oracles divide by, lives here: nothing in ``csplab`` calls it.
+
 It also keeps the loop that ``plethysm_h`` and ``plethysm_e`` replaced with
 Newton's identities: ``h_or_e`` adds the monomials of f one at a time.
 """
 from __future__ import annotations
 
-from csplab.qpoly import IntPolynomial, exact_divide, q_int
+from csplab import qpoly
+from csplab.errors import InexactDivision
+from csplab.qpoly import IntPolynomial, q_int
 
 ONE = IntPolynomial((1,))
+
+
+def exact_divide(f: IntPolynomial, g: IntPolynomial) -> IntPolynomial:
+    """Return h with f = g*h, raising InexactDivision if no such h exists."""
+    quot, rem = qpoly._divmod(f, g)
+    if rem:
+        raise InexactDivision(f"{f} is not a multiple of {g} (remainder {rem})")
+    return quot
 
 
 def h_or_e(k: int, f: IntPolynomial, repeat: bool) -> IntPolynomial:

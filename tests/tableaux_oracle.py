@@ -14,9 +14,9 @@ level-by-level enumeration and the slide over neighbour tables.
 
 from typing import Iterator, Sequence
 
-from csplab.qpoly import IntPolynomial, exact_divide
+from csplab.qpoly import IntPolynomial
 from csplab.tableaux import Tableau, _growths, hooklengths
-from qpoly_oracle import product
+from qpoly_oracle import exact_divide, product
 
 
 def enumerate_syt(lam: tuple[int, ...]) -> tuple[Tableau, ...]:

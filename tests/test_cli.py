@@ -516,6 +516,17 @@ def test_k_set_listings_past_the_list_cap_are_refused_at_once(argv):
     assert "listed k-set member count" in done.stderr
 
 
+def test_largest_admitted_k_set_listing_is_listed():
+    # 598,965 pairs, 1,197,930 members, under ORBIT_LIST_CAP.  A cold child
+    # took 1.0-1.5 s at 123.7 MB ru_maxrss on a 2-core host
+    done = run_child(("orbits", "subset", "--n", "1095", "--k", "2", "--cap", "1000000"),
+                     address_space=1 << 30, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("family subset  params n=1095 k=2\nsize 598965  order 1095\n")
+    # 1095 is odd, so every pair's orbit is free
+    assert done.stdout.count("\norbit size 1095  stab    1  ") == 547
+
+
 @pytest.mark.parametrize("argv", [
     ("verify", "multiset", "--n", "2", "--k", "9000"),
     ("verify", "multiset", "--n", "2", "--k", "30000"),

@@ -16,6 +16,7 @@ import printer_oracle
 import qpoly_oracle
 from csplab import qpoly
 from evaluation_oracle import root_of_unity_binomial
+from qpoly_oracle import exact_divide
 from csplab.errors import (
     CapExceeded,
     InexactDivision,
@@ -30,7 +31,6 @@ from csplab.qpoly import (
     cyclotomic,
     eulerian_poly,
     eval_at_root,
-    exact_divide,
     face_poly,
     fold_mod_qn,
     gaussian_binomial,

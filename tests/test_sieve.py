@@ -10,7 +10,7 @@ import random
 import evaluation_oracle
 import printer_oracle
 import pytest
-from enumeration_oracle import parse_cycles
+from enumeration_oracle import cycle_type, parse_cycles
 from evaluation_oracle import root_of_unity_binomial
 from fixed_point_oracle import (
     bicyclic_burnside_ok,
@@ -241,8 +241,7 @@ def test_position_keys_are_injective_and_rotate_with_conjugation(n):
     order = max(n, 1)
     c = tuple(range(2, n + 1)) + (1,) if n else ()
     c_inv = perms.inverse(c)
-    for lam in {tuple(sorted(map(len, perms.cycles_of(w)), reverse=True))
-                for w in itertools.permutations(range(1, n + 1))}:
+    for lam in {cycle_type(w) for w in itertools.permutations(range(1, n + 1))}:
         cls = perms.conjugacy_class(lam)
         keys = sieve._position_keys(cls, order)
         assert len(set(keys)) == len(cls)
@@ -325,12 +324,27 @@ def test_verify_builds_no_label_sorted_action(family, params):
 @settings(max_examples=60, deadline=None)
 def test_k_sets_match_label_keyed_oracle(gen, k, repeat, sep):
     """The k-set builder, whose images and labels iterate in C, agrees with
-    stepping and encoding every (multi)set one at a time."""
+    stepping and encoding every (multi)set one at a time, and refuses a
+    generator that leaves the set or is not a permutation, and a ground set
+    with repeated labels."""
     labels = [str(x) for x in range(1, len(gen) + 1)]
     order = faithful_order(tuple(gen))
     new = sieve._k_sets(labels, gen, k, repeat, sep, order)
     old = label_keyed_action(*k_sets(labels, gen, k, repeat, sep, order))
     assert (new.labels, new.generator, new.order) == (old.labels, old.generator, old.order)
+    m = len(labels)
+    if k and m >= 2 and (repeat or k <= m):
+        leaving, repeated = list(gen), list(gen)
+        leaving[0], repeated[0] = m, repeated[1]
+        with pytest.raises(PreconditionError, match="generator leaves the set"):
+            sieve._k_sets(labels, leaving, k, repeat, sep, order)
+        with pytest.raises(PreconditionError) as refused:
+            sieve._k_sets(labels, repeated, k, repeat, sep, order)
+        assert str(refused.value).startswith(("generator leaves the set",
+                                              perms.NOT_A_PERMUTATION))
+    if m >= 2:
+        with pytest.raises(PreconditionError, match=sieve.LABELS_NOT_DISTINCT):
+            sieve._k_sets([labels[0]] * 2 + labels[2:], gen, 1, repeat, sep, order)
 
 
 def test_orbit_decompose_multiset():
